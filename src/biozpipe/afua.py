@@ -12,6 +12,10 @@ layer, and a softmax head map the final hidden state to class
 probabilities.  The state update multiplies no two state vectors together
 (no Hadamard products); each unit couples to the others only through the
 four matrix-vector products.
+
+``unroll`` and ``head_batch`` are the batched kernel that classify,
+training, the quantized sweep and current mode all run.  ``afua_step`` and
+``run_sequence`` step one sequence at a time: the reference for the tests.
 """
 
 from __future__ import annotations
@@ -98,12 +102,8 @@ _SIG_CEIL = np.nextafter(1.0, 0.0)
 def sigmoid(v):
     """Logistic function, numerically stable, with open range (0, 1)."""
     v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    out = np.clip(out, _SIG_FLOOR, _SIG_CEIL)
+    e = np.exp(-np.abs(v))
+    out = np.clip(np.where(v >= 0, 1.0, e) / (1.0 + e), _SIG_FLOOR, _SIG_CEIL)
     if out.ndim == 0:
         return float(out)
     return out
@@ -156,18 +156,66 @@ def run_sequence(seq, params: NetworkParams, cfg: IntegrationConfig,
     return state.h
 
 
+def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
+           h0: float = 0.5, keep_records: bool = False):
+    """Euler unroll of a (B, T, D) batch with the gates stacked.
+
+    Returns the final (B, n) states, the number of state entries the clamp
+    moved, and per substep a ``(t, h, z, cand, h_tilde, 1 - h/h_tilde)``
+    record, ``h`` being the state it started from (``None`` unless
+    ``keep_records``).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3 or X.shape[2] != params.n_inputs:
+        raise ConfigError(
+            f"sequence width {X.shape} does not match {params.n_inputs} inputs"
+        )
+    if cfg.dt > params.tau_h:
+        raise ConfigError("dt must not exceed tau_h")
+    n = params.n_hidden
+    W_in = np.vstack([params.W_z, params.W]).T
+    U_rec = np.vstack([params.U_z, params.U]).T
+    dt_tau = cfg.dt / params.tau_h
+    H = np.full((X.shape[0], n), h0)
+    clamped = 0
+    records = [] if keep_records else None
+    for t in range(X.shape[1]):
+        x_in = X[:, t, :] @ W_in
+        for _ in range(cfg.substeps_per_pattern):
+            gates = sigmoid(x_in + H @ U_rec)
+            Z, C = gates[:, :n], gates[:, n:]
+            Ht = np.maximum(C, cfg.epsilon)
+            G = 1.0 - H / Ht
+            H_new = H + dt_tau * Z * G
+            if records is not None:
+                records.append((t, H, Z, C, Ht, G))
+            H = np.clip(H_new, cfg.epsilon, 1.0 - cfg.epsilon)
+            clamped += int(np.count_nonzero(H != H_new))
+        # a non-finite value stays non-finite through every later substep
+        if not np.all(np.isfinite(H)):
+            raise NumericalError(f"step {t}: non-finite state value")
+    return H, clamped, records
+
+
+def head_batch(H: np.ndarray, params: NetworkParams):
+    """Class probabilities of (B, n) states, with the A1 and A2 layers."""
+    A1 = sigmoid(H @ params.fc1_w.T + params.fc1_b)
+    A2 = np.maximum(A1 @ params.fc2_w.T + params.fc2_b, 0.0)
+    E = np.exp(A2 - A2.max(axis=1, keepdims=True))
+    return E / E.sum(axis=1, keepdims=True), A1, A2
+
+
 def head_forward(h: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Sigmoid FC, ReLU FC, softmax; returns the 2 class probabilities."""
-    a1 = sigmoid(params.fc1_w @ h + params.fc1_b)
-    a2 = np.maximum(params.fc2_w @ a1 + params.fc2_b, 0.0)
-    e = np.exp(a2 - a2.max())
-    return e / e.sum()
+    return head_batch(h[None, :], params)[0][0]
 
 
 def classify(seq, params: NetworkParams,
              cfg: IntegrationConfig = IntegrationConfig()):
     """Label one sequence; ties resolve to the benign class (0)."""
-    p = head_forward(run_sequence(seq, params, cfg), params)
+    steps = np.asarray(getattr(seq, "steps", seq), dtype=float)
+    H, _, _ = unroll(steps[None], params, cfg)
+    p = head_forward(H[0], params)
     label = LABEL_LESION if p[1] > p[0] else LABEL_BENIGN
     return label, p
 

@@ -5,8 +5,8 @@ The current-mode state update
     tau_h * dI_h/dt = I_z * (1 - I_h / I_htilde)
 
 is the hidden-state dynamics under the exact change of variables
-h = I_h / I_unit, I_z = I_unit * z, I_htilde = I_unit * h_cand; integrating
-both forms with the same Euler scheme must agree to floating-point noise.
+h = I_h / I_unit, I_z = I_unit * z, I_htilde = I_unit * h_cand, so current
+mode is the trajectory of ``afua.unroll`` at batch 1 scaled by I_unit.
 
 The budget calculator turns the array/amplifier constants into chip area,
 supply current, and power; the routing factor is calibrated so the default
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afua import IntegrationConfig, NetworkParams, sigmoid
+from .afua import IntegrationConfig, NetworkParams, unroll
 from .errors import ConfigError
 
 
@@ -49,32 +49,21 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     """Integrate the current-mode update over a held-input sequence.
 
     Gates are evaluated from the normalized state I_h/I_unit, mirroring the
-    voltage-domain computation; currents falling below I_unit * epsilon are
-    clamped and counted.
+    voltage-domain computation; currents falling outside
+    [I_unit * epsilon, I_unit * (1 - epsilon)] are clamped and counted.
     """
     if I_unit <= 0:
         raise ConfigError("I_unit must be positive")
     steps = np.asarray(getattr(x_sequence, "steps", x_sequence), dtype=float)
-    I_h = np.full(params.n_hidden, h0 * I_unit)
-    floor = cfg.epsilon * I_unit
-    ceil = (1.0 - cfg.epsilon) * I_unit
-    states = []
-    clamped = 0
-    for x in steps:
-        for _ in range(cfg.substeps_per_pattern):
-            h_norm = I_h / I_unit
-            z = sigmoid(params.W_z @ x + params.U_z @ h_norm)
-            h_cand = np.maximum(sigmoid(params.W @ x + params.U @ h_norm),
-                                cfg.epsilon)
-            I_z = I_unit * z
-            I_ht = I_unit * h_cand
-            I_new = I_h + cfg.dt * (I_z / params.tau_h) * (1.0 - I_h / I_ht)
-            out_of_range = (I_new < floor) | (I_new > ceil)
-            clamped += int(out_of_range.sum())
-            I_h = np.clip(I_new, floor, ceil)
-            states.append(CurrentState(I_h=I_h, I_z=I_z, I_htilde=I_ht,
-                                       I_unit=I_unit))
-    return CurrentTrajectory(states=tuple(states), clamped_substeps=clamped)
+    H, clamped, records = unroll(steps[None], params, cfg, h0=h0,
+                                 keep_records=True)
+    # each record holds the state its substep started from
+    h_after = [rec[1] for rec in records[1:]] + [H]
+    states = tuple(
+        CurrentState(I_h=I_unit * h[0], I_z=I_unit * z[0],
+                     I_htilde=I_unit * h_tilde[0], I_unit=I_unit)
+        for h, (_, _, z, _, h_tilde, _) in zip(h_after, records))
+    return CurrentTrajectory(states=states, clamped_substeps=clamped)
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,8 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
 
     model = cfg.tissue_model()
     ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
-                              contact_impedance=cfg.contact_impedance_ohm_mm,
-                              cache_path=out / "reference.frame")
+                              contact_impedance=cfg.contact_impedance_ohm_mm)
+    fem.save_frames([ref], out / "reference.frame")
     phantoms = phm.generate_phantom_set(mesh, layout, model, cfg.n_phantoms,
                                         seed=cfg.seed, rbf=cfg.rbf())
     phm.save_phantom_metadata(phantoms, out / "phantoms.csv")

@@ -275,27 +275,16 @@ def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
 def reference_frame(mesh: Mesh, layout: ProbeLayout,
                     sigma_saline: complex = DEFAULT_SALINE_MS_PER_M,
                     contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM,
-                    thickness_mm: float = SLICE_THICKNESS_MM,
-                    cache_path=None) -> Frame:
-    """Frame of a uniform saline bath; cached to disk after first computation."""
+                    thickness_mm: float = SLICE_THICKNESS_MM) -> Frame:
+    """Frame of a uniform saline bath."""
     if complex(sigma_saline).real <= 0:
         raise SolverError("saline conductivity real part must be positive")
-    if cache_path is not None:
-        try:
-            frames = load_frames(cache_path)
-            if frames:
-                return frames[0]
-        except (FileNotFoundError, FormatError):
-            pass
     sigma = np.full(mesh.n_triangles, complex(sigma_saline), dtype=complex)
     ref = Phantom(element_sigma=sigma,
                   inclusion=Inclusion(center=(0.0, 0.0), diameter=0.0),
                   label=0, seed=0)
-    frame = simulate_frame(ref, mesh, layout, contact_impedance, thickness_mm,
-                           phantom_id="reference")
-    if cache_path is not None:
-        save_frames([frame], cache_path)
-    return frame
+    return simulate_frame(ref, mesh, layout, contact_impedance, thickness_mm,
+                          phantom_id="reference")
 
 
 # ---------------------------------------------------------------------------

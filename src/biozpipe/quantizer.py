@@ -90,9 +90,8 @@ def quantized_forward(qparams, seq, cfg: IntegrationConfig = IntegrationConfig()
     Passing full-precision NetworkParams runs the identical classify path
     (passthrough mode).
     """
-    if isinstance(qparams, NetworkParams):
-        return classify(seq, qparams, cfg)
-    return classify(seq, qparams.dequantize(), cfg)
+    return classify(seq, qparams if isinstance(qparams, NetworkParams)
+                    else qparams.dequantize(), cfg)
 
 
 def sweep(params: NetworkParams, test_set, bit_list,
@@ -141,7 +140,7 @@ def save_quantized_model(qparams: QuantizedParams, cfg: IntegrationConfig,
     for name in _MATRIX_NAMES:
         mat = np.atleast_2d(qparams.codes[name])
         lines.append(f"codes {name} {mat.shape[0]} {mat.shape[1]} "
-                     f"{qparams.spec.scales[name]!r}")
+                     f"{float(qparams.spec.scales[name])!r}")
         for row in mat:
             lines.append(" ".join(str(int(v)) for v in row))
     with open(path, "w", encoding="ascii") as f:

@@ -1,11 +1,10 @@
 """Full-precision training: cross-entropy, BPTT through the Euler unroll,
 Adam updates, and accuracy/confusion reporting.
 
-Forward and backward passes are vectorized over the batch dimension; the
-math is identical to the per-sequence functions in ``afua`` (cross-checked
-by tests).  Clamps are treated as straight-through in the backward pass, so
-the gradients are the exact reverse-mode derivatives of the unclamped
-recursion.
+The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``;
+the backward pass replays its per-substep records over the whole batch.
+Clamps are treated as straight-through in the backward pass, so the
+gradients are the exact reverse-mode derivatives of the unclamped recursion.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .afua import IntegrationConfig, NetworkParams, sigmoid
+from .afua import IntegrationConfig, NetworkParams, head_batch, unroll
 from .datapipe import DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
@@ -65,58 +64,31 @@ def _stack_batch(batch: list[InputSequence]):
     return X, y
 
 
-def _forward_batch(X: np.ndarray, params: NetworkParams,
-                   cfg: IntegrationConfig, keep_cache: bool):
-    """Euler unroll over a (B, T, D) batch; optionally cache for backward."""
-    B, T, _ = X.shape
-    n = params.n_hidden
-    dt_tau = cfg.dt / params.tau_h
-    H = np.full((B, n), 0.5)
-    cache = [] if keep_cache else None
-    for t in range(T):
-        Xt = X[:, t, :]
-        xWz = Xt @ params.W_z.T
-        xW = Xt @ params.W.T
-        for _ in range(cfg.substeps_per_pattern):
-            Z = sigmoid(xWz + H @ params.U_z.T)
-            C = sigmoid(xW + H @ params.U.T)
-            Ht = np.maximum(C, cfg.epsilon)
-            G = 1.0 - H / Ht
-            H_new = H + dt_tau * Z * G
-            if keep_cache:
-                cache.append((t, H, Z, C, Ht, G))
-            H = np.clip(H_new, cfg.epsilon, 1.0 - cfg.epsilon)
-    return H, cache
-
-
-def _head_batch(H: np.ndarray, params: NetworkParams):
-    A1 = sigmoid(H @ params.fc1_w.T + params.fc1_b)
-    pre2 = A1 @ params.fc2_w.T + params.fc2_b
-    A2 = np.maximum(pre2, 0.0)
-    shifted = A2 - A2.max(axis=1, keepdims=True)
-    E = np.exp(shifted)
-    P = E / E.sum(axis=1, keepdims=True)
-    return P, A1, A2
+def _loss_and_hits(P: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy and the number of correct labels of a batch."""
+    p_true = np.clip(P[np.arange(len(y)), y], 1e-12, None)
+    pred = (P[:, 1] > P[:, 0]).astype(np.int64)
+    return float(-np.log(p_true).mean()), int((pred == y).sum())
 
 
 def forward_probabilities(batch, params: NetworkParams,
                           cfg: IntegrationConfig) -> np.ndarray:
     """Class probabilities for a list of sequences (batched)."""
     X, _ = _stack_batch(batch)
-    H, _ = _forward_batch(X, params, cfg, keep_cache=False)
-    P, _, _ = _head_batch(H, params)
-    return P
+    H, _, _ = unroll(X, params, cfg)
+    return head_batch(H, params)[0]
 
 
 def gradients(batch: list[InputSequence], params: NetworkParams,
-              cfg: IntegrationConfig) -> dict[str, np.ndarray]:
-    """Mean-loss gradients for every parameter via reverse-mode BPTT."""
+              cfg: IntegrationConfig):
+    """Mean-loss gradients via reverse-mode BPTT, plus the batch's loss
+    and hits as ``batch_loss_and_hits`` gives them."""
     if not batch:
         raise ConfigError("gradient batch must be non-empty")
     X, y = _stack_batch(batch)
     B = len(batch)
-    H_final, cache = _forward_batch(X, params, cfg, keep_cache=True)
-    P, A1, A2 = _head_batch(H_final, params)
+    H_final, _, records = unroll(X, params, cfg, keep_records=True)
+    P, A1, A2 = head_batch(H_final, params)
 
     grads = {name: np.zeros_like(getattr(params, name))
              for name in _PARAM_NAMES}
@@ -135,7 +107,7 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     dH = dpre1 @ params.fc1_w
 
     dt_tau = cfg.dt / params.tau_h
-    for t, H_in, Z, C, Ht, G in reversed(cache):
+    for t, H_in, Z, C, Ht, G in reversed(records):
         Xt = X[:, t, :]
         # clamp on the updated state is straight-through
         dZ = dH * dt_tau * G
@@ -153,16 +125,14 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     for name, gmat in grads.items():
         if not np.all(np.isfinite(gmat)):
             raise NumericalError(f"non-finite gradient in {name}")
-    return grads
+    return (grads, *_loss_and_hits(P, y))
 
 
 def batch_loss_and_hits(batch, params, cfg):
+    """Mean cross-entropy and correct-label count, forward pass only."""
     X, y = _stack_batch(batch)
-    H, _ = _forward_batch(X, params, cfg, keep_cache=False)
-    P, _, _ = _head_batch(H, params)
-    p_true = np.clip(P[np.arange(len(y)), y], 1e-12, None)
-    pred = (P[:, 1] > P[:, 0]).astype(np.int64)
-    return float(-np.log(p_true).mean()), int((pred == y).sum())
+    H, _, _ = unroll(X, params, cfg)
+    return _loss_and_hits(head_batch(H, params)[0], y)
 
 
 def init_params(seed: int, n_inputs: int = 25, n_hidden: int = 16,
@@ -230,12 +200,13 @@ def train(splits: DatasetSplit, config: TrainConfig,
         epoch_hits = 0
         for lo in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
-            bl, hits = batch_loss_and_hits(batch, params, cfg)
-            if not np.isfinite(bl):
-                raise NumericalError(f"training diverged at epoch {epoch}")
+            try:
+                grads, bl, hits = gradients(batch, params, cfg)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"training diverged at epoch {epoch}: {exc}") from exc
             epoch_loss += bl * len(batch)
             epoch_hits += hits
-            grads = gradients(batch, params, cfg)
             step += 1
             updates = {}
             for k in _PARAM_NAMES:

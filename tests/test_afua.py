@@ -194,6 +194,14 @@ class TestClassify:
         label2, _ = afua.classify(seq, p2)
         assert label1 == label2
 
+    def test_rejects_width_mismatch_and_dt_above_tau(self):
+        p = zero_params()
+        with pytest.raises(ConfigError):
+            afua.classify(np.zeros((28, 24)), p)
+        with pytest.raises(ConfigError):
+            afua.classify(np.zeros((28, 25)), p,
+                          IntegrationConfig(substeps_per_pattern=1, dt=1.5))
+
 
 class TestModelFile:
     def test_bit_exact_roundtrip(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biozpipe import analog, trainer
+from biozpipe import afua, analog
 from biozpipe.afua import IntegrationConfig, NetworkParams
 from biozpipe.analog import BudgetResult, HardwareBudget
 from biozpipe.errors import ConfigError
@@ -34,17 +34,25 @@ class TestCurrentMode:
             assert np.allclose(st.I_h, 5.0)  # 0.5 * I_unit, constant
 
     def test_matches_normalized_dynamics(self):
-        # I_h / I_unit must track the dimensionless trajectory to 1e-12
+        # I_h / I_unit and I_z / I_unit must track the per-substep
+        # afua_step reference to 1e-12
         p = rand_params(3)
         cfg = IntegrationConfig()
         rng = np.random.default_rng(1)
         for _ in range(3):
             seq = rng.uniform(-1, 1, (28, 25))
             traj = analog.simulate_current_mode(seq, p, I_unit=7.5, cfg=cfg)
-            X = seq[None, :, :]
-            H, cache = trainer._forward_batch(X, p, cfg, keep_cache=True)
-            h_path = np.stack([c[1][0] for c in cache[1:]] + [H[0]])
-            assert np.max(np.abs(traj.normalized_h() - h_path)) <= 1e-12
+            st = afua.initial_state(p.n_hidden)
+            ref = []
+            for x in seq:
+                for _ in range(cfg.substeps_per_pattern):
+                    st = afua.afua_step(x, st, p, cfg)
+                    ref.append(st)
+            assert len(traj.states) == len(ref)
+            assert np.max(np.abs(traj.normalized_h()
+                                 - np.stack([r.h for r in ref]))) <= 1e-12
+            z = np.stack([s.I_z / s.I_unit for s in traj.states])
+            assert np.max(np.abs(z - np.stack([r.z for r in ref]))) <= 1e-12
 
     def test_doubling_unit_current_doubles_currents(self):
         p = rand_params(4)

@@ -11,13 +11,15 @@ def run_cli(args):
     return cli.main(args)
 
 
+TINY_PIPELINE = ["pipeline", "--n", "40", "--epochs", "4", "--seed", "5",
+                 "--mesh-edge", "0.3", "--split", "0.5,0.25,0.25"]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A complete toy pipeline run shared by the read-only CLI tests."""
     out = tmp_path_factory.mktemp("run")
-    code = run_cli(["pipeline", "--n", "40", "--epochs", "4", "--seed", "5",
-                    "--mesh-edge", "0.3", "--out", str(out),
-                    "--split", "0.5,0.25,0.25"])
+    code = run_cli([*TINY_PIPELINE, "--out", str(out)])
     assert code == 0
     return out
 
@@ -86,6 +88,33 @@ class TestPipelineOutputs:
             rows = list(csv.DictReader(f))
         labels = [int(r["label"]) for r in rows]
         assert 0 < sum(labels) < len(labels)
+
+
+class TestReruns:
+    def test_threads_do_not_change_manifest(self, tmp_path):
+        manifests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert run_cli([*TINY_PIPELINE, "--threads", threads,
+                            "--out", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
+    def test_generate_recomputes_reference(self, tmp_path):
+        from biozpipe import fem
+        from biozpipe import geometry as geo
+        out = tmp_path / "run"
+        base = ["generate", "--n", "2", "--seed", "1", "--mesh-edge", "0.3",
+                "--out", str(out), "--split", "0.5,0.5,0.0"]
+        assert run_cli([*base, "--saline", "126"]) == 0
+        assert run_cli([*base, "--saline", "300"]) == 0
+        # a reused reference would still be that of the 126 mS/m bath
+        want = fem.reference_frame(
+            geo.load_mesh(out / "mesh.txt"),
+            geo.load_layout(out / "geometry.txt"), sigma_saline=300.0,
+            contact_impedance=cli.RunConfig().contact_impedance_ohm_mm)
+        got = fem.load_frames(out / "reference.frame")[0]
+        assert np.array_equal(got.voltages, want.voltages)
 
 
 class TestEvalCommand:

@@ -177,13 +177,6 @@ class TestFrames:
         assert np.max(np.abs(f2.voltages - 0.1 * f1.voltages)) <= 1e-10 * np.max(
             np.abs(f1.voltages))
 
-    def test_reference_cache_byte_identical(self, mesh, layout, tmp_path):
-        p = tmp_path / "ref.frame"
-        fem.reference_frame(mesh, layout, cache_path=p)
-        first = p.read_bytes()
-        fem.reference_frame(mesh, layout, cache_path=p)
-        assert p.read_bytes() == first
-
     def test_refinement_convergence(self, layout):
         # halving edge length changes homogeneous-frame voltages < 5% of the
         # frame's scale, and the change shrinks under further refinement.

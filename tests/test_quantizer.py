@@ -191,15 +191,22 @@ class TestQuantizedModelFile:
     def test_roundtrip(self, tmp_path):
         p = rand_params(14)
         q = quantizer.quantize(p, 5)
+        # scales held as NumPy scalars must still write plain floats
+        spec_np = quantizer.QuantSpec(
+            total_bits=5,
+            scales={k: np.float64(v) for k, v in q.spec.scales.items()})
+        q_np = quantizer.QuantizedParams(codes=q.codes, spec=spec_np,
+                                         tau_h=q.tau_h)
         cfg = IntegrationConfig()
-        path = tmp_path / "m.afuaq"
-        quantizer.save_quantized_model(q, cfg, path)
-        back, cfg2 = quantizer.load_quantized_model(path)
-        assert back.spec.total_bits == 5
-        assert cfg2 == cfg
-        for name in q.codes:
-            assert np.array_equal(back.codes[name], q.codes[name])
-            assert back.spec.scales[name] == q.spec.scales[name]
-        d1, d2 = q.dequantize(), back.dequantize()
-        for name in d1.matrices():
-            assert np.array_equal(getattr(d1, name), getattr(d2, name))
+        for k, qp in enumerate((q, q_np)):
+            path = tmp_path / f"m{k}.afuaq"
+            quantizer.save_quantized_model(qp, cfg, path)
+            back, cfg2 = quantizer.load_quantized_model(path)
+            assert back.spec.total_bits == 5
+            assert cfg2 == cfg
+            for name in qp.codes:
+                assert np.array_equal(back.codes[name], qp.codes[name])
+                assert back.spec.scales[name] == qp.spec.scales[name]
+            d1, d2 = qp.dequantize(), back.dequantize()
+            for name in d1.matrices():
+                assert np.array_equal(getattr(d1, name), getattr(d2, name))

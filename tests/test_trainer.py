@@ -71,7 +71,7 @@ class TestGradients:
     def test_zero_input_kills_input_weight_gradient(self):
         params = rand_params(4, 3, seed=1)
         batch = [Seq(np.zeros((2, 3)), lab) for lab in (0, 1, 1)]
-        g = trainer.gradients(batch, params, IntegrationConfig(
+        g, _, _ = trainer.gradients(batch, params, IntegrationConfig(
             substeps_per_pattern=2, dt=0.1))
         assert np.all(g["W"] == 0.0)
         assert np.all(g["W_z"] == 0.0)
@@ -83,7 +83,7 @@ class TestGradients:
         params = rand_params(2, 3, seed=100 + seed)
         cfg = IntegrationConfig(substeps_per_pattern=2, dt=0.1)
         batch = toy_batch(3, rng)
-        grads = trainer.gradients(batch, params, cfg)
+        grads, _, _ = trainer.gradients(batch, params, cfg)
 
         def mean_loss(p):
             P = trainer.forward_probabilities(batch, p, cfg)
@@ -110,8 +110,8 @@ class TestGradients:
         params = rand_params(3, 4, seed=42)
         cfg = IntegrationConfig(substeps_per_pattern=2, dt=0.1)
         batch = toy_batch(4, rng, n_steps=3, n_inputs=4)
-        g1 = trainer.gradients(batch, params, cfg)
-        g2 = trainer.gradients(batch + batch, params, cfg)
+        g1, _, _ = trainer.gradients(batch, params, cfg)
+        g2, _, _ = trainer.gradients(batch + batch, params, cfg)
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-14)
 
@@ -123,11 +123,19 @@ class TestGradients:
         params = rand_params(16, 25, seed=77)
         cfg = IntegrationConfig()
         rng = np.random.default_rng(6)
-        seqs = [rng.uniform(-1, 1, (28, 25)) for _ in range(4)]
-        H, _ = trainer._forward_batch(np.stack(seqs), params, cfg, False)
-        for k, s in enumerate(seqs):
-            h = afua.run_sequence(s, params, cfg)
-            assert np.max(np.abs(H[k] - h)) < 1e-12
+        for batch in (1, 4):
+            seqs = [rng.uniform(-1, 1, (28, 25)) for _ in range(batch)]
+            H, _, _ = afua.unroll(np.stack(seqs), params, cfg)
+            for k, s in enumerate(seqs):
+                h = afua.run_sequence(s, params, cfg)
+                assert np.max(np.abs(H[k] - h)) < 1e-12
+
+    def test_loss_and_hits_match_forward_only_pass(self):
+        params = rand_params(16, 25, seed=78)
+        cfg = IntegrationConfig()
+        batch = make_dataset(12, seed=11)
+        _, bl, hits = trainer.gradients(batch, params, cfg)
+        assert (bl, hits) == trainer.batch_loss_and_hits(batch, params, cfg)
 
 
 class TestInit:
@@ -136,8 +144,8 @@ class TestInit:
         # input for 7 of these seeds, and every gradient is then exactly 0
         seqs = make_dataset(40, seed=10)
         for seed in range(20):
-            grads = trainer.gradients(seqs, trainer.init_params(seed),
-                                      IntegrationConfig())
+            grads, _, _ = trainer.gradients(seqs, trainer.init_params(seed),
+                                            IntegrationConfig())
             assert np.any(grads["fc2_w"] != 0.0), f"seed {seed}"
 
 
@@ -191,7 +199,7 @@ class TestTrain:
                                  test=[], split_seed=0)
         cfg = trainer.TrainConfig(batch_size=5, epochs=10, seed=4,
                                   learning_rate=1e9)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="epoch"):
             trainer.train(splits, cfg)
 
 
