@@ -175,13 +175,10 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
     ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
                               contact_impedance=cfg.contact_impedance_ohm_mm)
     fem.save_frames([ref], out / "reference.frame")
-    phantoms = phm.generate_phantom_set(mesh, layout, model, cfg.n_phantoms,
-                                        seed=cfg.seed, rbf=cfg.rbf())
-    phm.save_phantom_metadata(phantoms, out / "phantoms.csv")
 
     def one(i_ph):
         i, p = i_ph
-        pid = f"p{i:05d}"
+        pid = phm.phantom_id(i)
         phm.save_conductivity(p.element_sigma, out / "phantoms" / f"{pid}.cond")
         frame = fem.simulate_frame(
             p, mesh, layout, contact_impedance=cfg.contact_impedance_ohm_mm,
@@ -190,11 +187,13 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
         return datapipe.normalize(frame, ref, gain=cfg.gain_per_mv,
                                   label=p.label)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            seqs = list(pool.map(one, enumerate(phantoms)))
-    else:
-        seqs = [one(item) for item in enumerate(phantoms)]
+    # one pool for synthesis and simulation; map keeps index order
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        phantoms = phm.generate_phantom_set(
+            mesh, layout, model, cfg.n_phantoms, seed=cfg.seed,
+            rbf=cfg.rbf(), map=pool.map)
+        phm.save_phantom_metadata(phantoms, out / "phantoms.csv")
+        seqs = list(pool.map(one, enumerate(phantoms)))
 
     datapipe.save_sequences(seqs, out / "dataset.bzds")
     split = datapipe.make_splits(seqs, cfg.split, seed=cfg.seed)

@@ -319,8 +319,15 @@ def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
 
     Pattern order is reconstructed canonically from the layout (or the
     default 8-electrode ring when none is given); externally measured frames
-    must be recorded in the same canonical order.
+    must be recorded in the same canonical order, and a record with another
+    pattern count raises ``FormatError``.
     """
+    if layout is not None:
+        patterns = tuple(enumerate_current_patterns(layout))
+    else:
+        patterns = tuple(
+            CurrentPattern(source=FIRST_OUTER + i, sink=FIRST_OUTER + j)
+            for i in range(8) for j in range(i + 1, 8))
     frames = []
     with open(path, "rb") as f:
         data = f.read()
@@ -328,25 +335,26 @@ def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
     while pos < len(data):
         if data[pos:pos + 4] != _FRAME_MAGIC:
             raise FormatError(f"{path}: bad frame magic at offset {pos}")
+        if len(data) < pos + 18:
+            raise FormatError(f"{path}: truncated frame header")
         version, n_pat, n_el, id_len = struct.unpack_from("<IIIH", data, pos + 4)
         if version != _FRAME_VERSION:
             raise FormatError(f"{path}: unsupported frame version {version}")
         pos += 4 + 14
-        pid = data[pos:pos + id_len].decode("utf-8")
+        try:
+            pid = data[pos:pos + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: frame id is not UTF-8: {exc}") from exc
         pos += id_len
+        if n_pat != len(patterns):
+            raise FormatError(f"{path}: frame {pid!r} has {n_pat} patterns, "
+                              f"the layout drives {len(patterns)}")
         count = 2 * n_pat * n_el
-        body = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
-        if len(body) != count:
+        if len(data) < pos + 8 * count:
             raise FormatError(f"{path}: truncated frame body")
+        body = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
         pos += 8 * count
         voltages = (body[0::2] + 1j * body[1::2]).reshape(n_pat, n_el)
-        if layout is not None:
-            patterns = tuple(enumerate_current_patterns(layout))
-        else:
-            patterns = tuple(
-                CurrentPattern(source=FIRST_OUTER + i, sink=FIRST_OUTER + j)
-                for i in range(8) for j in range(i + 1, 8)
-            )[:n_pat]
         frames.append(Frame(voltages=voltages, pattern_order=patterns,
                             phantom_id=pid))
     return frames

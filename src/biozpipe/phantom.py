@@ -25,6 +25,9 @@ LABEL_POSITIVE = 1
 AREA_FRACTION_THRESHOLD = 0.08
 MAX_INCLUSION_DIAMETER_MM = 3.0
 
+# element rows per block of the background kernel (see synth_background)
+_KERNEL_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class TissueModel:
@@ -106,6 +109,15 @@ def synth_background(mesh: Mesh, model: TissueModel,
     ``rbf.amplitude``) is rescaled by a single real factor so the empirical
     relative standard deviation of the real part equals
     ``model.noise_rel_std`` exactly.  Deterministic given the seed.
+
+    The element x center kernel is built ``_KERNEL_BLOCK_ROWS`` elements at
+    a time, so each block's temporaries stay cache-sized (about 1.3 MB at
+    1300 centers) and parallel callers need no dense 3200 x 1300 matrix
+    each.  Distances come from plain coordinate differences rather than the
+    expanded ``|c|^2 + |x|^2 - 2 c.x`` BLAS product: they cannot go
+    negative by cancellation, and their bytes do not depend on how many
+    threads the BLAS library runs.  The kernel stays real; the real and
+    imaginary parts of the field are two real matrix-vector products.
     """
     if seed is None:
         seed = rbf.weight_seed
@@ -120,24 +132,35 @@ def synth_background(mesh: Mesh, model: TissueModel,
         np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))])
     radii = domain_r * np.sqrt(rng.uniform(size=rbf.n_centers))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=rbf.n_centers)
-    centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    cx, cy = radii * np.cos(angles), radii * np.sin(angles)
     weights = (rng.standard_normal(rbf.n_centers)
                + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
+    w_re = np.ascontiguousarray(weights.real)
+    w_im = np.ascontiguousarray(weights.imag)
 
-    # expanded squared distances; clamp tiny negative values from cancellation
-    # and cap the exponent so far-field kernels stay in normal float range
-    d2 = ((centroids ** 2).sum(axis=1)[:, None]
-          + (centers ** 2).sum(axis=1)[None, :]
-          - 2.0 * centroids @ centers.T)
-    expo = np.maximum(d2, 0.0) / (2.0 * rbf.kernel_width ** 2)
-    kernels = np.exp(-np.minimum(expo, 46.0))
-    raw = kernels @ weights
+    # cap the exponent so far-field kernels stay in normal float range
+    two_w2 = 2.0 * rbf.kernel_width ** 2
+    raw_re = np.empty(n)
+    raw_im = np.empty(n)
+    for lo in range(0, n, _KERNEL_BLOCK_ROWS):
+        rows = slice(lo, lo + _KERNEL_BLOCK_ROWS)
+        k = centroids[rows, 0:1] - cx
+        dy = centroids[rows, 1:2] - cy
+        k *= k
+        dy *= dy
+        k += dy
+        k /= two_w2
+        np.minimum(k, 46.0, out=k)
+        np.negative(k, out=k)
+        np.exp(k, out=k)
+        raw_re[rows] = k @ w_re
+        raw_im[rows] = k @ w_im
 
-    raw_std = float(np.std(raw.real))
+    raw_std = float(np.std(raw_re))
     if raw_std == 0.0:
         raise NumericalError("RBF field is identically zero; cannot rescale")
-    target = model.noise_rel_std * abs(model.sigma_background)
-    field = model.sigma_background + raw * (target / raw_std)
+    scale = model.noise_rel_std * abs(model.sigma_background) / raw_std
+    field = model.sigma_background + (raw_re + 1j * raw_im) * scale
     if np.any(field.real <= 0):
         raise NumericalError("background noise drove conductivity non-positive")
     return field
@@ -206,19 +229,35 @@ def make_phantom(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
                    label=label_phantom(inclusion, layout), seed=seed)
 
 
+def phantom_id(index: int) -> str:
+    """Name of phantom ``index`` in a run: its files and error messages."""
+    return f"p{index:05d}"
+
+
 def generate_phantom_set(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
                          n: int, seed: int,
-                         rbf: RbfNoiseConfig = RbfNoiseConfig()) -> list[Phantom]:
+                         rbf: RbfNoiseConfig = RbfNoiseConfig(),
+                         map=map) -> list[Phantom]:
     """n labeled phantoms with per-phantom seeds derived from (seed, index).
 
     Inclusion diameters are uniform on [0, 3] mm and centers uniform on the
-    sensing disk; parallel and serial generation agree because each phantom
-    depends only on its own derived seed.
+    sensing disk.  ``map`` runs one phantom per index and must keep index
+    order, as an executor's ``map`` does; parallel and serial generation
+    agree because each phantom depends only on its own derived seed.  A
+    synthesis failure names the phantom and its seed.
     """
     if n < 1:
         raise ConfigError("phantom count must be >= 1")
-    return [make_phantom(mesh, layout, model, phantom_seed(seed, i), rbf)
-            for i in range(n)]
+
+    def one(i):
+        ph_seed = phantom_seed(seed, i)
+        try:
+            return make_phantom(mesh, layout, model, ph_seed, rbf)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"phantom {phantom_id(i)} (seed {ph_seed}): {exc}") from exc
+
+    return list(map(one, range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -93,34 +93,40 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     grads = {name: np.zeros_like(getattr(params, name))
              for name in _PARAM_NAMES}
 
-    # softmax + cross-entropy
-    dA2 = P.copy()
-    dA2[np.arange(B), y] -= 1.0
-    dA2 /= B
-    dpre2 = dA2 * (A2 > 0.0)
-    grads["fc2_w"] = dpre2.T @ A1
-    grads["fc2_b"] = dpre2.sum(axis=0)
-    dA1 = dpre2 @ params.fc2_w
-    dpre1 = dA1 * A1 * (1.0 - A1)
-    grads["fc1_w"] = dpre1.T @ H_final
-    grads["fc1_b"] = dpre1.sum(axis=0)
-    dH = dpre1 @ params.fc1_w
+    # a diverging run overflows in here first; stop at the first non-finite
+    # value instead of carrying NaN and inf through the remaining substeps
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # softmax + cross-entropy
+            dA2 = P.copy()
+            dA2[np.arange(B), y] -= 1.0
+            dA2 /= B
+            dpre2 = dA2 * (A2 > 0.0)
+            grads["fc2_w"] = dpre2.T @ A1
+            grads["fc2_b"] = dpre2.sum(axis=0)
+            dA1 = dpre2 @ params.fc2_w
+            dpre1 = dA1 * A1 * (1.0 - A1)
+            grads["fc1_w"] = dpre1.T @ H_final
+            grads["fc1_b"] = dpre1.sum(axis=0)
+            dH = dpre1 @ params.fc1_w
 
-    dt_tau = cfg.dt / params.tau_h
-    for t, H_in, Z, C, Ht, G in reversed(records):
-        Xt = X[:, t, :]
-        # clamp on the updated state is straight-through
-        dZ = dH * dt_tau * G
-        dG = dH * dt_tau * Z
-        dHt = dG * (H_in / (Ht * Ht))
-        dC = dHt  # straight-through at the epsilon floor
-        dpre_c = dC * C * (1.0 - C)
-        dpre_z = dZ * Z * (1.0 - Z)
-        grads["W_z"] += dpre_z.T @ Xt
-        grads["U_z"] += dpre_z.T @ H_in
-        grads["W"] += dpre_c.T @ Xt
-        grads["U"] += dpre_c.T @ H_in
-        dH = dH - dG / Ht + dpre_z @ params.U_z + dpre_c @ params.U
+            dt_tau = cfg.dt / params.tau_h
+            for t, H_in, Z, C, Ht, G in reversed(records):
+                Xt = X[:, t, :]
+                # clamp on the updated state is straight-through
+                dZ = dH * dt_tau * G
+                dG = dH * dt_tau * Z
+                dHt = dG * (H_in / (Ht * Ht))
+                dC = dHt  # straight-through at the epsilon floor
+                dpre_c = dC * C * (1.0 - C)
+                dpre_z = dZ * Z * (1.0 - Z)
+                grads["W_z"] += dpre_z.T @ Xt
+                grads["U_z"] += dpre_z.T @ H_in
+                grads["W"] += dpre_c.T @ Xt
+                grads["U"] += dpre_c.T @ H_in
+                dH = dH - dG / Ht + dpre_z @ params.U_z + dpre_c @ params.U
+    except FloatingPointError as exc:
+        raise NumericalError(f"non-finite backward state: {exc}") from exc
 
     for name, gmat in grads.items():
         if not np.all(np.isfinite(gmat)):

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biozpipe
 from biozpipe import cli
 
 
@@ -57,6 +63,16 @@ class TestUsageErrors:
                         "--out", str(tmp_path)])
         assert code == 4
 
+    def test_synthesis_failure_exit_3_names_phantom(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"noise_rel_std": 0.9}')
+        code = run_cli(["generate", "--config", str(cfg), "--n", "3",
+                        "--mesh-edge", "0.3", "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "p00000" in err
+        assert "non-positive" in err
+
     def test_unknown_subcommand_exit_2(self):
         assert run_cli(["frobnicate"]) == 2
 
@@ -97,6 +113,22 @@ class TestReruns:
             out = tmp_path / f"threads{threads}"
             assert run_cli([*TINY_PIPELINE, "--threads", threads,
                             "--out", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
+    def test_blas_threads_do_not_change_manifest(self, tmp_path):
+        src = str(Path(biozpipe.__file__).resolve().parents[1])
+        manifests = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"blas{blas}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                   "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "biozpipe.cli", "generate",
+                 "--n", "24", "--mesh-edge", "0.14", "--threads", "2",
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
 
@@ -157,6 +189,20 @@ class TestEvalCommand:
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
                         "--data", str(bundle), "--out", str(tiny_run)])
         assert code == 2
+
+    def test_frames_with_wrong_pattern_count_exit_4(self, tiny_run,
+                                                    tmp_path, capsys):
+        bundle = tmp_path / "m.frames"
+        pid = b"p00000"
+        bundle.write_bytes(b"BZFR" + struct.pack("<IIIH", 1, 29, 25, len(pid))
+                           + pid + bytes(8 * 2 * 29 * 25))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\np00000,0\n")
+        code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
+                        "--data", str(bundle), "--labels", str(labels),
+                        "--out", str(tiny_run)])
+        assert code == 4
+        assert "29 patterns" in capsys.readouterr().err
 
 
 class TestGeometryOverride:

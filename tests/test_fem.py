@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from biozpipe import fem
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
-from biozpipe.errors import SolverError
+from biozpipe.errors import FormatError, SolverError
 from biozpipe.phantom import Inclusion, Phantom
 
 
@@ -30,6 +32,12 @@ def hand_mesh():
     tris = np.array([[0, 1, 2]], dtype=np.int32)
     return geo.Mesh(vertices=verts, triangles=tris, electrode_edges={},
                     inner_vertex={}, element_region=np.zeros(1, dtype=np.int8))
+
+
+def frame_record(n_pat=28, n_el=25, pid=b"x"):
+    """Bytes of one all-zero frame record with the given header fields."""
+    return (b"BZFR" + struct.pack("<IIIH", 1, n_pat, n_el, len(pid)) + pid
+            + bytes(16 * n_pat * n_el))
 
 
 class TestAssembly:
@@ -212,6 +220,21 @@ class TestFrameIO:
             assert np.array_equal(a.voltages, b.voltages)
             assert a.phantom_id == b.phantom_id
             assert a.pattern_order == b.pattern_order
+
+    @pytest.mark.parametrize("data, match", [
+        (frame_record(n_pat=27), "27 patterns"),
+        (frame_record(n_pat=29), "29 patterns"),
+        (frame_record(pid=b"\xff"), "UTF-8"),
+        (frame_record()[:10], "truncated frame header"),
+        (frame_record()[:-8], "truncated frame body"),
+    ])
+    def test_malformed_record_is_format_error(self, layout, tmp_path, data,
+                                              match):
+        path = tmp_path / "bad.frames"
+        path.write_bytes(data)
+        for lay in (None, layout):
+            with pytest.raises(FormatError, match=match):
+                fem.load_frames(path, lay)
 
     def test_csv_export(self, mesh, layout, tmp_path):
         ph = phm.make_phantom(mesh, layout, phm.PROSTATE,

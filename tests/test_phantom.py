@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +55,49 @@ class TestBackground:
         rbf = phm.RbfNoiseConfig(n_centers=4, kernel_width=1.0, amplitude=0.0)
         with pytest.raises(NumericalError):
             phm.synth_background(mesh, phm.PROSTATE, rbf, seed=3)
+
+
+def dense_background(mesh, model, rbf=phm.RbfNoiseConfig(), seed=0):
+    """The background as one dense kernel: expanded squared distances via
+    a matrix product, then one complex matrix-vector product."""
+    rng = np.random.default_rng(seed)
+    centroids = mesh.centroids()
+    domain_r = math.hypot(*mesh.vertices[np.argmax(
+        np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))])
+    radii = domain_r * np.sqrt(rng.uniform(size=rbf.n_centers))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=rbf.n_centers)
+    centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    weights = (rng.standard_normal(rbf.n_centers)
+               + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
+    d2 = ((centroids ** 2).sum(axis=1)[:, None]
+          + (centers ** 2).sum(axis=1)[None, :]
+          - 2.0 * centroids @ centers.T)
+    expo = np.maximum(d2, 0.0) / (2.0 * rbf.kernel_width ** 2)
+    raw = np.exp(-np.minimum(expo, 46.0)) @ weights
+    target = model.noise_rel_std * abs(model.sigma_background)
+    return model.sigma_background + raw * (target / float(np.std(raw.real)))
+
+
+class TestBackgroundReference:
+    @pytest.mark.parametrize("edge", [0.3, 0.14])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_matches_dense_kernel(self, layout, edge, seed):
+        mesh = geo.build_mesh(layout, edge)
+        got = phm.synth_background(mesh, phm.PROSTATE, seed=seed)
+        want = dense_background(mesh, phm.PROSTATE, seed=seed)
+        # the texture, not the 126 mS/m offset, sets the scale
+        texture = want - phm.PROSTATE.sigma_background
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(texture).max()
+
+    def test_partial_last_block(self, layout):
+        # 840 elements: six full blocks and one of 72 rows
+        mesh = geo.build_mesh(layout, 0.3)
+        assert mesh.n_triangles % phm._KERNEL_BLOCK_ROWS != 0
+        rbf = phm.RbfNoiseConfig(n_centers=37, kernel_width=0.4)
+        got = phm.synth_background(mesh, phm.BOVINE, rbf, seed=11)
+        want = dense_background(mesh, phm.BOVINE, rbf, seed=11)
+        texture = want - phm.BOVINE.sigma_background
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(texture).max()
 
 
 class TestInclusion:
@@ -150,6 +194,25 @@ class TestGeneration:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.element_sigma, pb.element_sigma)
             assert pa.inclusion == pb.inclusion
+
+    def test_pool_map_matches_serial(self, mesh, layout):
+        serial = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6, seed=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6,
+                                              seed=3, map=pool.map)
+        for a, b in zip(serial, pooled, strict=True):
+            assert a.seed == b.seed
+            assert np.array_equal(a.element_sigma, b.element_sigma)
+
+    def test_synthesis_failure_names_phantom(self, mesh, layout):
+        # 90% noise drives some element's conductivity non-positive
+        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j,
+                                noise_rel_std=0.9)
+        seed = phm.phantom_seed(4, 0)
+        with pytest.raises(NumericalError,
+                           match=f"phantom p00000 \\(seed {seed}\\): "
+                                 "background noise"):
+            phm.generate_phantom_set(mesh, layout, model, 2, seed=4)
 
     def test_per_phantom_seeds_independent_of_batching(self, mesh, layout):
         # generating a prefix yields the same phantoms as the full set
