@@ -14,13 +14,17 @@ probabilities.  The state update multiplies no two state vectors together
 four matrix-vector products.
 
 ``unroll`` and ``head_batch`` are the batched kernel that classify,
-training, the quantized sweep and current mode all run.  ``afua_step`` and
-``run_sequence`` step one sequence at a time: the reference for the tests.
+training, the quantized sweep and current mode all run, and ``predict`` is
+the one label rule.  ``afua_step`` and ``run_sequence`` step one sequence at
+a time: the reference for the tests.
+
+A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
+(``write_model_file`` / ``read_model_file``), with integer codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +34,6 @@ N_HIDDEN = 16
 
 LABEL_BENIGN = 0
 LABEL_LESION = 1
-
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -47,10 +50,17 @@ class NetworkParams:
     tau_h: float = 1.0
 
     def __post_init__(self):
-        if self.tau_h <= 0:
-            raise ConfigError("tau_h must be positive")
-        for name in ("W_z", "U_z", "W", "U", "fc1_w", "fc1_b", "fc2_w", "fc2_b"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        if not 0 < self.tau_h < np.inf:
+            raise ConfigError("tau_h must be positive and finite")
+        # a W_z that is not a matrix fails its own shape check below
+        n, d = (np.shape(self.W_z) + (0, 0))[:2]
+        shapes = ((n, d), (n, n), (n, d), (n, n), (2, n), (2,), (2, 2), (2,))
+        for name, shape in zip(PARAM_NAMES, shapes):
+            mat = getattr(self, name)
+            if np.shape(mat) != shape:
+                raise ConfigError(f"{name} has shape {np.shape(mat)}, "
+                                  f"expected {shape}")
+            if not np.all(np.isfinite(mat)):
                 raise ConfigError(f"non-finite entries in {name}")
 
     @property
@@ -62,9 +72,11 @@ class NetworkParams:
         return self.W_z.shape[1]
 
     def matrices(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name)
-                for name in ("W_z", "U_z", "W", "U",
-                             "fc1_w", "fc1_b", "fc2_w", "fc2_b")}
+        return {name: getattr(self, name) for name in PARAM_NAMES}
+
+
+# the learnable weights, in model-file order
+PARAM_NAMES = tuple(f.name for f in fields(NetworkParams) if f.name != "tau_h")
 
 
 @dataclass(frozen=True)
@@ -87,8 +99,8 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.substeps_per_pattern < 1:
             raise ConfigError("substeps_per_pattern must be >= 1")
-        if self.dt < 0:
-            raise ConfigError("dt must be non-negative")
+        if not 0 <= self.dt < np.inf:
+            raise ConfigError("dt must be non-negative and finite")
         if not 0 < self.epsilon <= 1e-4:
             raise ConfigError("epsilon must be in (0, 1e-4]")
 
@@ -210,67 +222,98 @@ def head_forward(h: np.ndarray, params: NetworkParams) -> np.ndarray:
     return head_batch(h[None, :], params)[0][0]
 
 
+def predict(P: np.ndarray) -> np.ndarray:
+    """Labels of (..., 2) class probabilities; ties resolve to benign."""
+    return np.where(P[..., 1] > P[..., 0], LABEL_LESION, LABEL_BENIGN)
+
+
 def classify(seq, params: NetworkParams,
              cfg: IntegrationConfig = IntegrationConfig()):
-    """Label one sequence; ties resolve to the benign class (0)."""
+    """Label one sequence; return the label and the class probabilities."""
     steps = np.asarray(getattr(seq, "steps", seq), dtype=float)
     H, _, _ = unroll(steps[None], params, cfg)
     p = head_forward(H[0], params)
-    label = LABEL_LESION if p[1] > p[0] else LABEL_BENIGN
-    return label, p
+    return int(predict(p)), p
 
 
 # ---------------------------------------------------------------------------
 # Model file: named matrices in plain text, bit-exact on reload
 # ---------------------------------------------------------------------------
 
-_MODEL_HEADER = "biozpipe-model v1"
+# header line and value type per block key; a "codes" file (.afuaq) adds a
+# bits line and a scale on each block header
+_MODEL_LAYOUTS = {"matrix": ("biozpipe-model v1", float),
+                  "codes": ("biozpipe-qmodel v1", int)}
 
 
-def save_model(params: NetworkParams, cfg: IntegrationConfig, path) -> None:
-    lines = [_MODEL_HEADER,
-             f"tau_h {float(params.tau_h)!r}",
-             f"substeps {cfg.substeps_per_pattern}",
-             f"dt {float(cfg.dt)!r}",
-             f"epsilon {float(cfg.epsilon)!r}"]
-    for name, mat in params.matrices().items():
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        lines.append(f"matrix {name} {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            lines.append(" ".join(repr(float(v)) for v in row))
+def write_model_file(path, tau_h: float, cfg: IntegrationConfig,
+                     mats: dict[str, np.ndarray], spec=None) -> None:
+    """Write weights, or the integer codes of a quantization ``spec``."""
+    key = "matrix" if spec is None else "codes"
+    header, kind = _MODEL_LAYOUTS[key]
+    lines = [header] + ([] if spec is None else [f"bits {spec.total_bits}"])
+    lines += [f"tau_h {float(tau_h)!r}",
+              f"substeps {cfg.substeps_per_pattern}",
+              f"dt {float(cfg.dt)!r}",
+              f"epsilon {float(cfg.epsilon)!r}"]
+    for name in PARAM_NAMES:
+        mat = np.atleast_2d(mats[name])
+        scale = "" if spec is None else f" {float(spec.scales[name])!r}"
+        lines.append(f"{key} {name} {mat.shape[0]} {mat.shape[1]}{scale}")
+        lines.extend(" ".join(repr(kind(v)) for v in row) for row in mat)
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> tuple[NetworkParams, IntegrationConfig]:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0] != _MODEL_HEADER:
-        raise FormatError(f"{path}: not a biozpipe model file")
+def read_model_file(path, build, quantized: bool = False):
+    """Parse a file ``write_model_file`` wrote into ``(model, cfg)``, the
+    model made by ``build(tau_h, mats, bits, scales)``.  Malformed content,
+    values ``build`` or the config reject included, raises FormatError."""
+    key = "codes" if quantized else "matrix"
+    header, kind = _MODEL_LAYOUTS[key]
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        tau_h = float(lines[1].split()[1])
-        substeps = int(lines[2].split()[1])
-        dt = float(lines[3].split()[1])
-        epsilon = float(lines[4].split()[1])
-        mats: dict[str, np.ndarray] = {}
-        idx = 5
+        lines = [ln.split() for ln in data.decode("ascii").splitlines()
+                 if ln.strip()]
+        if not lines or lines[0] != header.split():
+            raise FormatError(f"{path}: not a {header} file")
+        names = ["bits"] * quantized + ["tau_h", "substeps", "dt", "epsilon"]
+        settings = dict(lines[1:1 + len(names)])  # "name value" lines only
+        if list(settings) != names:
+            raise ValueError(f"expected the lines {names}")
+        mats, scales = {}, {}
+        idx = 1 + len(names)
         while idx < len(lines):
-            _, name, r, c = lines[idx].split()
-            r, c = int(r), int(c)
-            rows = [[float(v) for v in lines[idx + 1 + k].split()]
-                    for k in range(r)]
-            mats[name] = np.array(rows)
+            head = lines[idx]
+            if len(head) != 4 + quantized or head[0] != key \
+                    or head[1] not in PARAM_NAMES or head[1] in mats:
+                raise ValueError(f"bad block header {' '.join(head)!r}")
+            name, r, c = head[1], int(head[2]), int(head[3])
+            rows = [[kind(v) for v in ln] for ln in lines[idx + 1:idx + 1 + r]]
+            if len(rows) != r or any(len(row) != c for row in rows):
+                raise ValueError(f"{name} is not {r} rows of {c} values")
+            mat = np.array(rows, dtype=np.int32 if quantized else float)
+            mats[name] = mat.ravel() if name.endswith("_b") else mat
+            if quantized:
+                scales[name] = float(head[4])
             idx += 1 + r
-    except (ValueError, IndexError) as exc:
+        if len(mats) != len(PARAM_NAMES):
+            raise ValueError(f"missing {set(PARAM_NAMES) - set(mats)}")
+        cfg = IntegrationConfig(
+            substeps_per_pattern=int(settings["substeps"]),
+            dt=float(settings["dt"]), epsilon=float(settings["epsilon"]))
+        bits = int(settings["bits"]) if quantized else None
+        model = build(float(settings["tau_h"]), mats, bits, scales)
+    except (ValueError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
-    expected = {"W_z", "U_z", "W", "U", "fc1_w", "fc1_b", "fc2_w", "fc2_b"}
-    if set(mats) != expected:
-        raise FormatError(f"{path}: missing matrices {expected - set(mats)}")
-    params = NetworkParams(
-        W_z=mats["W_z"], U_z=mats["U_z"], W=mats["W"], U=mats["U"],
-        fc1_w=mats["fc1_w"], fc1_b=mats["fc1_b"].ravel(),
-        fc2_w=mats["fc2_w"], fc2_b=mats["fc2_b"].ravel(), tau_h=tau_h,
-    )
-    cfg = IntegrationConfig(substeps_per_pattern=substeps, dt=dt,
-                            epsilon=epsilon)
-    return params, cfg
+    return model, cfg
+
+
+def save_model(params: NetworkParams, cfg: IntegrationConfig, path) -> None:
+    write_model_file(path, params.tau_h, cfg, params.matrices())
+
+
+def load_model(path) -> tuple[NetworkParams, IntegrationConfig]:
+    return read_model_file(
+        path, lambda tau_h, mats, *_: NetworkParams(tau_h=tau_h, **mats))

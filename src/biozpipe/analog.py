@@ -24,23 +24,18 @@ from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class CurrentState:
-    """Cell currents (nA) at one substep; h = I_h / I_unit."""
+class CurrentTrajectory:
+    """Cell currents (nA) after each substep, (substeps, n) arrays."""
 
     I_h: np.ndarray
     I_z: np.ndarray
     I_htilde: np.ndarray
     I_unit: float
-
-
-@dataclass(frozen=True)
-class CurrentTrajectory:
-    states: tuple[CurrentState, ...]
     clamped_substeps: int
 
     def normalized_h(self) -> np.ndarray:
         """(n_substeps, n_hidden) array of I_h / I_unit."""
-        return np.stack([s.I_h / s.I_unit for s in self.states])
+        return self.I_h / self.I_unit
 
 
 def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
@@ -59,11 +54,11 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
                                  keep_records=True)
     # each record holds the state its substep started from
     h_after = [rec[1] for rec in records[1:]] + [H]
-    states = tuple(
-        CurrentState(I_h=I_unit * h[0], I_z=I_unit * z[0],
-                     I_htilde=I_unit * h_tilde[0], I_unit=I_unit)
-        for h, (_, _, z, _, h_tilde, _) in zip(h_after, records))
-    return CurrentTrajectory(states=states, clamped_substeps=clamped)
+    return CurrentTrajectory(
+        I_h=I_unit * np.concatenate(h_after),
+        I_z=I_unit * np.concatenate([rec[2] for rec in records]),
+        I_htilde=I_unit * np.concatenate([rec[4] for rec in records]),
+        I_unit=I_unit, clamped_substeps=clamped)
 
 
 @dataclass(frozen=True)

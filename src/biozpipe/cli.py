@@ -6,7 +6,8 @@ a manifest of file hashes; re-running with the same configuration must
 reproduce every hash.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
-4 I/O or file-format failure.
+4 I/O or file-format failure, which covers any malformed model, quantized
+model, dataset, frames or layout file.
 """
 
 from __future__ import annotations
@@ -216,6 +217,21 @@ def _load_split(out: Path) -> datapipe.DatasetSplit:
                                  test=buckets["test"], split_seed=-1)
 
 
+def _heldout(split: datapipe.DatasetSplit):
+    """Name and sequences of the held-out split: test, else validation."""
+    return (("test", split.test) if split.test
+            else ("validation", split.validation))
+
+
+def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
+    """Evaluate, write confusion.csv and print the accuracy and confusion."""
+    acc, confusion = trainer.evaluate(params, seqs, icfg)
+    trainer.save_confusion_csv(acc, confusion, out / "confusion.csv")
+    print(f"{title} accuracy {acc:.4f}")
+    print(f"confusion (rows true, cols predicted):\n{confusion}")
+    return acc, confusion
+
+
 def stage_train(cfg: RunConfig, out: Path):
     split = _load_split(out)
     params, report = trainer.train(split, cfg.train_config(),
@@ -229,8 +245,7 @@ def stage_train(cfg: RunConfig, out: Path):
 
 def stage_quantize(cfg: RunConfig, out: Path):
     params, icfg = afua.load_model(out / "model.afua")
-    split = _load_split(out)
-    eval_set = split.test if split.test else split.validation
+    _, eval_set = _heldout(_load_split(out))
     rows = quantizer.sweep(params, eval_set, cfg.bits, icfg)
     quantizer.save_sweep_csv(rows, out / "sweep.csv")
     for bits in cfg.bits:
@@ -246,8 +261,7 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
     """Evaluate a (quantized) model on a dataset or a frames file."""
     model_path = Path(model_path)
     if model_path.suffix == ".afuaq":
-        qparams, icfg = quantizer.load_quantized_model(model_path)
-        params = qparams.dequantize()
+        params, icfg = quantizer.load_quantized_model(model_path)
     else:
         params, icfg = afua.load_model(model_path)
 
@@ -271,24 +285,16 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
         except KeyError as exc:
             raise ConfigError(f"no label for frame id {exc}") from exc
 
-    acc, confusion = trainer.evaluate(params, seqs, icfg)
-    trainer.save_confusion_csv(acc, confusion, out / "confusion.csv")
-    print(f"evaluated {len(seqs)} sequences: accuracy {acc:.4f}")
-    print(f"confusion (rows true, cols predicted):\n{confusion}")
-    return acc, confusion
+    return _evaluate_and_report(params, seqs, icfg, out,
+                                f"evaluated {len(seqs)} sequences:")
 
 
 def stage_eval_heldout(cfg: RunConfig, out: Path):
     """Evaluate the trained model on the run's held-out split."""
     params, icfg = afua.load_model(out / "model.afua")
-    split = _load_split(out)
-    eval_set = split.test if split.test else split.validation
-    acc, confusion = trainer.evaluate(params, eval_set, icfg)
-    trainer.save_confusion_csv(acc, confusion, out / "confusion.csv")
-    which = "test" if split.test else "validation"
-    print(f"held-out ({which}) accuracy {acc:.4f}")
-    print(f"confusion (rows true, cols predicted):\n{confusion}")
-    return acc, confusion
+    which, eval_set = _heldout(_load_split(out))
+    return _evaluate_and_report(params, eval_set, icfg, out,
+                                f"held-out ({which})")
 
 
 def stage_budget(out: Path | None, as_json: bool):

@@ -130,22 +130,29 @@ def load_sequences(path) -> list[InputSequence]:
         data = f.read()
     if data[:4] != _DS_MAGIC:
         raise FormatError(f"{path}: not a biozpipe dataset file")
-    version, count, width = struct.unpack_from("<III", data, 4)
-    if version != _DS_VERSION:
-        raise FormatError(f"{path}: unsupported dataset version {version}")
-    if width != N_STEPS * N_INPUTS:
-        raise FormatError(f"{path}: unexpected record width {width}")
-    pos = 16
-    out = []
-    for _ in range(count):
-        id_len, label = struct.unpack_from("<HB", data, pos)
-        pos += 3
-        pid = data[pos:pos + id_len].decode("utf-8")
-        pos += id_len
-        steps = np.frombuffer(data, dtype="<f4", count=width,
-                              offset=pos).reshape(N_STEPS, N_INPUTS).copy()
-        pos += 4 * width
-        out.append(InputSequence(steps=steps, label=int(label), provenance=pid))
+    try:
+        version, count, width = struct.unpack_from("<III", data, 4)
+        if version != _DS_VERSION:
+            raise FormatError(f"{path}: unsupported dataset version {version}")
+        if width != N_STEPS * N_INPUTS:
+            raise FormatError(f"{path}: unexpected record width {width}")
+        pos = 16
+        out = []
+        for _ in range(count):
+            id_len, label = struct.unpack_from("<HB", data, pos)
+            pos += 3
+            pid = data[pos:pos + id_len].decode("utf-8")
+            pos += id_len
+            steps = np.frombuffer(data, dtype="<f4", count=width,
+                                  offset=pos).reshape(N_STEPS, N_INPUTS).copy()
+            pos += 4 * width
+            if not np.all(np.abs(steps) < 1):
+                raise FormatError(f"{path}: {pid!r} is not inside (-1, 1)")
+            out.append(InputSequence(steps=steps, label=int(label),
+                                     provenance=pid))
+    except (struct.error, ValueError, ConfigError) as exc:
+        # truncated records, a non-UTF-8 id or a label other than 0 or 1
+        raise FormatError(f"{path}: malformed dataset: {exc}") from exc
     if pos != len(data):
         raise FormatError(f"{path}: trailing bytes after {count} records")
     return out

@@ -26,7 +26,7 @@ from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import FormatError, SolverError
-from .geometry import (FIRST_OUTER, CurrentPattern, Mesh, ProbeLayout,
+from .geometry import (CurrentPattern, Mesh, ProbeLayout, build_probe_layout,
                        enumerate_current_patterns)
 from .phantom import Inclusion, Phantom
 
@@ -317,17 +317,14 @@ def save_frames(frames: list[Frame], path) -> None:
 def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
     """Read all frame records from a file.
 
-    Pattern order is reconstructed canonically from the layout (or the
-    default 8-electrode ring when none is given); externally measured frames
-    must be recorded in the same canonical order, and a record with another
-    pattern count raises ``FormatError``.
+    Pattern order is reconstructed canonically from the layout (the default
+    probe when none is given); externally measured frames must be recorded
+    in the same canonical order, and a record whose pattern or electrode
+    count differs from the layout's raises ``FormatError``.
     """
-    if layout is not None:
-        patterns = tuple(enumerate_current_patterns(layout))
-    else:
-        patterns = tuple(
-            CurrentPattern(source=FIRST_OUTER + i, sink=FIRST_OUTER + j)
-            for i in range(8) for j in range(i + 1, 8))
+    layout = build_probe_layout() if layout is None else layout
+    patterns = tuple(enumerate_current_patterns(layout))
+    n_inner = len(layout.inner_electrodes)
     frames = []
     with open(path, "rb") as f:
         data = f.read()
@@ -349,10 +346,15 @@ def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
         if n_pat != len(patterns):
             raise FormatError(f"{path}: frame {pid!r} has {n_pat} patterns, "
                               f"the layout drives {len(patterns)}")
+        if n_el != n_inner:
+            raise FormatError(f"{path}: frame {pid!r} has {n_el} electrodes, "
+                              f"the layout has {n_inner} inner electrodes")
         count = 2 * n_pat * n_el
         if len(data) < pos + 8 * count:
             raise FormatError(f"{path}: truncated frame body")
         body = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
+        if not np.all(np.isfinite(body)):
+            raise FormatError(f"{path}: frame {pid!r} has non-finite voltages")
         pos += 8 * count
         voltages = (body[0::2] + 1j * body[1::2]).reshape(n_pat, n_el)
         frames.append(Frame(voltages=voltages, pattern_order=patterns,

@@ -512,11 +512,13 @@ def save_layout(layout: ProbeLayout, path) -> None:
 
 
 def load_layout(path) -> ProbeLayout:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != _LAYOUT_HEADER:
-        raise FormatError(f"{path}: not a biozpipe layout file")
+    with open(path, "rb") as f:
+        data = f.read()
     try:
+        lines = [ln.strip() for ln in data.decode("ascii").splitlines()
+                 if ln.strip()]
+        if not lines or lines[0] != _LAYOUT_HEADER:
+            raise FormatError(f"{path}: not a biozpipe layout file")
         idx = 1
         dom = float(lines[idx].split()[1]); idx += 1
         sens = float(lines[idx].split()[1]); idx += 1
@@ -530,11 +532,12 @@ def load_layout(path) -> ProbeLayout:
         for k in range(n_out):
             s, e, r = (float(v) for v in lines[idx + k].split())
             arcs.append(Arc(s, e, r))
-    except (ValueError, IndexError) as exc:
+        layout = ProbeLayout(inner_electrodes=inner,
+                             outer_electrodes=tuple(arcs),
+                             sensing_radius=sens, domain_radius=dom)
+        validate_layout(layout)
+    except (ValueError, IndexError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed layout file: {exc}") from exc
-    layout = ProbeLayout(inner_electrodes=inner, outer_electrodes=tuple(arcs),
-                         sensing_radius=sens, domain_radius=dom)
-    validate_layout(layout)
     return layout
 
 

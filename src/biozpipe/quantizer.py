@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afua import IntegrationConfig, NetworkParams, classify
-from .errors import ConfigError, FormatError
+from .afua import (PARAM_NAMES, IntegrationConfig, NetworkParams, classify,
+                   read_model_file, write_model_file)
+from .errors import ConfigError
 
 MIN_BITS = 3
 MAX_BITS = 16
-
-_MATRIX_NAMES = ("W_z", "U_z", "W", "U", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,8 @@ class QuantSpec:
             raise ConfigError(
                 f"bit width {self.total_bits} outside [{MIN_BITS}, {MAX_BITS}]"
             )
-        if any(s <= 0 for s in self.scales.values()):
-            raise ConfigError("scales must be positive")
+        if not all(0 < s < np.inf for s in self.scales.values()):
+            raise ConfigError("scales must be positive and finite")
 
     @property
     def max_code(self) -> int:
@@ -54,9 +53,12 @@ class QuantizedParams:
     spec: QuantSpec
     tau_h: float
 
+    def __post_init__(self):
+        self.dequantize()  # ConfigError unless the codes fit NetworkParams
+
     def dequantize(self) -> NetworkParams:
         deq = {name: self.codes[name] * self.spec.step(name)
-               for name in _MATRIX_NAMES}
+               for name in PARAM_NAMES}
         return NetworkParams(tau_h=self.tau_h, **deq)
 
 
@@ -67,7 +69,7 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 def make_spec(params: NetworkParams, total_bits: int) -> QuantSpec:
     scales = {}
-    for name in _MATRIX_NAMES:
+    for name in PARAM_NAMES:
         s = float(np.max(np.abs(getattr(params, name))))
         scales[name] = s if s > 0 else 1.0
     return QuantSpec(total_bits=total_bits, scales=scales)
@@ -77,7 +79,7 @@ def quantize(params: NetworkParams, total_bits: int) -> QuantizedParams:
     """Quantize every weight matrix and bias with the per-matrix rule."""
     spec = make_spec(params, total_bits)
     codes = {}
-    for name in _MATRIX_NAMES:
+    for name in PARAM_NAMES:
         w = np.asarray(getattr(params, name), dtype=float)
         c = round_half_away(w / spec.step(name))
         codes[name] = np.clip(c, -spec.max_code, spec.max_code).astype(np.int32)
@@ -123,58 +125,17 @@ def save_sweep_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quantized model file: the model format extended with codes and scales
+# Quantized model file: the model-file layout with codes and scales
 # ---------------------------------------------------------------------------
-
-_QMODEL_HEADER = "biozpipe-qmodel v1"
 
 
 def save_quantized_model(qparams: QuantizedParams, cfg: IntegrationConfig,
                          path) -> None:
-    lines = [_QMODEL_HEADER,
-             f"bits {qparams.spec.total_bits}",
-             f"tau_h {float(qparams.tau_h)!r}",
-             f"substeps {cfg.substeps_per_pattern}",
-             f"dt {float(cfg.dt)!r}",
-             f"epsilon {float(cfg.epsilon)!r}"]
-    for name in _MATRIX_NAMES:
-        mat = np.atleast_2d(qparams.codes[name])
-        lines.append(f"codes {name} {mat.shape[0]} {mat.shape[1]} "
-                     f"{float(qparams.spec.scales[name])!r}")
-        for row in mat:
-            lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    write_model_file(path, qparams.tau_h, cfg, qparams.codes, qparams.spec)
 
 
 def load_quantized_model(path) -> tuple[QuantizedParams, IntegrationConfig]:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0] != _QMODEL_HEADER:
-        raise FormatError(f"{path}: not a biozpipe quantized model file")
-    try:
-        bits = int(lines[1].split()[1])
-        tau_h = float(lines[2].split()[1])
-        substeps = int(lines[3].split()[1])
-        dt = float(lines[4].split()[1])
-        epsilon = float(lines[5].split()[1])
-        codes: dict[str, np.ndarray] = {}
-        scales: dict[str, float] = {}
-        idx = 6
-        while idx < len(lines):
-            _, name, r, c, scale = lines[idx].split()
-            r, c = int(r), int(c)
-            rows = [[int(v) for v in lines[idx + 1 + k].split()]
-                    for k in range(r)]
-            mat = np.array(rows, dtype=np.int32)
-            codes[name] = mat.ravel() if name.endswith("_b") else mat
-            scales[name] = float(scale)
-            idx += 1 + r
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed quantized model: {exc}") from exc
-    if set(codes) != set(_MATRIX_NAMES):
-        raise FormatError(f"{path}: missing matrices")
-    spec = QuantSpec(total_bits=bits, scales=scales)
-    return (QuantizedParams(codes=codes, spec=spec, tau_h=tau_h),
-            IntegrationConfig(substeps_per_pattern=substeps, dt=dt,
-                              epsilon=epsilon))
+    return read_model_file(
+        path, lambda tau_h, codes, bits, scales: QuantizedParams(
+            codes=codes, spec=QuantSpec(total_bits=bits, scales=scales),
+            tau_h=tau_h), quantized=True)

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .afua import IntegrationConfig, NetworkParams, head_batch, unroll
+from .afua import (PARAM_NAMES, IntegrationConfig, NetworkParams, head_batch,
+                   predict, unroll)
 from .datapipe import DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
-_PARAM_NAMES = ("W_z", "U_z", "W", "U", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
+_EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -52,31 +53,28 @@ class TrainReport:
     config: TrainConfig | None = None
 
 
-def loss(probabilities: np.ndarray, label: int) -> float:
-    """Negative log probability of the true class, clamped at 1e-12."""
-    return float(-np.log(max(float(probabilities[label]), 1e-12)))
+def _stack_steps(batch) -> np.ndarray:
+    return np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
+                     for s in batch])  # (B, T, D)
 
 
-def _stack_batch(batch: list[InputSequence]):
-    X = np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
-                  for s in batch])  # (B, T, D)
-    y = np.array([s.label for s in batch], dtype=np.int64)
-    return X, y
+def _labels(batch) -> np.ndarray:
+    return np.array([s.label for s in batch], dtype=np.int64)
 
 
 def _loss_and_hits(P: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and the number of correct labels of a batch."""
     p_true = np.clip(P[np.arange(len(y)), y], 1e-12, None)
-    pred = (P[:, 1] > P[:, 0]).astype(np.int64)
-    return float(-np.log(p_true).mean()), int((pred == y).sum())
+    return float(-np.log(p_true).mean()), int((predict(P) == y).sum())
 
 
 def forward_probabilities(batch, params: NetworkParams,
                           cfg: IntegrationConfig) -> np.ndarray:
-    """Class probabilities for a list of sequences (batched)."""
-    X, _ = _stack_batch(batch)
-    H, _, _ = unroll(X, params, cfg)
-    return head_batch(H, params)[0]
+    """Class probabilities for a list of sequences, 256 at a time."""
+    return np.concatenate([
+        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH]),
+                          params, cfg)[0], params)[0]
+        for lo in range(0, len(batch), _EVAL_BATCH)])
 
 
 def gradients(batch: list[InputSequence], params: NetworkParams,
@@ -85,13 +83,13 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     and hits as ``batch_loss_and_hits`` gives them."""
     if not batch:
         raise ConfigError("gradient batch must be non-empty")
-    X, y = _stack_batch(batch)
+    X, y = _stack_steps(batch), _labels(batch)
     B = len(batch)
     H_final, _, records = unroll(X, params, cfg, keep_records=True)
     P, A1, A2 = head_batch(H_final, params)
 
     grads = {name: np.zeros_like(getattr(params, name))
-             for name in _PARAM_NAMES}
+             for name in PARAM_NAMES}
 
     # a diverging run overflows in here first; stop at the first non-finite
     # value instead of carrying NaN and inf through the remaining substeps
@@ -136,9 +134,8 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
 
 def batch_loss_and_hits(batch, params, cfg):
     """Mean cross-entropy and correct-label count, forward pass only."""
-    X, y = _stack_batch(batch)
-    H, _, _ = unroll(X, params, cfg)
-    return _loss_and_hits(head_batch(H, params)[0], y)
+    return _loss_and_hits(forward_probabilities(batch, params, cfg),
+                          _labels(batch))
 
 
 def init_params(seed: int, n_inputs: int = 25, n_hidden: int = 16,
@@ -192,8 +189,8 @@ def train(splits: DatasetSplit, config: TrainConfig,
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 
-    m = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_NAMES}
-    v = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_NAMES}
+    m = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
+    v = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
     step = 0
     report = TrainReport(config=config)
     best_acc = -1.0
@@ -215,7 +212,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
             epoch_hits += hits
             step += 1
             updates = {}
-            for k in _PARAM_NAMES:
+            for k in PARAM_NAMES:
                 m[k] = config.beta1 * m[k] + (1 - config.beta1) * grads[k]
                 v[k] = config.beta2 * v[k] + (1 - config.beta2) * grads[k] ** 2
                 mhat = m[k] / (1 - config.beta1 ** step)
@@ -225,7 +222,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
                               / (np.sqrt(vhat) + config.adam_eps))
             params = replace(params, **updates)
 
-        vl, vhits = _eval_in_batches(val_set, params, cfg)
+        vl, vhits = batch_loss_and_hits(val_set, params, cfg)
         report.train_loss.append(epoch_loss / n)
         report.train_acc.append(epoch_hits / n)
         report.val_loss.append(vl)
@@ -240,17 +237,6 @@ def train(splits: DatasetSplit, config: TrainConfig,
     return best_params, report
 
 
-def _eval_in_batches(sequences, params, cfg, batch_size: int = 256):
-    total_loss = 0.0
-    hits = 0
-    for lo in range(0, len(sequences), batch_size):
-        chunk = sequences[lo:lo + batch_size]
-        bl, h = batch_loss_and_hits(chunk, params, cfg)
-        total_loss += bl * len(chunk)
-        hits += h
-    return total_loss / len(sequences), hits
-
-
 def evaluate(params, sequences: list[InputSequence],
              cfg: IntegrationConfig = IntegrationConfig()):
     """Accuracy and 2x2 confusion matrix (rows true, columns predicted).
@@ -262,13 +248,9 @@ def evaluate(params, sequences: list[InputSequence],
         raise ConfigError("evaluation set must be non-empty")
     if hasattr(params, "dequantize"):
         params = params.dequantize()
+    pred = predict(forward_probabilities(sequences, params, cfg))
     confusion = np.zeros((2, 2), dtype=np.int64)
-    for lo in range(0, len(sequences), 256):
-        chunk = sequences[lo:lo + 256]
-        P = forward_probabilities(chunk, params, cfg)
-        pred = (P[:, 1] > P[:, 0]).astype(np.int64)
-        for s, p in zip(chunk, pred):
-            confusion[s.label, p] += 1
+    np.add.at(confusion, (_labels(sequences), pred), 1)
     accuracy = float(np.trace(confusion)) / len(sequences)
     return accuracy, confusion
 

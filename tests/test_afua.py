@@ -203,6 +203,23 @@ class TestClassify:
                           IntegrationConfig(substeps_per_pattern=1, dt=1.5))
 
 
+class TestParams:
+    @pytest.mark.parametrize("name, shape", [
+        ("W_z", (16, 24)), ("W", (16, 24)), ("U", (16, 15)),
+        ("fc1_w", (2, 15)), ("fc1_b", (3,)), ("fc2_w", (2, 3)),
+        ("W_z", (16,))])
+    def test_rejects_shapes_that_disagree(self, name, shape):
+        fields = rand_params().matrices()
+        fields[name] = np.zeros(shape)
+        with pytest.raises(ConfigError, match="shape"):
+            NetworkParams(**fields)
+
+    def test_rejects_non_finite_tau(self):
+        for tau in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="tau_h"):
+                NetworkParams(tau_h=tau, **rand_params().matrices())
+
+
 class TestModelFile:
     def test_bit_exact_roundtrip(self, tmp_path):
         p = rand_params(seed=31)

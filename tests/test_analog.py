@@ -30,11 +30,12 @@ class TestCurrentMode:
         p = zero_params()
         x = np.zeros((5, 25))
         traj = analog.simulate_current_mode(x, p, I_unit=10.0)
-        for st in traj.states:
-            assert np.allclose(st.I_h, 5.0)  # 0.5 * I_unit, constant
+        assert traj.I_h.shape == (5 * IntegrationConfig().substeps_per_pattern,
+                                  16)
+        assert np.allclose(traj.I_h, 5.0)  # 0.5 * I_unit, constant
 
     def test_matches_normalized_dynamics(self):
-        # I_h / I_unit and I_z / I_unit must track the per-substep
+        # I_h, I_z and I_htilde over I_unit must track the per-substep
         # afua_step reference to 1e-12
         p = rand_params(3)
         cfg = IntegrationConfig()
@@ -48,20 +49,21 @@ class TestCurrentMode:
                 for _ in range(cfg.substeps_per_pattern):
                     st = afua.afua_step(x, st, p, cfg)
                     ref.append(st)
-            assert len(traj.states) == len(ref)
-            assert np.max(np.abs(traj.normalized_h()
-                                 - np.stack([r.h for r in ref]))) <= 1e-12
-            z = np.stack([s.I_z / s.I_unit for s in traj.states])
-            assert np.max(np.abs(z - np.stack([r.z for r in ref]))) <= 1e-12
+            for got, field in ((traj.normalized_h(), "h"),
+                               (traj.I_z / traj.I_unit, "z"),
+                               (traj.I_htilde / traj.I_unit, "h_tilde")):
+                want = np.stack([getattr(r, field) for r in ref])
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12, field
 
     def test_doubling_unit_current_doubles_currents(self):
         p = rand_params(4)
         seq = np.random.default_rng(2).uniform(-1, 1, (6, 25))
         t1 = analog.simulate_current_mode(seq, p, I_unit=5.0)
         t2 = analog.simulate_current_mode(seq, p, I_unit=10.0)
-        for a, b in zip(t1.states, t2.states):
-            assert np.allclose(b.I_h, 2 * a.I_h, rtol=1e-12)
-            assert np.allclose(b.I_z, 2 * a.I_z, rtol=1e-12)
+        for name in ("I_h", "I_z", "I_htilde"):
+            assert np.allclose(getattr(t2, name), 2 * getattr(t1, name),
+                               rtol=1e-12)
 
     def test_underflow_clamped_and_counted(self):
         # candidate pinned near zero forces the state down to the floor
@@ -75,7 +77,7 @@ class TestCurrentMode:
         traj = analog.simulate_current_mode(seq, p, I_unit=10.0, cfg=cfg)
         floor = cfg.epsilon * 10.0
         assert traj.clamped_substeps > 0
-        assert min(st.I_h.min() for st in traj.states) >= floor
+        assert traj.I_h.min() >= floor
 
     def test_requires_positive_unit(self):
         with pytest.raises(ConfigError):

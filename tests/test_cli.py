@@ -205,6 +205,91 @@ class TestEvalCommand:
         assert "29 patterns" in capsys.readouterr().err
 
 
+def narrow_w_z(data):
+    """A model file whose W_z block is a consistent 16x24 matrix."""
+    lines = data.decode("ascii").split("\n")
+    i = next(k for k, ln in enumerate(lines) if ln.split()[1:2] == ["W_z"])
+    head = lines[i].split()
+    lines[i] = " ".join(head[:3] + ["24"] + head[4:])
+    for k in range(i + 1, i + 1 + int(head[2])):
+        lines[k] = " ".join(lines[k].split()[:24])
+    return "\n".join(lines).encode("ascii")
+
+
+def set_byte(offset, value):
+    return lambda data: data[:offset] + bytes([value]) + data[offset + 1:]
+
+
+def middle_byte_ff(data):
+    return set_byte(len(data) // 2, 0xFF)(data)
+
+
+MALFORMED_MODELS = {
+    "afua-epsilon-1": ("model.afua", lambda data: data.replace(
+        b"\nepsilon 1e-06\n", b"\nepsilon 1.0\n")),
+    "afua-w_z-16x24": ("model.afua", narrow_w_z),
+    "afua-byte-ff": ("model.afua", middle_byte_ff),
+    "afuaq-w_z-16x24": ("model_q6.afuaq", narrow_w_z),
+    "afuaq-bits-2": ("model_q6.afuaq", lambda data: data.replace(
+        b"\nbits 6\n", b"\nbits 2\n")),
+    "afuaq-byte-ff": ("model_q6.afuaq", middle_byte_ff),
+}
+
+# a record starts at byte 16 with a 2-byte id length and the label byte
+MALFORMED_DATASETS = {
+    "half-length": lambda data: data[:len(data) // 2],
+    "id-not-utf8": set_byte(19, 0xFF),
+    "label-7": set_byte(18, 7),
+    "truncated-header": lambda data: data[:10],
+}
+
+
+class TestMalformedInputs:
+    """Every malformed input file of ``eval`` exits 4 naming the file."""
+
+    def eval_exit(self, capsys, model, data, out, labels=None):
+        args = ["eval", "--model-file", str(model), "--data", str(data),
+                "--out", str(out)]
+        code = run_cli(args + (["--labels", str(labels)] if labels else []))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_model_file(self, tiny_run, tmp_path, capsys, case):
+        name, corrupt = MALFORMED_MODELS[case]
+        good = (tiny_run / name).read_bytes()
+        bad = tmp_path / name
+        bad.write_bytes(corrupt(good))
+        assert bad.read_bytes() != good
+        code, err = self.eval_exit(capsys, bad, tiny_run / "dataset.bzds",
+                                   tmp_path)
+        assert code == 4
+        assert f"error [eval]: {bad}" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+    def test_dataset(self, tiny_run, tmp_path, capsys, case):
+        good = (tiny_run / "dataset.bzds").read_bytes()
+        bad = tmp_path / "bad.bzds"
+        bad.write_bytes(MALFORMED_DATASETS[case](good))
+        assert bad.read_bytes() != good
+        code, err = self.eval_exit(capsys, tiny_run / "model.afua", bad,
+                                   tmp_path)
+        assert code == 4
+        assert f"error [eval]: {bad}" in err
+
+    def test_frames_with_24_electrodes(self, tiny_run, tmp_path, capsys):
+        bundle = tmp_path / "m.frames"
+        pid = b"p00000"
+        bundle.write_bytes(b"BZFR" + struct.pack("<IIIH", 1, 28, 24, len(pid))
+                           + pid + bytes(8 * 2 * 28 * 24))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\np00000,0\n")
+        code, err = self.eval_exit(capsys, tiny_run / "model.afua", bundle,
+                                   tiny_run, labels)
+        assert code == 4
+        assert f"error [eval]: {bundle}" in err
+        assert "24 electrodes" in err
+
+
 class TestGeometryOverride:
     def test_geometry_flag(self, tmp_path):
         from biozpipe import geometry as geo
@@ -220,3 +305,18 @@ class TestGeometryOverride:
         assert code == 0
         back = geo.load_layout(out / "geometry.txt")
         assert back.sensing_radius == 2.25
+
+    def test_malformed_layout_exit_4(self, tmp_path, capsys):
+        from biozpipe import geometry as geo
+        gfile = tmp_path / "probe.txt"
+        geo.save_layout(geo.build_probe_layout(), gfile)
+        good = gfile.read_bytes()
+        lines = good.split(b"\n")
+        for bad in (middle_byte_ff(good),
+                    # 24 inner electrodes: rows and count agree, count wrong
+                    b"\n".join(lines[:3] + [b"inner 24"] + lines[5:])):
+            gfile.write_bytes(bad)
+            code = run_cli(["generate", "--n", "2", "--geometry", str(gfile),
+                            "--out", str(tmp_path / "run")])
+            assert code == 4
+            assert f"error [generate]: {gfile}" in capsys.readouterr().err

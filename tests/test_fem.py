@@ -224,6 +224,9 @@ class TestFrameIO:
     @pytest.mark.parametrize("data, match", [
         (frame_record(n_pat=27), "27 patterns"),
         (frame_record(n_pat=29), "29 patterns"),
+        (frame_record(n_el=24), "24 electrodes"),
+        (frame_record(n_el=26), "26 electrodes"),
+        (frame_record()[:-8] + struct.pack("<d", np.nan), "non-finite"),
         (frame_record(pid=b"\xff"), "UTF-8"),
         (frame_record()[:10], "truncated frame header"),
         (frame_record()[:-8], "truncated frame body"),

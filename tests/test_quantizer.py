@@ -188,6 +188,15 @@ class TestSweep:
 
 
 class TestQuantizedModelFile:
+    def test_rewrite_identical(self, tmp_path):
+        q = quantizer.quantize(rand_params(15), 6)
+        cfg = IntegrationConfig(substeps_per_pattern=7, dt=0.05, epsilon=1e-5)
+        p1, p2 = tmp_path / "a.afuaq", tmp_path / "b.afuaq"
+        quantizer.save_quantized_model(q, cfg, p1)
+        back, cfg2 = quantizer.load_quantized_model(p1)
+        quantizer.save_quantized_model(back, cfg2, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_roundtrip(self, tmp_path):
         p = rand_params(14)
         q = quantizer.quantize(p, 5)

@@ -53,18 +53,40 @@ def make_dataset(n, seed, separation=1.2):
 
 
 class TestLoss:
+    # batch_loss_and_hits on a head whose output does not depend on the input
+    CFG = IntegrationConfig(substeps_per_pattern=2, dt=0.1)
+
+    @staticmethod
+    def fixed_head(fc2_b):
+        return replace(rand_params(4, 3, seed=0), fc2_w=np.zeros((2, 2)),
+                       fc2_b=np.array(fc2_b, dtype=float))
+
     def test_perfect_prediction(self):
-        assert trainer.loss(np.array([1.0, 0.0]), 0) == 0.0
+        # ReLU outputs [800, 0]: the softmax is exactly [1, 0]
+        batch = toy_batch(5, np.random.default_rng(0))
+        for s in batch:
+            s.label = 0
+        bl, hits = trainer.batch_loss_and_hits(
+            batch, self.fixed_head([800.0, 0.0]), self.CFG)
+        assert bl == 0.0
+        assert hits == 5
 
     def test_half(self):
-        assert trainer.loss(np.array([0.5, 0.5]), 1) == pytest.approx(
-            np.log(2), abs=1e-12)
+        # equal ReLU outputs: [0.5, 0.5], and ties are labelled benign
+        batch = [Seq(np.zeros((2, 3)), lab) for lab in (0, 1, 1, 1)]
+        bl, hits = trainer.batch_loss_and_hits(
+            batch, self.fixed_head([0.3, 0.3]), self.CFG)
+        assert bl == pytest.approx(np.log(2), abs=1e-12)
+        assert hits == 1
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            p1 = rng.uniform(0, 1)
-            assert trainer.loss(np.array([p1, 1 - p1]), 1) >= 0.0
+        for seed in range(20):
+            batch = toy_batch(5, rng)
+            bl, hits = trainer.batch_loss_and_hits(
+                batch, rand_params(4, 3, seed=seed, scale=2.0), self.CFG)
+            assert bl >= 0.0
+            assert 0 <= hits <= 5
 
 
 class TestGradients:
@@ -239,6 +261,21 @@ class TestEvaluate:
         labels = np.array([s.label for s in seqs])
         assert cm[0].sum() == np.sum(labels == 0)
         assert cm[1].sum() == np.sum(labels == 1)
+
+    def test_chunked_pass_matches_per_sequence_classify(self):
+        # 300 sequences cross the 256-sequence chunk boundary
+        params = rand_params(4, 3, seed=18, scale=1.0)
+        cfg = IntegrationConfig(substeps_per_pattern=5, dt=0.5)
+        seqs = toy_batch(300, np.random.default_rng(22), n_steps=3)
+        want = np.zeros((2, 2), dtype=np.int64)
+        for s in seqs:
+            want[s.label, afua.classify(s, params, cfg)[0]] += 1
+        assert 0 < want[:, 1].sum() < 300
+        acc, cm = trainer.evaluate(params, seqs, cfg)
+        assert np.array_equal(cm, want)
+        assert acc == np.trace(want) / 300
+        _, hits = trainer.batch_loss_and_hits(seqs, params, cfg)
+        assert hits == np.trace(want)
 
 
 class TestReports:
