@@ -303,8 +303,11 @@ def read_model_file(path, build, quantized: bool = False):
         cfg = IntegrationConfig(
             substeps_per_pattern=int(settings["substeps"]),
             dt=float(settings["dt"]), epsilon=float(settings["epsilon"]))
+        tau_h = float(settings["tau_h"])
+        if cfg.dt > tau_h:
+            raise ValueError(f"dt {cfg.dt!r} exceeds tau_h {tau_h!r}")
         bits = int(settings["bits"]) if quantized else None
-        model = build(float(settings["tau_h"]), mats, bits, scales)
+        model = build(tau_h, mats, bits, scales)
     except (ValueError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
     return model, cfg

@@ -208,9 +208,15 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
 
 def _load_split(out: Path) -> datapipe.DatasetSplit:
     seqs = datapipe.load_sequences(out / "dataset.bzds")
-    assignment = datapipe.load_split_assignment(out / "dataset_manifest.csv")
+    manifest = out / "dataset_manifest.csv"
+    assignment = datapipe.load_split_assignment(manifest)
     buckets = {"train": [], "validation": [], "test": []}
     for s in seqs:
+        if s.provenance not in assignment:
+            raise FormatError(f"{manifest}: no split for id {s.provenance!r}")
+        if assignment[s.provenance] not in buckets:
+            raise FormatError(f"{manifest}: id {s.provenance!r} has unknown "
+                              f"split {assignment[s.provenance]!r}")
         buckets[assignment[s.provenance]].append(s)
     return datapipe.DatasetSplit(train=buckets["train"],
                                  validation=buckets["validation"],
@@ -275,9 +281,17 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
         if labels_path is None:
             raise ConfigError("frames input requires --labels <csv>")
         labels = {}
-        with open(labels_path, "r", newline="", encoding="ascii") as f:
-            for row in csv.DictReader(f):
-                labels[row["id"]] = int(row["label"])
+        try:
+            with open(labels_path, "r", newline="", encoding="ascii") as f:
+                for row in csv.DictReader(f):
+                    label = (row.get("label") or "").strip()
+                    if row.get("id") is None or label not in ("0", "1"):
+                        raise FormatError(
+                            f"{labels_path}: row {row} needs an id and a "
+                            "label of 0 or 1")
+                    labels[row["id"]] = int(label)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{labels_path}: not ASCII: {exc}") from exc
         try:
             seqs = [datapipe.normalize(fr, ref, gain=cfg.gain_per_mv,
                                        label=labels[fr.phantom_id])

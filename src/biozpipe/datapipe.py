@@ -172,7 +172,13 @@ def save_split_manifest(split: DatasetSplit, path) -> None:
 
 def load_split_assignment(path) -> dict[str, str]:
     out = {}
-    with open(path, "r", newline="", encoding="ascii") as f:
-        for row in csv.DictReader(f):
-            out[row["id"]] = row["split"]
+    try:
+        with open(path, "r", newline="", encoding="ascii") as f:
+            reader = csv.DictReader(f)
+            if not {"id", "split"} <= set(reader.fieldnames or ()):
+                raise FormatError(f"{path}: needs the columns id and split")
+            for row in reader:
+                out[row["id"]] = row["split"]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII: {exc}") from exc
     return out

@@ -12,8 +12,16 @@ conductance in S), injected currents in mA, hence all potentials in mV.
 The assembled matrix is complex symmetric over (vertex potentials, 8
 electrode potentials).  It is singular up to an additive constant; a
 symmetric rank-one term enforcing zero mean electrode potential grounds the
-system without changing its dimension.  One sparse LU factorization is
-reused for all 28 current patterns of a frame.
+system without changing its dimension.  Its real part is positive definite,
+so one sparse LU in SuperLU's symmetric mode (minimum degree on A + A^T,
+diagonal pivots, no row interchanges) factorizes it.
+
+The model is linear in the injected electrode currents, so ``assemble``
+solves it once for each of the 8 unit-electrode currents, as one 8-column
+right-hand side, and keeps those responses at the electrodes and at the
+inner-electrode vertices.  Each of the 28 current patterns of a frame is
+then the difference of two responses times its amplitude (superposition,
+as in Geselowitz's lead theory); no pattern needs a solve of its own.
 """
 
 from __future__ import annotations
@@ -56,16 +64,26 @@ class Frame:
 
 @dataclass
 class AssembledSystem:
-    """Factorized CEM system for one conductivity field."""
+    """Factorized CEM system for one conductivity field and its responses.
+
+    Row k of ``electrode_response`` and ``inner_response`` holds the
+    potentials (mV) at the 8 outer electrodes and at the 25 inner-electrode
+    vertices when 1 mA enters outer electrode ``electrode_order[k]`` and
+    nothing else is injected.  A single unit current does not sum to zero,
+    so one row alone is no physical state; the difference of two rows is
+    the grounded solution for a source/sink pair of 1 mA.
+    """
 
     stiffness: csc_matrix  # symmetric, ungrounded
-    lu: object  # SuperLU of (stiffness + grounding rank-one)
+    lu: object  # symmetric-mode SuperLU of (stiffness + grounding rank-one)
     n_vertices: int
     electrode_order: tuple[int, ...]  # outer electrode ids, block order
     contact_impedance: np.ndarray
     inner_vertices: np.ndarray  # (25,) vertex index per inner electrode
     arc_lengths: np.ndarray  # (8,) total contact length per electrode
     edge_data: list  # per electrode: (v_a array, v_b array, lengths)
+    electrode_response: np.ndarray  # (8, 8) complex, row per unit source
+    inner_response: np.ndarray  # (8, 25) complex, row per unit source
 
 
 def galerkin_stiffness(mesh: Mesh, element_sigma: np.ndarray,
@@ -173,12 +191,24 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
         shape=(dim, dim),
     ).tocsc()
 
+    # complex symmetric with a positive-definite real part: diagonal pivots
+    # need no row interchanges, and the symmetric ordering keeps L and U
+    # sparser than the default column ordering
     try:
-        lu = splu((full + ground).tocsc())
+        lu = splu((full + ground).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(
             f"factorization failed despite zero-mean electrode grounding: {exc}"
         ) from exc
+
+    # unit current into each outer electrode: one 8-column solve
+    unit = np.zeros((dim, n_el), dtype=complex)
+    unit[nv:] = np.eye(n_el)
+    response = lu.solve(unit)
+    if not np.all(np.isfinite(response.real)) or not np.all(
+            np.isfinite(response.imag)):
+        raise SolverError("solver produced non-finite potentials")
 
     inner = np.array(
         [mesh.inner_vertex[e] for e in sorted(mesh.inner_vertex)],
@@ -188,49 +218,27 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
         stiffness=full, lu=lu, n_vertices=nv, electrode_order=electrodes,
         contact_impedance=z, inner_vertices=inner, arc_lengths=arc_lengths,
         edge_data=edge_data,
+        electrode_response=np.ascontiguousarray(response[nv:].T),
+        inner_response=np.ascontiguousarray(response[inner].T),
     )
-
-
-def _solve(system: AssembledSystem, rhs: np.ndarray) -> np.ndarray:
-    x = system.lu.solve(rhs)
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
-        raise SolverError("solver produced non-finite potentials")
-    return x
 
 
 def solve_pattern(system: AssembledSystem, pattern: CurrentPattern):
     """Drive one source/sink pair; return (8 electrode potentials, 25 inner).
 
-    The right-hand side injects +amplitude at the source electrode and
-    -amplitude at the sink; potentials are referenced to the grounded
-    zero-mean electrode potential.
+    +amplitude enters at the source electrode and leaves at the sink; by
+    superposition the potentials are amplitude times the difference of the
+    two unit responses, referenced to the grounded zero-mean electrode
+    potential.
     """
     try:
         i_src = system.electrode_order.index(pattern.source)
         i_snk = system.electrode_order.index(pattern.sink)
     except ValueError as exc:
         raise SolverError(f"pattern references unknown electrode: {exc}") from exc
-    rhs = np.zeros(system.n_vertices + len(system.electrode_order),
-                   dtype=complex)
-    rhs[system.n_vertices + i_src] = pattern.amplitude
-    rhs[system.n_vertices + i_snk] = -pattern.amplitude
-    x = _solve(system, rhs)
-    return x[system.n_vertices:], x[system.inner_vertices]
-
-
-def solve_vertex_injection(system: AssembledSystem, v_plus: int, v_minus: int,
-                           amplitude: float) -> np.ndarray:
-    """Point current injection at two mesh vertices; returns the full solution.
-
-    Used for reciprocity checks: driving a pair of inner-electrode vertices
-    and reading outer-electrode potentials must match the reverse
-    experiment on the symmetric system.
-    """
-    rhs = np.zeros(system.n_vertices + len(system.electrode_order),
-                   dtype=complex)
-    rhs[v_plus] = amplitude
-    rhs[v_minus] = -amplitude
-    return _solve(system, rhs)
+    el, inner = system.electrode_response, system.inner_response
+    return (pattern.amplitude * (el[i_src] - el[i_snk]),
+            pattern.amplitude * (inner[i_src] - inner[i_snk]))
 
 
 def electrode_currents(system: AssembledSystem, solution: np.ndarray) -> np.ndarray:
@@ -254,7 +262,7 @@ def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
                    contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM,
                    thickness_mm: float = SLICE_THICKNESS_MM,
                    phantom_id: str | None = None) -> Frame:
-    """One assembly plus 28 pattern solves reusing a single factorization."""
+    """One assembly, then the 28 patterns from its 8 unit responses."""
     if phantom_id is None:
         phantom_id = f"seed{phantom.seed}"
     try:
@@ -288,7 +296,7 @@ def reference_frame(mesh: Mesh, layout: ProbeLayout,
 
 
 # ---------------------------------------------------------------------------
-# Frame persistence: binary records (concatenable) plus CSV export
+# Frame persistence: binary records (concatenable)
 # ---------------------------------------------------------------------------
 
 _FRAME_MAGIC = b"BZFR"
@@ -361,15 +369,3 @@ def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
                             phantom_id=pid))
     return frames
 
-
-def export_frame_csv(frame: Frame, path) -> None:
-    """CSV columns: pattern_index, electrode_index, real/imag/magnitude/phase."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("pattern_index,electrode_index,real_mV,imag_mV,"
-                "magnitude_mV,phase_rad\n")
-        for i in range(frame.voltages.shape[0]):
-            for j in range(frame.voltages.shape[1]):
-                v = frame.voltages[i, j]
-                cols = (v.real, v.imag, abs(v), np.angle(v))
-                f.write(f"{i},{j + 1},"
-                        + ",".join(repr(float(x)) for x in cols) + "\n")

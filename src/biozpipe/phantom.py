@@ -27,6 +27,8 @@ MAX_INCLUSION_DIAMETER_MM = 3.0
 
 # element rows per block of the background kernel (see synth_background)
 _KERNEL_BLOCK_ROWS = 128
+# kernel exponent cap: beyond it every entry is exp(-_KERNEL_EXP_CAP)
+_KERNEL_EXP_CAP = 46.0
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,19 @@ def synth_background(mesh: Mesh, model: TissueModel,
     relative standard deviation of the real part equals
     ``model.noise_rel_std`` exactly.  Deterministic given the seed.
 
-    The element x center kernel is built ``_KERNEL_BLOCK_ROWS`` elements at
-    a time, so each block's temporaries stay cache-sized (about 1.3 MB at
-    1300 centers) and parallel callers need no dense 3200 x 1300 matrix
-    each.  Distances come from plain coordinate differences rather than the
+    The kernel exponent is capped at 46, so every center farther than the
+    cap radius ``sqrt(46 * 2 w^2)`` from an element adds exactly
+    ``exp(-46)`` times its weight.  Elements are visited in serpentine-strip
+    order (x running forward and back in turn), ``_KERNEL_BLOCK_ROWS`` at a
+    time; a strip is as high as a square holding one block's share of the
+    domain disk, so each block covers a compact, roughly square patch.  A
+    block evaluates the kernel only for the centers within the cap radius
+    of its bounding box; all other centers enter as ``exp(-46)`` times the
+    sum of their weights, which is what the dense element x center kernel
+    gives them.  A block's temporaries stay cache-sized, and parallel
+    callers need no dense matrix each.
+
+    Distances come from plain coordinate differences rather than the
     expanded ``|c|^2 + |x|^2 - 2 c.x`` BLAS product: they cannot go
     negative by cancellation, and their bytes do not depend on how many
     threads the BLAS library runs.  The kernel stays real; the real and
@@ -137,24 +148,54 @@ def synth_background(mesh: Mesh, model: TissueModel,
                + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
     w_re = np.ascontiguousarray(weights.real)
     w_im = np.ascontiguousarray(weights.imag)
+    sum_re, sum_im = w_re.sum(), w_im.sum()
 
-    # cap the exponent so far-field kernels stay in normal float range
-    two_w2 = 2.0 * rbf.kernel_width ** 2
+    # serpentine strip order: strip index in y, then x forward or backward
+    strip_h = math.sqrt(_KERNEL_BLOCK_ROWS * math.pi * domain_r ** 2 / n)
+    strip = np.floor((centroids[:, 1] - centroids[:, 1].min()) / strip_h)
+    order = np.lexsort((np.where(strip % 2 == 0, 1.0, -1.0) * centroids[:, 0],
+                        strip))
+    ordered = centroids[order]
+
+    # lengths in units of sqrt(2) * width: a squared distance is then the
+    # kernel exponent, and the cap radius is sqrt(_KERNEL_EXP_CAP)
+    unit = 1.0 / (math.sqrt(2.0) * rbf.kernel_width)
+    ordered *= unit
+    cx *= unit
+    cy *= unit
+    capped = math.exp(-_KERNEL_EXP_CAP)  # every entry past the cap radius
     raw_re = np.empty(n)
     raw_im = np.empty(n)
     for lo in range(0, n, _KERNEL_BLOCK_ROWS):
-        rows = slice(lo, lo + _KERNEL_BLOCK_ROWS)
-        k = centroids[rows, 0:1] - cx
-        dy = centroids[rows, 1:2] - cy
+        bx = ordered[lo:lo + _KERNEL_BLOCK_ROWS, 0:1]
+        by = ordered[lo:lo + _KERNEL_BLOCK_ROWS, 1:2]
+        # centers within the cap radius of the block's bounding box
+        gx = np.maximum(bx.min() - cx, cx - bx.max())
+        gy = np.maximum(by.min() - cy, cy - by.max())
+        np.maximum(gx, 0.0, out=gx)
+        np.maximum(gy, 0.0, out=gy)
+        gx *= gx
+        gy *= gy
+        gx += gy
+        near = np.flatnonzero(gx <= _KERNEL_EXP_CAP)
+        # fill, then subtract a row vector: faster than broadcasting the
+        # (rows, 1) column against the centers in one subtraction
+        k = np.empty((len(bx), len(near)))
+        dy = np.empty_like(k)
+        k[:] = bx
+        dy[:] = by
+        k -= cx[near]
+        dy -= cy[near]
         k *= k
         dy *= dy
         k += dy
-        k /= two_w2
-        np.minimum(k, 46.0, out=k)
+        np.minimum(k, _KERNEL_EXP_CAP, out=k)
         np.negative(k, out=k)
         np.exp(k, out=k)
-        raw_re[rows] = k @ w_re
-        raw_im[rows] = k @ w_im
+        near_re, near_im = w_re[near], w_im[near]
+        rows = order[lo:lo + _KERNEL_BLOCK_ROWS]
+        raw_re[rows] = k @ near_re + capped * (sum_re - near_re.sum())
+        raw_im[rows] = k @ near_im + capped * (sum_im - near_im.sum())
 
     raw_std = float(np.std(raw_re))
     if raw_std == 0.0:

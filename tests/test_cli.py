@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -224,15 +225,26 @@ def middle_byte_ff(data):
     return set_byte(len(data) // 2, 0xFF)(data)
 
 
+def dt_above_tau_h(data):
+    """A model file whose Euler step is twice its time constant."""
+    lines = data.decode("ascii").split("\n")
+    tau_h = next(float(ln.split()[1]) for ln in lines
+                 if ln.startswith("tau_h "))
+    return "\n".join(f"dt {2.0 * tau_h!r}" if ln.startswith("dt ") else ln
+                     for ln in lines).encode("ascii")
+
+
 MALFORMED_MODELS = {
     "afua-epsilon-1": ("model.afua", lambda data: data.replace(
         b"\nepsilon 1e-06\n", b"\nepsilon 1.0\n")),
     "afua-w_z-16x24": ("model.afua", narrow_w_z),
     "afua-byte-ff": ("model.afua", middle_byte_ff),
+    "afua-dt-above-tau_h": ("model.afua", dt_above_tau_h),
     "afuaq-w_z-16x24": ("model_q6.afuaq", narrow_w_z),
     "afuaq-bits-2": ("model_q6.afuaq", lambda data: data.replace(
         b"\nbits 6\n", b"\nbits 2\n")),
     "afuaq-byte-ff": ("model_q6.afuaq", middle_byte_ff),
+    "afuaq-dt-above-tau_h": ("model_q6.afuaq", dt_above_tau_h),
 }
 
 # a record starts at byte 16 with a 2-byte id length and the label byte
@@ -288,6 +300,37 @@ class TestMalformedInputs:
         assert code == 4
         assert f"error [eval]: {bundle}" in err
         assert "24 electrodes" in err
+
+    @pytest.mark.parametrize("content", [
+        b"id,label\np00000,x\n", b"id,label\np00000,2\n",
+        b"id,label\np00000,\n", b"name,label\np00000,1\n",
+        b"id,label\np\xe900000,1\n"])
+    def test_labels_file(self, tiny_run, tmp_path, capsys, content):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(content)
+        code, err = self.eval_exit(capsys, tiny_run / "model.afua",
+                                   tiny_run / "frames" / "p00000.frame",
+                                   tiny_run, labels)
+        assert code == 4
+        assert f"error [eval]: {labels}" in err
+
+    @pytest.mark.parametrize("case", ["missing-id", "no-split-column",
+                                      "non-ascii"])
+    def test_split_manifest(self, tiny_run, tmp_path, capsys, case):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        manifest = run / "dataset_manifest.csv"
+        lines = manifest.read_bytes().splitlines(keepends=True)
+        dropped = lines[2].split(b",")[0].decode("ascii")
+        bad = {"missing-id": lines[:2] + lines[3:],
+               "no-split-column": [b"id,part,label\n"] + lines[1:],
+               "non-ascii": lines[:2] + [b"p\xe9" + lines[2]] + lines[3:]}
+        manifest.write_bytes(b"".join(bad[case]))
+        assert run_cli(["quantize", "--out", str(run)]) == 4
+        err = capsys.readouterr().err
+        assert f"error [quantize]: {manifest}" in err
+        if case == "missing-id":
+            assert repr(dropped) in err
 
 
 class TestGeometryOverride:

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import splu
 
 from biozpipe import fem
 from biozpipe import geometry as geo
@@ -117,11 +119,72 @@ class TestSolve:
         pat = geo.enumerate_current_patterns(layout)[0]  # (26, 27)
         _, inner = fem.solve_pattern(uniform_system, pat)
         m_forward = inner[0] - inner[1]  # potential across electrodes 1, 2
-        x = fem.solve_vertex_injection(uniform_system, mesh.inner_vertex[1],
-                                       mesh.inner_vertex[2], pat.amplitude)
+        # reverse experiment: the same current between the two inner
+        # electrodes' vertices, read across outer electrodes 26 and 27
         nv = uniform_system.n_vertices
+        rhs = np.zeros(nv + 8, dtype=complex)
+        rhs[mesh.inner_vertex[1]] = pat.amplitude
+        rhs[mesh.inner_vertex[2]] = -pat.amplitude
+        x = uniform_system.lu.solve(rhs)
         m_reverse = x[nv + 0] - x[nv + 1]
         assert abs(m_forward - m_reverse) / abs(m_forward) <= 1e-8
+
+
+def single_solve_frame(system, layout, lu=None):
+    """28 x 25 frame from one solve per pattern, through ``lu`` (the
+    system's own factorization by default)."""
+    lu = system.lu if lu is None else lu
+    nv = system.n_vertices
+    pats = geo.enumerate_current_patterns(layout)
+    frame = np.empty((len(pats), 25), dtype=complex)
+    for i, pat in enumerate(pats):
+        rhs = np.zeros(nv + 8, dtype=complex)
+        rhs[nv + system.electrode_order.index(pat.source)] = pat.amplitude
+        rhs[nv + system.electrode_order.index(pat.sink)] = -pat.amplitude
+        frame[i] = lu.solve(rhs)[system.inner_vertices]
+    return frame
+
+
+class TestSuperposition:
+    def test_frame_matches_single_pattern_solves(self, mesh, layout):
+        ph = phm.make_phantom(mesh, layout, phm.PROSTATE,
+                              seed=phm.phantom_seed(4, 0))
+        frame = fem.simulate_frame(ph, mesh, layout).voltages
+        system = fem.assemble(mesh, ph.element_sigma)
+        want = single_solve_frame(system, layout)
+        assert np.abs(frame - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_unpivoted_lu_on_high_contrast(self, mesh, layout):
+        # bovine contrast (adipose inclusion in muscle, 14x) and a complex
+        # contact impedance: the symmetric-mode LU takes diagonal pivots
+        # without row interchanges, and must still conserve current and
+        # agree with SuperLU's default partial pivoting
+        bg = phm.synth_background(mesh, phm.BOVINE, seed=9)
+        inc = Inclusion((0.4, -0.3), 2.5)
+        sigma = phm.place_inclusion(bg, mesh, inc,
+                                    phm.BOVINE.sigma_inclusion)
+        z = 10.0 + 3.0j
+        system = fem.assemble(mesh, sigma, contact_impedance=z)
+        nv = system.n_vertices
+        for pat in geo.enumerate_current_patterns(layout):
+            injected = np.zeros(8, dtype=complex)
+            injected[system.electrode_order.index(pat.source)] = pat.amplitude
+            injected[system.electrode_order.index(pat.sink)] = -pat.amplitude
+            x = system.lu.solve(np.concatenate([np.zeros(nv), injected]))
+            currents = fem.electrode_currents(system, x)
+            assert np.abs(currents - injected).max() <= 1e-10 * pat.amplitude
+
+        # the grounding term of assemble, rebuilt for a pivoting LU
+        alpha = abs(system.stiffness.diagonal()[:nv]).mean()
+        el = np.arange(nv, nv + 8)
+        ground = coo_matrix((np.full(64, alpha), (np.repeat(el, 8),
+                                                  np.tile(el, 8))),
+                            shape=system.stiffness.shape)
+        pivoting = splu((system.stiffness + ground).tocsc())
+        want = single_solve_frame(system, layout, pivoting)
+        frame = fem.simulate_frame(Phantom(sigma, inc, 1, 0), mesh, layout,
+                                   contact_impedance=z).voltages
+        assert np.abs(frame - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestFrames:
@@ -238,19 +301,3 @@ class TestFrameIO:
         for lay in (None, layout):
             with pytest.raises(FormatError, match=match):
                 fem.load_frames(path, lay)
-
-    def test_csv_export(self, mesh, layout, tmp_path):
-        ph = phm.make_phantom(mesh, layout, phm.PROSTATE,
-                              seed=phm.phantom_seed(3, 0))
-        frame = fem.simulate_frame(ph, mesh, layout)
-        path = tmp_path / "frame.csv"
-        fem.export_frame_csv(frame, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("pattern_index,electrode_index")
-        assert len(lines) == 1 + 28 * 25
-        first = lines[1].split(",")
-        v = frame.voltages[0, 0]
-        assert float(first[2]) == v.real
-        assert float(first[4]) == abs(v)
-        assert float(first[3]) == v.imag
-        assert float(first[5]) == np.angle(v)

@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
@@ -57,9 +59,15 @@ class TestBackground:
             phm.synth_background(mesh, phm.PROSTATE, rbf, seed=3)
 
 
-def dense_background(mesh, model, rbf=phm.RbfNoiseConfig(), seed=0):
-    """The background as one dense kernel: expanded squared distances via
-    a matrix product, then one complex matrix-vector product."""
+def dense_raw(mesh, rbf=phm.RbfNoiseConfig(), seed=0, expanded=True):
+    """The raw RBF field from one dense element x center kernel, and the
+    kernel's largest entry.
+
+    Squared distances come from the expanded |x|^2 + |c|^2 - 2 x.c matrix
+    product, or with ``expanded=False`` from coordinate differences.  The
+    expanded form cancels: each exponent carries an error of about
+    eps * (3 mm)^2 / (2 w^2), which is 1e-12 at w = 0.02 mm.
+    """
     rng = np.random.default_rng(seed)
     centroids = mesh.centroids()
     domain_r = math.hypot(*mesh.vertices[np.argmax(
@@ -69,11 +77,22 @@ def dense_background(mesh, model, rbf=phm.RbfNoiseConfig(), seed=0):
     centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     weights = (rng.standard_normal(rbf.n_centers)
                + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
-    d2 = ((centroids ** 2).sum(axis=1)[:, None]
-          + (centers ** 2).sum(axis=1)[None, :]
-          - 2.0 * centroids @ centers.T)
+    if expanded:
+        d2 = ((centroids ** 2).sum(axis=1)[:, None]
+              + (centers ** 2).sum(axis=1)[None, :]
+              - 2.0 * centroids @ centers.T)
+    else:
+        d2 = ((centroids[:, 0:1] - centers[:, 0]) ** 2
+              + (centroids[:, 1:2] - centers[:, 1]) ** 2)
     expo = np.maximum(d2, 0.0) / (2.0 * rbf.kernel_width ** 2)
-    raw = np.exp(-np.minimum(expo, 46.0)) @ weights
+    kernel = np.exp(-np.minimum(expo, 46.0))
+    return kernel @ weights, kernel.max()
+
+
+def dense_background(mesh, model, rbf=phm.RbfNoiseConfig(), seed=0,
+                     expanded=True):
+    """The background from ``dense_raw``, rescaled to the noise target."""
+    raw, _ = dense_raw(mesh, rbf, seed, expanded)
     target = model.noise_rel_std * abs(model.sigma_background)
     return model.sigma_background + raw * (target / float(np.std(raw.real)))
 
@@ -96,6 +115,28 @@ class TestBackgroundReference:
         rbf = phm.RbfNoiseConfig(n_centers=37, kernel_width=0.4)
         got = phm.synth_background(mesh, phm.BOVINE, rbf, seed=11)
         want = dense_background(mesh, phm.BOVINE, rbf, seed=11)
+        texture = want - phm.BOVINE.sigma_background
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(texture).max()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(width=st.floats(0.02, 3.0), n_centers=st.integers(1, 2000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bounded_kernel_matches_dense(self, mesh, width, n_centers, seed):
+        # The cap radius sqrt(92) * width runs from 0.19 mm, under the
+        # element spacing, to beyond the 6 mm domain, where every block
+        # selects every center.  Coordinate differences keep the reference
+        # exact for narrow kernels (see dense_raw).
+        rbf = phm.RbfNoiseConfig(n_centers=n_centers, kernel_width=width)
+        _, peak = dense_raw(mesh, rbf, seed, expanded=False)
+        # a kernel that never rises far above its exp(-46) floor makes a
+        # texture of rounding noise, which no two summation orders share
+        assume(peak > math.exp(-40.0))
+        want = dense_background(mesh, phm.BOVINE, rbf, seed, expanded=False)
+        if np.any(want.real <= 0):
+            with pytest.raises(NumericalError, match="non-positive"):
+                phm.synth_background(mesh, phm.BOVINE, rbf, seed=seed)
+            return
+        got = phm.synth_background(mesh, phm.BOVINE, rbf, seed=seed)
         texture = want - phm.BOVINE.sigma_background
         assert np.abs(got - want).max() <= 1e-12 * np.abs(texture).max()
 
