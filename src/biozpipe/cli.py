@@ -3,7 +3,17 @@
 Subcommands: generate, train, quantize, eval, budget, and pipeline (the
 end-to-end chain).  All outputs land under the run directory together with
 a manifest of file hashes; re-running with the same configuration must
-reproduce every hash.
+reproduce every hash.  Files of a run directory, by the stage that writes
+them; every command but budget also rewrites manifest.json:
+
+    generate   geometry.txt, mesh.txt, reference.frame, phantoms.csv (index,
+               seed, inclusion and label: make_phantom rebuilds a phantom
+               from its seed), frames.frame (all frames, in index order),
+               dataset.bzds, dataset_manifest.csv
+    train      model.afua, training_curve.csv
+    quantize   sweep.csv, model_q<bits>.afuaq for each bit width
+    eval       confusion.csv (pipeline: on the held-out split)
+    budget     budget.txt, or budget.json with --json
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 I/O or file-format failure, which covers any malformed model, quantized
@@ -20,8 +30,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import afua, analog, datapipe, fem, quantizer, trainer
 from . import geometry as geo
@@ -163,11 +171,8 @@ def _layout(args) -> geo.ProbeLayout:
 
 
 def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
-    """Phantoms, frames, reference frame, and the normalized dataset."""
+    """Geometry, mesh, reference, phantoms.csv, frames and the dataset."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "phantoms").mkdir(exist_ok=True)
-    (out / "frames").mkdir(exist_ok=True)
-
     geo.save_layout(layout, out / "geometry.txt")
     mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     geo.save_mesh(mesh, out / "mesh.txt")
@@ -179,14 +184,19 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
 
     def one(i_ph):
         i, p = i_ph
-        pid = phm.phantom_id(i)
-        phm.save_conductivity(p.element_sigma, out / "phantoms" / f"{pid}.cond")
         frame = fem.simulate_frame(
             p, mesh, layout, contact_impedance=cfg.contact_impedance_ohm_mm,
-            phantom_id=pid)
-        fem.save_frames([frame], out / "frames" / f"{pid}.frame")
-        return datapipe.normalize(frame, ref, gain=cfg.gain_per_mv,
-                                  label=p.label)
+            phantom_id=phm.phantom_id(i))
+        return frame, datapipe.normalize(frame, ref, gain=cfg.gain_per_mv,
+                                         label=p.label)
+
+    seqs = []
+
+    def frames_keeping_seqs(results):
+        # frames stream to the file; only their sequences stay in memory
+        for frame, seq in results:
+            seqs.append(seq)
+            yield frame
 
     # one pool for synthesis and simulation; map keeps index order
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -194,7 +204,9 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
             mesh, layout, model, cfg.n_phantoms, seed=cfg.seed,
             rbf=cfg.rbf(), map=pool.map)
         phm.save_phantom_metadata(phantoms, out / "phantoms.csv")
-        seqs = list(pool.map(one, enumerate(phantoms)))
+        fem.save_frames(
+            frames_keeping_seqs(pool.map(one, enumerate(phantoms))),
+            out / "frames.frame")
 
     datapipe.save_sequences(seqs, out / "dataset.bzds")
     split = datapipe.make_splits(seqs, cfg.split, seed=cfg.seed)
@@ -203,7 +215,6 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
     print(f"generated {len(seqs)} sequences "
           f"({n_pos} positive / {len(seqs) - n_pos} negative); "
           f"splits {len(split.train)}/{len(split.validation)}/{len(split.test)}")
-    return split
 
 
 def _load_split(out: Path) -> datapipe.DatasetSplit:
@@ -220,7 +231,7 @@ def _load_split(out: Path) -> datapipe.DatasetSplit:
         buckets[assignment[s.provenance]].append(s)
     return datapipe.DatasetSplit(train=buckets["train"],
                                  validation=buckets["validation"],
-                                 test=buckets["test"], split_seed=-1)
+                                 test=buckets["test"])
 
 
 def _heldout(split: datapipe.DatasetSplit):
@@ -235,11 +246,9 @@ def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
     trainer.save_confusion_csv(acc, confusion, out / "confusion.csv")
     print(f"{title} accuracy {acc:.4f}")
     print(f"confusion (rows true, cols predicted):\n{confusion}")
-    return acc, confusion
 
 
-def stage_train(cfg: RunConfig, out: Path):
-    split = _load_split(out)
+def stage_train(cfg: RunConfig, out: Path, split: datapipe.DatasetSplit):
     params, report = trainer.train(split, cfg.train_config(),
                                    cfg.integration())
     afua.save_model(params, cfg.integration(), out / "model.afua")
@@ -249,9 +258,9 @@ def stage_train(cfg: RunConfig, out: Path):
     return params
 
 
-def stage_quantize(cfg: RunConfig, out: Path):
-    params, icfg = afua.load_model(out / "model.afua")
-    _, eval_set = _heldout(_load_split(out))
+def stage_quantize(cfg: RunConfig, out: Path, split: datapipe.DatasetSplit,
+                   params, icfg):
+    _, eval_set = _heldout(split)
     rows = quantizer.sweep(params, eval_set, cfg.bits, icfg)
     quantizer.save_sweep_csv(rows, out / "sweep.csv")
     for bits in cfg.bits:
@@ -259,7 +268,6 @@ def stage_quantize(cfg: RunConfig, out: Path):
         quantizer.save_quantized_model(q, icfg, out / f"model_q{bits}.afuaq")
     for label, acc in rows:
         print(f"bits {label:>2}: accuracy {acc:.4f}")
-    return rows
 
 
 def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
@@ -299,16 +307,18 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
         except KeyError as exc:
             raise ConfigError(f"no label for frame id {exc}") from exc
 
-    return _evaluate_and_report(params, seqs, icfg, out,
-                                f"evaluated {len(seqs)} sequences:")
+    _evaluate_and_report(params, seqs, icfg, out,
+                         f"evaluated {len(seqs)} sequences:")
 
 
-def stage_eval_heldout(cfg: RunConfig, out: Path):
+def stage_eval_heldout(cfg: RunConfig, out: Path,
+                       split: datapipe.DatasetSplit, params, icfg):
     """Evaluate the trained model on the run's held-out split."""
-    params, icfg = afua.load_model(out / "model.afua")
-    which, eval_set = _heldout(_load_split(out))
-    return _evaluate_and_report(params, eval_set, icfg, out,
-                                f"held-out ({which})")
+    which, eval_set = _heldout(split)
+    _evaluate_and_report(params, eval_set, icfg, out, f"held-out ({which})")
+    if which == "validation":
+        print("note: the validation split also selected the best epoch, "
+              "so this accuracy is biased upward")
 
 
 def stage_budget(out: Path | None, as_json: bool):
@@ -335,8 +345,12 @@ def write_manifest(out: Path) -> Path:
     entries = {}
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            entries[str(path.relative_to(out))] = digest
+            # in blocks: frames.frame alone is 17 MB at 1500 phantoms
+            digest = hashlib.sha256()
+            with open(path, "rb") as f:
+                while block := f.read(1 << 20):
+                    digest.update(block)
+            entries[str(path.relative_to(out))] = digest.hexdigest()
     manifest = out / "manifest.json"
     with open(manifest, "w", encoding="ascii") as f:
         json.dump(entries, f, indent=2, sort_keys=True)
@@ -418,23 +432,21 @@ def run_command(args) -> int:
 
     if args.command == "generate":
         stage_generate(cfg, layout, out)
-        write_manifest(out)
     elif args.command == "train":
-        stage_train(cfg, out)
-        write_manifest(out)
+        stage_train(cfg, out, _load_split(out))
     elif args.command == "quantize":
-        stage_quantize(cfg, out)
-        write_manifest(out)
+        params, icfg = afua.load_model(out / "model.afua")
+        stage_quantize(cfg, out, _load_split(out), params, icfg)
     elif args.command == "eval":
         stage_eval(cfg, out, args.model_file, args.data, args.labels)
-        write_manifest(out)
     elif args.command == "pipeline":
         stage_generate(cfg, layout, out)
-        stage_train(cfg, out)
-        stage_quantize(cfg, out)
-        stage_eval_heldout(cfg, out)
+        split = _load_split(out)
+        params = stage_train(cfg, out, split)
+        stage_quantize(cfg, out, split, params, cfg.integration())
+        stage_eval_heldout(cfg, out, split, params, cfg.integration())
         stage_budget(out, as_json=False)
-        write_manifest(out)
+    write_manifest(out)
     return 0
 
 

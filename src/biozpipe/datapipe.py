@@ -45,7 +45,6 @@ class DatasetSplit:
     train: list[InputSequence]
     validation: list[InputSequence]
     test: list[InputSequence]
-    split_seed: int
 
 
 def normalize(meas: Frame, ref: Frame, gain: float = 1.0,
@@ -101,7 +100,6 @@ def make_splits(sequences: list[InputSequence],
         train=shuffled[:n_train],
         validation=shuffled[n_train:n_train + n_val],
         test=shuffled[n_train + n_val:],
-        split_seed=seed,
     )
 
 

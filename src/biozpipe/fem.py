@@ -27,6 +27,7 @@ as in Geselowitz's lead theory); no pattern needs a solve of its own.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +316,8 @@ def _frame_record(frame: Frame) -> bytes:
             + pid + body.tobytes())
 
 
-def save_frames(frames: list[Frame], path) -> None:
-    """Write one or more frame records to a single file."""
+def save_frames(frames: Iterable[Frame], path) -> None:
+    """Write one or more frame records to a single file, in iteration order."""
     with open(path, "wb") as f:
         for frame in frames:
             f.write(_frame_record(frame))

@@ -561,16 +561,19 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != _MESH_HEADER:
-        raise FormatError(f"{path}: not a biozpipe mesh file")
+    """Read a mesh file; a malformed or non-conforming mesh is a FormatError."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
+        lines = [ln.strip() for ln in data.decode("ascii").splitlines()
+                 if ln.strip()]
+        if not lines or lines[0] != _MESH_HEADER:
+            raise FormatError(f"{path}: not a biozpipe mesh file")
         idx = 1
         nv = int(lines[idx].split()[1]); idx += 1
         vertices = np.array(
             [[float(v) for v in lines[idx + k].split()] for k in range(nv)]
-        )
+        ).reshape(nv, 2)
         idx += nv
         nt = int(lines[idx].split()[1]); idx += 1
         tri_rows = [[int(v) for v in lines[idx + k].split()] for k in range(nt)]
@@ -588,8 +591,18 @@ def load_mesh(path) -> Mesh:
         for k in range(ni):
             e, v = (int(x) for x in lines[idx + k].split())
             inner_vertex[e] = v
-    except (ValueError, IndexError) as exc:
+        if not np.all(np.isfinite(vertices)):
+            raise FormatError(f"{path}: non-finite vertex coordinates")
+        # validate_mesh requires every electrode edge to be a triangle edge
+        used = [*triangles.ravel().tolist(), *inner_vertex.values()]
+        if any(not 0 <= v < nv for v in used):
+            raise FormatError(f"{path}: vertex index outside [0, {nv})")
+        mesh = Mesh(vertices=vertices, triangles=triangles,
+                    electrode_edges={e: tuple(v)
+                                     for e, v in electrode_edges.items()},
+                    inner_vertex=inner_vertex, element_region=region)
+        validate_mesh(mesh)
+    except (ValueError, IndexError, OverflowError, MeshError) as exc:
+        # UnicodeDecodeError is a ValueError
         raise FormatError(f"{path}: malformed mesh file: {exc}") from exc
-    return Mesh(vertices=vertices, triangles=triangles,
-                electrode_edges={e: tuple(v) for e, v in electrode_edges.items()},
-                inner_vertex=inner_vertex, element_region=region)
+    return mesh

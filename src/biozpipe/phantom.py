@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericalError
+from .errors import ConfigError, NumericalError
 from .geometry import Mesh, ProbeLayout
 
 LABEL_NEGATIVE = 0
@@ -271,7 +270,7 @@ def make_phantom(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
 
 
 def phantom_id(index: int) -> str:
-    """Name of phantom ``index`` in a run: its files and error messages."""
+    """Name of phantom ``index`` in a run: its frame id and error messages."""
     return f"p{index:05d}"
 
 
@@ -302,37 +301,9 @@ def generate_phantom_set(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
 
 
 # ---------------------------------------------------------------------------
-# Persistence: metadata CSV plus per-phantom conductivity binaries
+# Persistence: the metadata CSV.  Conductivities are not stored; each
+# phantom is rebuilt from its seed with make_phantom.
 # ---------------------------------------------------------------------------
-
-_COND_MAGIC = b"BZPH"
-_COND_VERSION = 1
-
-
-def save_conductivity(sigma: np.ndarray, path) -> None:
-    """Little-endian binary: magic, version, count, interleaved re/im f64."""
-    sigma = np.asarray(sigma, dtype=complex)
-    body = np.empty(2 * len(sigma), dtype="<f8")
-    body[0::2] = sigma.real
-    body[1::2] = sigma.imag
-    with open(path, "wb") as f:
-        f.write(_COND_MAGIC)
-        f.write(struct.pack("<II", _COND_VERSION, len(sigma)))
-        f.write(body.tobytes())
-
-
-def load_conductivity(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _COND_MAGIC:
-            raise FormatError(f"{path}: not a conductivity file")
-        version, count = struct.unpack("<II", f.read(8))
-        if version != _COND_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        body = np.frombuffer(f.read(16 * count), dtype="<f8")
-    if len(body) != 2 * count:
-        raise FormatError(f"{path}: truncated body")
-    return body[0::2] + 1j * body[1::2]
 
 
 def save_phantom_metadata(phantoms: list[Phantom], path) -> None:

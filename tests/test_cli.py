@@ -83,10 +83,45 @@ class TestPipelineOutputs:
         for name in ("geometry.txt", "mesh.txt", "reference.frame",
                      "phantoms.csv", "dataset.bzds", "dataset_manifest.csv",
                      "model.afua", "training_curve.csv", "sweep.csv",
-                     "confusion.csv", "budget.txt", "manifest.json"):
+                     "confusion.csv", "budget.txt", "manifest.json",
+                     "frames.frame"):
             assert (tiny_run / name).exists(), name
-        assert len(list((tiny_run / "phantoms").glob("*.cond"))) == 40
-        assert len(list((tiny_run / "frames").glob("*.frame"))) == 40
+        from biozpipe import fem
+        assert len(fem.load_frames(tiny_run / "frames.frame")) == 40
+        assert not (tiny_run / "phantoms").exists()
+        assert not (tiny_run / "frames").exists()
+
+    def test_phantoms_rebuild_from_seeds(self, tiny_run):
+        # phantoms.csv seeds stand in for stored conductivities
+        from biozpipe import fem
+        from biozpipe import geometry as geo
+        from biozpipe import phantom as phm
+        cfg = cli.RunConfig()
+        mesh = geo.load_mesh(tiny_run / "mesh.txt")
+        layout = geo.load_layout(tiny_run / "geometry.txt")
+        rows = phm.load_phantom_metadata(tiny_run / "phantoms.csv")
+        frames = fem.load_frames(tiny_run / "frames.frame")
+        for i in (0, 39):
+            p = phm.make_phantom(mesh, layout, cfg.tissue_model(),
+                                 rows[i]["seed"], cfg.rbf())
+            assert p.label == rows[i]["label"]
+            frame = fem.simulate_frame(
+                p, mesh, layout,
+                contact_impedance=cfg.contact_impedance_ohm_mm,
+                phantom_id=phm.phantom_id(i))
+            assert frames[i].phantom_id == frame.phantom_id
+            assert frames[i].voltages.tobytes() == frame.voltages.tobytes()
+
+    def test_validation_heldout_says_it_is_biased(self, tmp_path, capsys):
+        assert run_cli(["pipeline", "--n", "12", "--epochs", "2",
+                        "--seed", "5", "--mesh-edge", "0.3",
+                        "--split", "0.5,0.5,0.0",
+                        "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(k for k, ln in enumerate(lines)
+                  if ln.startswith("held-out (validation) accuracy "))
+        assert any(ln.startswith("note: the validation split also selected "
+                                 "the best epoch") for ln in lines[at + 1:])
 
     def test_sweep_has_fp_row(self, tiny_run):
         with open(tiny_run / "sweep.csv") as f:
@@ -133,6 +168,19 @@ class TestReruns:
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
 
+    def test_generate_replaces_frames_of_a_larger_run(self, tiny_run,
+                                                      tmp_path):
+        from biozpipe import fem
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        assert run_cli(["generate", "--n", "12", "--seed", "5",
+                        "--mesh-edge", "0.3", "--split", "0.5,0.25,0.25",
+                        "--out", str(run)]) == 0
+        assert len(fem.load_frames(run / "frames.frame")) == 12
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert not [name for name in manifest
+                    if name.startswith(("frames/", "phantoms/"))]
+
     def test_generate_recomputes_reference(self, tmp_path):
         from biozpipe import fem
         from biozpipe import geometry as geo
@@ -159,11 +207,9 @@ class TestEvalCommand:
         assert "accuracy" in capsys.readouterr().out
 
     def test_eval_on_frames_with_labels(self, tiny_run, tmp_path, capsys):
-        # externally measured frames path: reuse two simulated frame files
+        # externally measured frames path: reuse four simulated frames
         from biozpipe import fem
-        frames = []
-        for p in sorted((tiny_run / "frames").glob("*.frame"))[:4]:
-            frames.extend(fem.load_frames(p))
+        frames = fem.load_frames(tiny_run / "frames.frame")[:4]
         bundle = tmp_path / "measured.frames"
         fem.save_frames(frames, bundle)
         with open(tiny_run / "phantoms.csv") as f:
@@ -184,12 +230,35 @@ class TestEvalCommand:
 
     def test_frames_without_labels_exit_2(self, tiny_run, tmp_path):
         from biozpipe import fem
-        src = sorted((tiny_run / "frames").glob("*.frame"))[0]
         bundle = tmp_path / "m.frames"
-        fem.save_frames(fem.load_frames(src), bundle)
+        fem.save_frames(fem.load_frames(tiny_run / "frames.frame")[:1],
+                        bundle)
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
                         "--data", str(bundle), "--out", str(tiny_run)])
         assert code == 2
+
+    def test_eval_on_frames_matches_dataset(self, tiny_run, tmp_path):
+        labels = tmp_path / "labels.csv"
+        with open(tiny_run / "phantoms.csv") as f, \
+                open(labels, "w", newline="") as g:
+            w = csv.writer(g)
+            w.writerow(["id", "label"])
+            for r in csv.DictReader(f):
+                w.writerow([f"p{int(r['index']):05d}", r["label"]])
+        confusions = []
+        for name, data in (("dataset", ["--data",
+                                         str(tiny_run / "dataset.bzds")]),
+                           ("frames", ["--data",
+                                       str(tiny_run / "frames.frame"),
+                                       "--labels", str(labels)])):
+            out = tmp_path / name
+            out.mkdir()
+            shutil.copy(tiny_run / "reference.frame", out)
+            assert run_cli(["eval", "--model-file",
+                            str(tiny_run / "model.afua"), *data,
+                            "--out", str(out)]) == 0
+            confusions.append((out / "confusion.csv").read_bytes())
+        assert confusions[0] == confusions[1]
 
     def test_frames_with_wrong_pattern_count_exit_4(self, tiny_run,
                                                     tmp_path, capsys):
@@ -309,7 +378,7 @@ class TestMalformedInputs:
         labels = tmp_path / "labels.csv"
         labels.write_bytes(content)
         code, err = self.eval_exit(capsys, tiny_run / "model.afua",
-                                   tiny_run / "frames" / "p00000.frame",
+                                   tiny_run / "frames.frame",
                                    tiny_run, labels)
         assert code == 4
         assert f"error [eval]: {labels}" in err

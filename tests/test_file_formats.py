@@ -21,6 +21,7 @@ LOADERS = {
     "data.bzds": datapipe.load_sequences,
     "frames.frame": fem.load_frames,
     "layout.txt": geo.load_layout,
+    "mesh.txt": geo.load_mesh,
 }
 
 # few examples per format keep the suite fast; each draws a fresh offset
@@ -54,6 +55,7 @@ def valid_files(tmp_path_factory):
               for k in range(2)]
     fem.save_frames(frames, root / "frames.frame")
     geo.save_layout(layout, root / "layout.txt")
+    geo.save_mesh(geo.build_mesh(layout, 0.5), root / "mesh.txt")
     return {name: (root / name, (root / name).read_bytes())
             for name in LOADERS}
 

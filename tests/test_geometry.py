@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biozpipe import geometry as geo
-from biozpipe.errors import ConfigError, MeshError
+from biozpipe.errors import ConfigError, FormatError, MeshError
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,25 @@ class TestSerialization:
         assert np.array_equal(back.triangles, mesh.triangles)
         assert back.electrode_edges == mesh.electrode_edges
         assert back.inner_vertex == mesh.inner_vertex
+
+    @pytest.mark.parametrize("case", ["non-ascii", "triangles",
+                                      "electrode_edges", "inner_vertices"])
+    def test_malformed_mesh_is_format_error(self, mesh, tmp_path, case):
+        # non-ASCII, or vertex 999999 as the last index of a section's first row
+        path = tmp_path / "mesh.txt"
+        geo.save_mesh(mesh, path)
+        lines = path.read_bytes().split(b"\n")
+        if case == "non-ascii":
+            lines[1] += b"\xe9"
+        else:
+            at = next(k for k, ln in enumerate(lines)
+                      if ln.split(b" ")[0] == case.encode()) + 1
+            row = lines[at].split(b" ")
+            row[-2 if case == "triangles" else -1] = b"999999"
+            lines[at] = b" ".join(row)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match=str(path)):
+            geo.load_mesh(path)
 
     def test_mesh_file_deterministic(self, mesh, tmp_path):
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

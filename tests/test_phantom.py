@@ -289,13 +289,6 @@ class TestGeneration:
 
 
 class TestPersistence:
-    def test_conductivity_roundtrip(self, mesh, tmp_path):
-        sigma = np.arange(mesh.n_triangles) * (0.5 + 0.25j) + 1.0
-        path = tmp_path / "p.cond"
-        phm.save_conductivity(sigma, path)
-        back = phm.load_conductivity(path)
-        assert np.array_equal(back, sigma)
-
     def test_metadata_roundtrip(self, mesh, layout, tmp_path):
         phs = phm.generate_phantom_set(mesh, layout, phm.BOVINE, 5, seed=2)
         path = tmp_path / "meta.csv"
@@ -308,10 +301,8 @@ class TestPersistence:
             assert row["diameter"] == p.inclusion.diameter
             assert row["center"] == p.inclusion.center
 
-    def test_byte_identical_files(self, mesh, layout, tmp_path):
+    def test_byte_identical_files(self, mesh, layout):
         phs1 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3, seed=6)
         phs2 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3, seed=6)
-        f1, f2 = tmp_path / "a.cond", tmp_path / "b.cond"
-        phm.save_conductivity(phs1[0].element_sigma, f1)
-        phm.save_conductivity(phs2[0].element_sigma, f2)
-        assert f1.read_bytes() == f2.read_bytes()
+        assert (phs1[0].element_sigma.tobytes()
+                == phs2[0].element_sigma.tobytes())

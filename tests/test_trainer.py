@@ -175,8 +175,7 @@ class TestTrain:
     def test_overfits_toy_phantom_set(self, toy_phantom_dataset):
         # 50 phantoms, 200 epochs: the training accuracy must reach 0.95
         seqs = toy_phantom_dataset
-        splits = dp.DatasetSplit(train=seqs, validation=seqs[:10], test=[],
-                                 split_seed=0)
+        splits = dp.DatasetSplit(train=seqs, validation=seqs[:10], test=[])
         cfg = trainer.TrainConfig(batch_size=10, epochs=200, seed=1)
         params, report = trainer.train(splits, cfg)
         assert max(report.train_acc) >= 0.95
@@ -186,7 +185,7 @@ class TestTrain:
     def test_deterministic(self):
         seqs = make_dataset(30, seed=6)
         splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
-                                 test=[], split_seed=0)
+                                 test=[])
         cfg = trainer.TrainConfig(batch_size=10, epochs=5, seed=9)
         p1, r1 = trainer.train(splits, cfg)
         p2, r2 = trainer.train(splits, cfg)
@@ -202,14 +201,14 @@ class TestTrain:
         seqs = make_dataset(24, seed=7)
         rev = list(reversed(seqs))
         cfg = trainer.TrainConfig(batch_size=8, epochs=4, seed=2)
-        _, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], [], 0), cfg)
-        _, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], [], 0), cfg)
+        _, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], []), cfg)
+        _, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], []), cfg)
         assert r1.train_loss == r2.train_loss
 
     def test_returned_params_beat_first_epoch(self):
         seqs = make_dataset(60, seed=8)
         splits = dp.DatasetSplit(train=seqs[:40], validation=seqs[40:],
-                                 test=[], split_seed=0)
+                                 test=[])
         cfg = trainer.TrainConfig(batch_size=20, epochs=60, seed=3)
         params, report = trainer.train(splits, cfg)
         acc, _ = trainer.evaluate(params, splits.validation)
@@ -220,7 +219,7 @@ class TestTrain:
     def test_divergence_aborts_with_epoch(self):
         seqs = make_dataset(20, seed=9)
         splits = dp.DatasetSplit(train=seqs[:15], validation=seqs[15:],
-                                 test=[], split_seed=0)
+                                 test=[])
         cfg = trainer.TrainConfig(batch_size=5, epochs=10, seed=4,
                                   learning_rate=1e9)
         with pytest.raises(NumericalError, match="epoch"):
@@ -230,8 +229,7 @@ class TestTrain:
 class TestEvaluate:
     def test_perfect_and_base_rate(self):
         seqs = make_dataset(40, seed=10, separation=3.0)
-        splits = dp.DatasetSplit(train=seqs, validation=seqs[:8], test=[],
-                                 split_seed=0)
+        splits = dp.DatasetSplit(train=seqs, validation=seqs[:8], test=[])
         params, _ = trainer.train(splits, trainer.TrainConfig(
             batch_size=10, epochs=150, seed=5))
         acc, cm = trainer.evaluate(params, seqs)
@@ -282,7 +280,7 @@ class TestReports:
     def test_curve_csv(self, tmp_path):
         seqs = make_dataset(20, seed=13)
         splits = dp.DatasetSplit(train=seqs[:15], validation=seqs[15:],
-                                 test=[], split_seed=0)
+                                 test=[])
         _, report = trainer.train(splits, trainer.TrainConfig(
             batch_size=5, epochs=3, seed=6))
         path = tmp_path / "curve.csv"
