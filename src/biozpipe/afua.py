@@ -18,6 +18,16 @@ training, the quantized sweep and current mode all run, and ``predict`` is
 the one label rule.  ``afua_step`` and ``run_sequence`` step one sequence at
 a time: the reference for the tests.
 
+``unroll`` allocates its work arrays once per call and writes them in
+place.  With ``keep_records`` it returns them as the records of the whole
+unroll, five arrays ``(H, Z, C, Ht, G)`` of shape (T*S, B, n) for T held
+inputs of S substeps each: row ``k`` is substep ``k``, which holds input
+``k // S``.  ``H[k]`` is the state substep ``k`` started from, ``Z[k]`` the
+gate, ``C[k]`` the raw candidate, ``Ht[k]`` the candidate after the epsilon
+floor and ``G[k] = 1 - H[k] / Ht[k]``.  Z and C are the two halves of one
+(T*S, B, 2n) gate array.  Backpropagation (``trainer.gradients``) walks
+these rows in reverse, and current mode (``analog``) reads them at B = 1.
+
 A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
 (``write_model_file`` / ``read_model_file``), with integer codes.
 """
@@ -106,19 +116,32 @@ class IntegrationConfig:
 
 
 # output clamped strictly inside (0, 1): the candidate state is divided by,
-# and the saturated tails would otherwise round to exactly 0 or 1
-_SIG_FLOOR = np.nextafter(0.0, 1.0)
-_SIG_CEIL = np.nextafter(1.0, 0.0)
+# and the saturated tails would otherwise round to exactly 0 or 1.  The
+# constants are 0-d arrays because ufuncs take them faster than Python
+# floats, which matters at batch 1.
+_SIG_FLOOR = np.array(np.nextafter(0.0, 1.0))
+_SIG_CEIL = np.array(np.nextafter(1.0, 0.0))
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
 
 
-def sigmoid(v):
-    """Logistic function, numerically stable, with open range (0, 1)."""
+def sigmoid(v, out=None):
+    """Logistic function, numerically stable, with open range (0, 1).
+
+    Writes into ``out`` when it is given, which may be ``v`` itself.  A
+    scalar ``v`` gives a float.
+    """
     v = np.asarray(v, dtype=float)
-    e = np.exp(-np.abs(v))
-    out = np.clip(np.where(v >= 0, 1.0, e) / (1.0 + e), _SIG_FLOOR, _SIG_CEIL)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    nonneg = np.greater_equal(v, _ZERO)
+    e = np.abs(v, out=np.empty_like(v) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(nonneg, _ONE, e)
+    np.add(_ONE, e, out=e)
+    np.divide(num, e, out=e)
+    np.maximum(e, _SIG_FLOOR, out=e)
+    np.minimum(e, _SIG_CEIL, out=e)
+    return float(e) if e.ndim == 0 else e
 
 
 def initial_state(n_hidden: int = N_HIDDEN, h0: float = 0.5) -> AfuaState:
@@ -173,9 +196,10 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
     """Euler unroll of a (B, T, D) batch with the gates stacked.
 
     Returns the final (B, n) states, the number of state entries the clamp
-    moved, and per substep a ``(t, h, z, cand, h_tilde, 1 - h/h_tilde)``
-    record, ``h`` being the state it started from (``None`` unless
-    ``keep_records``).
+    moved, and the records ``(H, Z, C, Ht, G)``: five (T*S, B, n) arrays
+    laid out as the module docstring says (``None`` unless
+    ``keep_records``).  Without records the work arrays hold one held
+    input's S substeps and are reused.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[2] != params.n_inputs:
@@ -184,29 +208,51 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
         )
     if cfg.dt > params.tau_h:
         raise ConfigError("dt must not exceed tau_h")
-    n = params.n_hidden
+    B, T, _ = X.shape
+    n, S = params.n_hidden, cfg.substeps_per_pattern
     W_in = np.vstack([params.W_z, params.W]).T
     U_rec = np.vstack([params.U_z, params.U]).T
-    dt_tau = cfg.dt / params.tau_h
-    H = np.full((X.shape[0], n), h0)
-    clamped = 0
-    records = [] if keep_records else None
-    for t in range(X.shape[1]):
-        x_in = X[:, t, :] @ W_in
-        for _ in range(cfg.substeps_per_pattern):
-            gates = sigmoid(x_in + H @ U_rec)
-            Z, C = gates[:, :n], gates[:, n:]
-            Ht = np.maximum(C, cfg.epsilon)
-            G = 1.0 - H / Ht
-            H_new = H + dt_tau * Z * G
-            if records is not None:
-                records.append((t, H, Z, C, Ht, G))
-            H = np.clip(H_new, cfg.epsilon, 1.0 - cfg.epsilon)
-            clamped += int(np.count_nonzero(H != H_new))
+    dt_tau = np.array(cfg.dt / params.tau_h)
+    eps, top = np.array(cfg.epsilon), np.array(1.0 - cfg.epsilon)
+    L = T * S if keep_records else S
+    Hs = np.empty((L + 1, B, n))  # Hs[k]: the state substep k starts from
+    gates = np.empty((L, B, 2 * n))
+    Z, C = gates[:, :, :n], gates[:, :, n:]
+    Ht = np.empty((L, B, n))
+    G = np.empty((L, B, n))
+    x_in = np.empty((B, 2 * n))
+    free = np.empty((S, B, n))  # one held input's updates before the clamp
+    moved = np.empty((S, B, n), dtype=bool)
+    Hs[0] = h0
+    clamped = last = 0
+    for t in range(T):
+        k0 = t * S if keep_records else 0
+        if not keep_records and t:
+            Hs[0] = Hs[S]
+        np.matmul(X[:, t, :], W_in, out=x_in)
+        for j in range(S):
+            k = k0 + j
+            h, hn, g, ht, gg = Hs[k], Hs[k + 1], gates[k], Ht[k], G[k]
+            u = free[j]
+            np.matmul(h, U_rec, out=g)
+            np.add(x_in, g, out=g)
+            sigmoid(g, out=g)
+            np.maximum(C[k], eps, out=ht)
+            np.divide(h, ht, out=gg)
+            np.subtract(_ONE, gg, out=gg)
+            np.multiply(dt_tau, Z[k], out=u)
+            np.multiply(u, gg, out=u)
+            np.add(h, u, out=u)
+            np.maximum(u, eps, out=hn)
+            np.minimum(hn, top, out=hn)
+        last = k0 + S
+        np.not_equal(free, Hs[k0 + 1:last + 1], out=moved)
+        clamped += int(np.count_nonzero(moved))
         # a non-finite value stays non-finite through every later substep
-        if not np.all(np.isfinite(H)):
+        if not np.isfinite(Hs[last]).all():
             raise NumericalError(f"step {t}: non-finite state value")
-    return H, clamped, records
+    records = (Hs[:L], Z, C, Ht, G) if keep_records else None
+    return Hs[last], clamped, records
 
 
 def head_batch(H: np.ndarray, params: NetworkParams):

@@ -50,14 +50,14 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     if I_unit <= 0:
         raise ConfigError("I_unit must be positive")
     steps = np.asarray(getattr(x_sequence, "steps", x_sequence), dtype=float)
-    H, clamped, records = unroll(steps[None], params, cfg, h0=h0,
-                                 keep_records=True)
-    # each record holds the state its substep started from
-    h_after = [rec[1] for rec in records[1:]] + [H]
+    H, clamped, (H_rec, Z, _, Ht, _) = unroll(steps[None], params, cfg,
+                                              h0=h0, keep_records=True)
+    # H_rec[k] is the state substep k started from; the trajectory is the
+    # state after each substep
+    h_after = np.concatenate((H_rec, H[None]))[1:, 0]
     return CurrentTrajectory(
-        I_h=I_unit * np.concatenate(h_after),
-        I_z=I_unit * np.concatenate([rec[2] for rec in records]),
-        I_htilde=I_unit * np.concatenate([rec[4] for rec in records]),
+        I_h=I_unit * h_after, I_z=I_unit * Z[:, 0],
+        I_htilde=I_unit * Ht[:, 0],
         I_unit=I_unit, clamped_substeps=clamped)
 
 

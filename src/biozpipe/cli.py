@@ -15,6 +15,11 @@ them; every command but budget also rewrites manifest.json:
     eval       confusion.csv (pipeline: on the held-out split)
     budget     budget.txt, or budget.json with --json
 
+Before it writes, each stage deletes the files that it and every later
+stage of that list write (``STAGE_OUTPUTS``), so a run directory never
+mixes the outputs of two configurations.  The budget files depend on no
+run input and are left in place.
+
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 I/O or file-format failure, which covers any malformed model, quantized
 model, dataset, frames or layout file.
@@ -169,10 +174,30 @@ def _layout(args) -> geo.ProbeLayout:
 # Stages
 # ---------------------------------------------------------------------------
 
+# the files (glob patterns) each stage writes, in pipeline order
+STAGE_OUTPUTS = {
+    "generate": ("geometry.txt", "mesh.txt", "reference.frame",
+                 "phantoms.csv", "frames.frame", "dataset.bzds",
+                 "dataset_manifest.csv"),
+    "train": ("model.afua", "training_curve.csv"),
+    "quantize": ("sweep.csv", "model_q*.afuaq"),
+    "eval": ("confusion.csv",),
+}
+
+
+def _clear_outputs(out: Path, stage: str) -> None:
+    """Delete the files of ``stage`` and of every stage after it."""
+    stages = list(STAGE_OUTPUTS)
+    for later in stages[stages.index(stage):]:
+        for pattern in STAGE_OUTPUTS[later]:
+            for path in out.glob(pattern):
+                path.unlink()
+
 
 def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
     """Geometry, mesh, reference, phantoms.csv, frames and the dataset."""
     out.mkdir(parents=True, exist_ok=True)
+    _clear_outputs(out, "generate")
     geo.save_layout(layout, out / "geometry.txt")
     mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     geo.save_mesh(mesh, out / "mesh.txt")
@@ -243,6 +268,7 @@ def _heldout(split: datapipe.DatasetSplit):
 def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
     """Evaluate, write confusion.csv and print the accuracy and confusion."""
     acc, confusion = trainer.evaluate(params, seqs, icfg)
+    _clear_outputs(out, "eval")
     trainer.save_confusion_csv(acc, confusion, out / "confusion.csv")
     print(f"{title} accuracy {acc:.4f}")
     print(f"confusion (rows true, cols predicted):\n{confusion}")
@@ -251,6 +277,7 @@ def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
 def stage_train(cfg: RunConfig, out: Path, split: datapipe.DatasetSplit):
     params, report = trainer.train(split, cfg.train_config(),
                                    cfg.integration())
+    _clear_outputs(out, "train")
     afua.save_model(params, cfg.integration(), out / "model.afua")
     trainer.save_training_curve(report, out / "training_curve.csv")
     print(f"trained {cfg.epochs} epochs; best epoch {report.best_epoch} "
@@ -262,6 +289,7 @@ def stage_quantize(cfg: RunConfig, out: Path, split: datapipe.DatasetSplit,
                    params, icfg):
     _, eval_set = _heldout(split)
     rows = quantizer.sweep(params, eval_set, cfg.bits, icfg)
+    _clear_outputs(out, "quantize")
     quantizer.save_sweep_csv(rows, out / "sweep.csv")
     for bits in cfg.bits:
         q = quantizer.quantize(params, bits)

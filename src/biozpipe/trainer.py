@@ -2,7 +2,8 @@
 Adam updates, and accuracy/confusion reporting.
 
 The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``;
-the backward pass replays its per-substep records over the whole batch.
+the backward pass walks its record arrays in reverse, one substep (row) at
+a time over the whole batch.
 Clamps are treated as straight-through in the backward pass, so the
 gradients are the exact reverse-mode derivatives of the unclamped recursion.
 """
@@ -109,8 +110,10 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
             dH = dpre1 @ params.fc1_w
 
             dt_tau = cfg.dt / params.tau_h
-            for t, H_in, Z, C, Ht, G in reversed(records):
-                Xt = X[:, t, :]
+            S = cfg.substeps_per_pattern
+            for k in reversed(range(len(records[0]))):
+                H_in, Z, C, Ht, G = (rec[k] for rec in records)
+                Xt = X[:, k // S, :]
                 # clamp on the updated state is straight-through
                 dZ = dH * dt_tau * G
                 dG = dH * dt_tau * Z
@@ -177,7 +180,9 @@ def train(splits: DatasetSplit, config: TrainConfig,
 
     The training list is sorted by provenance before the seeded shuffle, so
     results do not depend on the order sequences were loaded from disk.
-    Deterministic given config.seed.
+    Deterministic given config.seed.  Raises NumericalError naming the
+    epoch when every gradient of a whole epoch is zero, as a ReLU head that
+    is dead for every input gives.
     """
     if not splits.train or not splits.validation:
         raise ConfigError("train and validation sets must be non-empty")
@@ -201,6 +206,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_hits = 0
+        moved = False  # any non-zero gradient entry this epoch
         for lo in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
             try:
@@ -208,6 +214,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}: {exc}") from exc
+            moved = moved or any(g.any() for g in grads.values())
             epoch_loss += bl * len(batch)
             epoch_hits += hits
             step += 1
@@ -221,6 +228,12 @@ def train(splits: DatasetSplit, config: TrainConfig,
                               - config.learning_rate * mhat
                               / (np.sqrt(vhat) + config.adam_eps))
             params = replace(params, **updates)
+        if not moved:
+            # a ReLU head inactive for every input passes no gradient back
+            raise NumericalError(
+                f"training stalled at epoch {epoch}: every gradient was zero "
+                f"in all {len(range(0, n, config.batch_size))} batches "
+                "(dead ReLU head)")
 
         vl, vhits = batch_loss_and_hits(val_set, params, cfg)
         report.train_loss.append(epoch_loss / n)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biozpipe import afua
 from biozpipe.afua import AfuaState, IntegrationConfig, NetworkParams
-from biozpipe.errors import ConfigError
+from biozpipe.errors import ConfigError, NumericalError
 
 
 def rand_params(n_hidden=16, n_inputs=25, seed=0, scale=0.5):
@@ -29,6 +31,52 @@ def zero_params(n_hidden=16, n_inputs=25):
     )
 
 
+def reference_sigmoid(v):
+    """The logistic function as one expression, allocating every step."""
+    v = np.asarray(v, dtype=float)
+    e = np.exp(-np.abs(v))
+    out = np.clip(np.where(v >= 0, 1.0, e) / (1.0 + e),
+                  np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def reference_unroll(X, params, cfg, h0=0.5, keep_records=False):
+    """``unroll`` with fresh arrays per substep and a clamp count per
+    substep; its records are a ``(t, h, z, cand, h_tilde, 1 - h/h_tilde)``
+    tuple per substep, ``h`` being the state the substep started from."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3 or X.shape[2] != params.n_inputs:
+        raise ConfigError(
+            f"sequence width {X.shape} does not match {params.n_inputs} inputs"
+        )
+    if cfg.dt > params.tau_h:
+        raise ConfigError("dt must not exceed tau_h")
+    n = params.n_hidden
+    W_in = np.vstack([params.W_z, params.W]).T
+    U_rec = np.vstack([params.U_z, params.U]).T
+    dt_tau = cfg.dt / params.tau_h
+    H = np.full((X.shape[0], n), h0)
+    clamped = 0
+    records = [] if keep_records else None
+    for t in range(X.shape[1]):
+        x_in = X[:, t, :] @ W_in
+        for _ in range(cfg.substeps_per_pattern):
+            gates = reference_sigmoid(x_in + H @ U_rec)
+            Z, C = gates[:, :n], gates[:, n:]
+            Ht = np.maximum(C, cfg.epsilon)
+            G = 1.0 - H / Ht
+            H_new = H + dt_tau * Z * G
+            if records is not None:
+                records.append((t, H, Z, C, Ht, G))
+            H = np.clip(H_new, cfg.epsilon, 1.0 - cfg.epsilon)
+            clamped += int(np.count_nonzero(H != H_new))
+        if not np.all(np.isfinite(H)):
+            raise NumericalError(f"step {t}: non-finite state value")
+    return H, clamped, records
+
+
 class TestSigmoid:
     def test_zero(self):
         assert afua.sigmoid(0.0) == 0.5
@@ -43,6 +91,21 @@ class TestSigmoid:
         v = np.linspace(-30, 30, 301)
         out = afua.sigmoid(v)
         assert np.all(np.diff(out) >= 0)
+
+    def test_scalar_gives_float(self):
+        assert type(afua.sigmoid(-3.0)) is float
+        assert afua.sigmoid(-3.0) == reference_sigmoid(-3.0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(v=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                      min_size=1, max_size=64))
+    def test_matches_reference_bit_for_bit(self, v):
+        v = np.array(v)
+        want = reference_sigmoid(v)
+        assert np.array_equal(afua.sigmoid(v), want, equal_nan=True)
+        work = v.copy()
+        assert afua.sigmoid(work, out=work) is work  # in place
+        assert np.array_equal(work, want, equal_nan=True)
 
 
 class TestStep:
@@ -147,6 +210,71 @@ class TestRunSequence:
         cfg = IntegrationConfig(substeps_per_pattern=1, dt=1.5)
         with pytest.raises(ConfigError):
             afua.run_sequence(np.zeros((2, 2)), p, cfg)
+
+
+def assert_unroll_matches_reference(X, params, cfg, h0, keep_records):
+    H, clamped, records = afua.unroll(X, params, cfg, h0, keep_records)
+    H_ref, clamped_ref, ref = reference_unroll(X, params, cfg, h0,
+                                               keep_records)
+    assert np.array_equal(H, H_ref)
+    assert clamped == clamped_ref
+    if not keep_records:
+        assert records is None
+        return clamped
+    S = cfg.substeps_per_pattern
+    assert [rec[0] for rec in ref] == [k // S for k in range(len(ref))]
+    for got, i in zip(records, range(1, 6)):  # H, Z, C, Ht, G
+        want = (np.stack([rec[i] for rec in ref]) if ref
+                else np.empty((0, *H.shape)))
+        assert got.shape == want.shape == (X.shape[1] * S, *H.shape)
+        assert np.array_equal(got, want)
+    return clamped
+
+
+class TestUnrollReference:
+    """The in-place unroll against the per-substep one, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(batch=st.one_of(st.just(1), st.integers(2, 40),
+                           st.integers(257, 300)),
+           steps=st.integers(0, 4), substeps=st.integers(1, 4),
+           n_hidden=st.integers(1, 8), n_inputs=st.integers(1, 6),
+           scale=st.sampled_from([0.5, 5.0, 300.0]),
+           dt=st.sampled_from([0.0, 0.1, 1.0]),
+           h0=st.floats(0.01, 0.99), keep_records=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, batch, steps, substeps, n_hidden,
+                               n_inputs, scale, dt, h0, keep_records, seed):
+        p = rand_params(n_hidden, n_inputs, seed=seed, scale=scale)
+        cfg = IntegrationConfig(substeps_per_pattern=substeps, dt=dt)
+        X = np.random.default_rng(seed).uniform(-1, 1,
+                                                (batch, steps, n_inputs))
+        assert_unroll_matches_reference(X, p, cfg, h0, keep_records)
+
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_large_weights_hit_sigmoid_bounds_and_state_clamp(
+            self, batch, keep_records):
+        # weights of scale 300 drive the pre-activations far past +-745,
+        # where exp underflows and the sigmoid needs its floor and ceiling
+        p = rand_params(8, 5, seed=batch, scale=300.0)
+        cfg = IntegrationConfig(substeps_per_pattern=3)
+        X = np.random.default_rng(batch).uniform(-1, 1, (batch, 4, 5))
+        assert assert_unroll_matches_reference(X, p, cfg, 0.5,
+                                               keep_records) > 0  # clamped
+        _, _, (_, Z, C, _, _) = afua.unroll(X, p, cfg, keep_records=True)
+        gates = np.concatenate((Z, C), axis=2)
+        assert np.any(gates == np.nextafter(0.0, 1.0))
+        assert np.any(gates == np.nextafter(1.0, 0.0))
+
+    def test_paper_config_batches(self):
+        p = rand_params(seed=14)
+        rng = np.random.default_rng(15)
+        for batch in (1, 100, 257):
+            X = rng.uniform(-1, 1, (batch, 28, 25))
+            for keep_records in (False, True):
+                assert_unroll_matches_reference(X, p, IntegrationConfig(),
+                                                0.5, keep_records)
 
 
 class TestHead:

@@ -25,6 +25,14 @@ def zero_params():
         fc2_w=np.zeros((2, 2)), fc2_b=np.zeros(2))
 
 
+def clamping_params():
+    """A candidate pinned near zero forces the state down to the floor."""
+    p = zero_params()
+    return NetworkParams(W_z=p.W_z, U_z=p.U_z, W=np.full((16, 25), -3.0),
+                         U=p.U, fc1_w=p.fc1_w, fc1_b=p.fc1_b, fc2_w=p.fc2_w,
+                         fc2_b=p.fc2_b)
+
+
 class TestCurrentMode:
     def test_fixed_point_scales_with_unit_current(self):
         p = zero_params()
@@ -35,12 +43,11 @@ class TestCurrentMode:
         assert np.allclose(traj.I_h, 5.0)  # 0.5 * I_unit, constant
 
     def test_matches_normalized_dynamics(self):
-        # I_h, I_z and I_htilde over I_unit must track the per-substep
-        # afua_step reference to 1e-12
-        p = rand_params(3)
+        # I_h, I_z and I_htilde equal I_unit times the per-substep afua_step
+        # trajectory bit for bit, with and without the state clamp firing
         cfg = IntegrationConfig()
         rng = np.random.default_rng(1)
-        for _ in range(3):
+        for p in (rand_params(3), rand_params(5), clamping_params()):
             seq = rng.uniform(-1, 1, (28, 25))
             traj = analog.simulate_current_mode(seq, p, I_unit=7.5, cfg=cfg)
             st = afua.initial_state(p.n_hidden)
@@ -49,12 +56,12 @@ class TestCurrentMode:
                 for _ in range(cfg.substeps_per_pattern):
                     st = afua.afua_step(x, st, p, cfg)
                     ref.append(st)
-            for got, field in ((traj.normalized_h(), "h"),
-                               (traj.I_z / traj.I_unit, "z"),
-                               (traj.I_htilde / traj.I_unit, "h_tilde")):
-                want = np.stack([getattr(r, field) for r in ref])
+            for got, field in ((traj.I_h, "h"), (traj.I_z, "z"),
+                               (traj.I_htilde, "h_tilde")):
+                want = 7.5 * np.stack([getattr(r, field) for r in ref])
                 assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-12, field
+                assert np.array_equal(got, want), field
+        assert traj.clamped_substeps > 0
 
     def test_doubling_unit_current_doubles_currents(self):
         p = rand_params(4)
@@ -66,12 +73,7 @@ class TestCurrentMode:
                                rtol=1e-12)
 
     def test_underflow_clamped_and_counted(self):
-        # candidate pinned near zero forces the state down to the floor
-        p = zero_params()
-        p = NetworkParams(W_z=p.W_z, U_z=p.U_z,
-                          W=np.full((16, 25), -3.0), U=p.U,
-                          fc1_w=p.fc1_w, fc1_b=p.fc1_b, fc2_w=p.fc2_w,
-                          fc2_b=p.fc2_b)
+        p = clamping_params()
         seq = np.ones((28, 25))
         cfg = IntegrationConfig()
         traj = analog.simulate_current_mode(seq, p, I_unit=10.0, cfg=cfg)

@@ -181,6 +181,69 @@ class TestReruns:
         assert not [name for name in manifest
                     if name.startswith(("frames/", "phantoms/"))]
 
+    LATER_FILES = ("model.afua", "training_curve.csv", "sweep.csv",
+                   "confusion.csv")
+
+    @staticmethod
+    def finished_copy(tiny_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        return run
+
+    @staticmethod
+    def assert_manifest_lists_files(run):
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert set(manifest) == {p.name for p in run.iterdir()
+                                 if p.name != "manifest.json"}
+
+    def test_generate_deletes_every_later_stage_output(self, tiny_run,
+                                                       tmp_path):
+        run = self.finished_copy(tiny_run, tmp_path)
+        assert run_cli(["generate", "--n", "12", "--seed", "8",
+                        "--mesh-edge", "0.3", "--split", "0.5,0.25,0.25",
+                        "--out", str(run)]) == 0
+        for name in self.LATER_FILES:
+            assert not (run / name).exists(), name
+        assert not list(run.glob("model_q*.afuaq"))
+        assert (run / "budget.txt").exists()
+        self.assert_manifest_lists_files(run)
+
+    def test_train_deletes_sweep_quantized_models_and_confusion(
+            self, tiny_run, tmp_path):
+        run = self.finished_copy(tiny_run, tmp_path)
+        assert run_cli(["train", "--epochs", "1", "--seed", "5",
+                        "--out", str(run)]) == 0
+        assert (run / "model.afua").exists()
+        assert len((run / "training_curve.csv").read_text().splitlines()) == 2
+        for name in ("sweep.csv", "confusion.csv"):
+            assert not (run / name).exists(), name
+        assert not list(run.glob("model_q*.afuaq"))
+        self.assert_manifest_lists_files(run)
+
+    def test_quantize_fewer_bits_deletes_the_other_models(self, tiny_run,
+                                                          tmp_path):
+        run = self.finished_copy(tiny_run, tmp_path)
+        assert run_cli(["quantize", "--bits", "3,4", "--out", str(run)]) == 0
+        assert sorted(p.name for p in run.glob("model_q*.afuaq")) == [
+            "model_q3.afuaq", "model_q4.afuaq"]
+        with open(run / "sweep.csv") as f:
+            assert [r["bits"] for r in csv.DictReader(f)] == ["3", "4", "FP"]
+        assert not (run / "confusion.csv").exists()
+        assert (run / "model.afua").read_bytes() == \
+            (tiny_run / "model.afua").read_bytes()
+        self.assert_manifest_lists_files(run)
+
+    def test_dead_head_train_exit_3_names_the_epoch(self, tiny_run, tmp_path,
+                                                    monkeypatch, capsys):
+        from dataclasses import replace
+        init = cli.trainer.init_params
+        monkeypatch.setattr(cli.trainer, "init_params", lambda seed: replace(
+            init(seed), fc2_b=np.full(2, -5.0)))
+        run = self.finished_copy(tiny_run, tmp_path)
+        assert run_cli(["train", "--epochs", "2", "--out", str(run)]) == 3
+        assert "error [train]: training stalled at epoch 0" in \
+            capsys.readouterr().err
+
     def test_generate_recomputes_reference(self, tmp_path):
         from biozpipe import fem
         from biozpipe import geometry as geo

@@ -182,6 +182,20 @@ class TestTrain:
         assert report.config == cfg
         assert len(report.train_loss) == 200
 
+    def test_dead_head_raises_naming_the_epoch(self, monkeypatch):
+        # fc2_b = -5 keeps both ReLU pre-activations below zero for every
+        # input (|fc2_w @ A1| < sqrt(2)), so every gradient is exactly zero
+        init = trainer.init_params
+        monkeypatch.setattr(trainer, "init_params", lambda seed: replace(
+            init(seed), fc2_b=np.full(2, -5.0)))
+        seqs = make_dataset(30, seed=6)
+        splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
+                                 test=[])
+        cfg = trainer.TrainConfig(batch_size=8, epochs=3, seed=9)
+        with pytest.raises(NumericalError,
+                           match="epoch 0: .* all 3 batches .*dead ReLU"):
+            trainer.train(splits, cfg)
+
     def test_deterministic(self):
         seqs = make_dataset(30, seed=6)
         splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
