@@ -15,6 +15,13 @@ them; every command but budget also rewrites manifest.json:
     eval       confusion.csv (pipeline: on the held-out split)
     budget     budget.txt, or budget.json with --json
 
+The run configuration (``RunConfig``) is resolved once, in this order: the
+defaults, then the ``--config`` JSON file, then the flags given, then the
+bovine protocol defaults (``BOVINE_DEFAULTS``) for keys that none of those
+set.  It is checked in full, types included, before any stage touches the
+run directory, so a configuration fault exits 2 and leaves a finished run
+as it was.
+
 Before it writes, each stage deletes the files that it and every later
 stage of that list write (``STAGE_OUTPUTS``), so a run directory never
 mixes the outputs of two configurations.  The budget files depend on no
@@ -28,7 +35,6 @@ model, dataset, frames or layout file.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -49,7 +55,10 @@ EXIT_IO = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete pipeline configuration; unknown keys in files are rejected."""
+    """Complete pipeline configuration, checked in full when it is built:
+    each value has its default's type (an int passes for a float, a bool
+    for nothing), and the objects the stages build from it are built once,
+    so their own checks run before any stage writes a file."""
 
     model: str = "prostate"
     n_phantoms: int = 1500
@@ -77,6 +86,31 @@ class RunConfig:
     out: str = "run"
     threads: int = 1
 
+    def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.default)
+        if self.n_phantoms < 1:
+            raise ConfigError("n_phantoms must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if not self.mesh_edge_mm > 0:
+            raise ConfigError("mesh_edge_mm must be positive")
+        self.tissue_model()
+        self.rbf()
+        self.integration()
+        self.train_config()
+        try:
+            datapipe.split_counts(self.n_phantoms, self.split)
+        except ConfigError as exc:
+            raise ConfigError(f"split: {exc}") from exc
+        for b in self.bits:
+            try:
+                quantizer.QuantSpec(total_bits=b, scales={})
+            except ConfigError as exc:
+                raise ConfigError(f"bits: {exc}") from exc
+
     def tissue_model(self) -> phm.TissueModel:
         if self.model not in phm.TISSUE_MODELS:
             raise ConfigError(
@@ -102,66 +136,44 @@ class RunConfig:
                                    beta2=self.beta2, adam_eps=self.adam_eps)
 
 
-# bovine protocol defaults: train/validation only
-BOVINE_SPLIT = (0.75, 0.25, 0.0)
+def _check_type(name: str, value, default) -> None:
+    if isinstance(default, tuple):
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        for item in value:
+            _check_type(f"{name} entries", item, default[0])
+    elif isinstance(value, bool) or not isinstance(value, (
+            (int, float) if isinstance(default, float) else type(default))):
+        raise ConfigError(
+            f"{name} must be {type(default).__name__}, got {value!r}")
 
 
-def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(raw, source=str(path))
+# bovine protocol: train/validation only, reference in the muscle's saline
+BOVINE_DEFAULTS = {"split": (0.75, 0.25, 0.0), "saline_ms_per_m": 341.0}
 
 
-def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
-    if "split" in raw:
-        raw["split"] = tuple(raw["split"])
-    if "bits" in raw:
-        raw["bits"] = tuple(int(b) for b in raw["bits"])
-    cfg = RunConfig(**raw)
-    if cfg.n_phantoms < 1:
-        raise ConfigError("n_phantoms must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return cfg
-
-
-def _config_with_overrides(args) -> RunConfig:
-    split_was_set = bool(getattr(args, "split", None))
+def resolve_config(args) -> RunConfig:
+    """Defaults, then the ``--config`` file, then the flags given, then the
+    bovine protocol defaults for keys that none of them set."""
+    raw = {}
     if args.config:
-        cfg = load_config(args.config)
-        with open(args.config, "r", encoding="utf-8") as f:
-            split_was_set = split_was_set or "split" in json.load(f)
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for key in ("model", "seed", "out", "threads", "gain_per_mv",
-                "n_phantoms", "epochs", "mesh_edge_mm", "saline_ms_per_m"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "bits", None):
-        overrides["bits"] = tuple(int(b) for b in args.bits.split(","))
-    if split_was_set and getattr(args, "split", None):
-        overrides["split"] = tuple(float(v) for v in args.split.split(","))
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if cfg.model == "bovine" and not split_was_set:
-        # bovine protocol trains/validates only; no held-out test set
-        cfg = replace(cfg, split=BOVINE_SPLIT)
-    if cfg.model == "bovine" and "saline_ms_per_m" not in overrides \
-            and cfg.saline_ms_per_m == RunConfig.saline_ms_per_m:
-        cfg = replace(cfg, saline_ms_per_m=341.0)
-    return config_from_dict({k: (list(v) if isinstance(v, tuple) else v)
-                             for k, v in asdict(cfg).items()})
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                raw = json.load(f)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
+        unknown = set(raw) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            raw[f.name] = getattr(args, f.name)
+    if raw.get("model") == "bovine":
+        raw = {**BOVINE_DEFAULTS, **raw}
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in raw.items()})
 
 
 def _layout(args) -> geo.ProbeLayout:
@@ -316,18 +328,7 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
         ref = fem.load_frames(out / "reference.frame")[0]
         if labels_path is None:
             raise ConfigError("frames input requires --labels <csv>")
-        labels = {}
-        try:
-            with open(labels_path, "r", newline="", encoding="ascii") as f:
-                for row in csv.DictReader(f):
-                    label = (row.get("label") or "").strip()
-                    if row.get("id") is None or label not in ("0", "1"):
-                        raise FormatError(
-                            f"{labels_path}: row {row} needs an id and a "
-                            "label of 0 or 1")
-                    labels[row["id"]] = int(label)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{labels_path}: not ASCII: {exc}") from exc
+        labels = datapipe.load_labels(labels_path)
         try:
             seqs = [datapipe.normalize(fr, ref, gain=cfg.gain_per_mv,
                                        label=labels[fr.phantom_id])
@@ -352,11 +353,7 @@ def stage_eval_heldout(cfg: RunConfig, out: Path,
 def stage_budget(out: Path | None, as_json: bool):
     result = analog.hardware_budget()
     if as_json:
-        payload = {"chip_area_mm2": result.chip_area_mm2,
-                   "array_area_mm2": result.array_area_mm2,
-                   "power_mw": result.power_mw,
-                   "supply_current_ma": result.supply_current_ma}
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(asdict(result), indent=2)
     else:
         text = analog.budget_table()
     print(text)
@@ -391,13 +388,38 @@ def write_manifest(out: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _comma_list(kind):
+    """argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a list of {kind.__name__}") from None
+    return parse
+
+
+# stage flags: flag -> (RunConfig field, type, help); pipeline takes them all
+STAGE_FLAGS = {
+    "--n": ("n_phantoms", int, "number of phantoms"),
+    "--mesh-edge": ("mesh_edge_mm", float, "mesh edge length (mm)"),
+    "--gain": ("gain_per_mv", float, "preprocessing gain per mV"),
+    "--saline": ("saline_ms_per_m", float,
+                 "reference saline conductivity (mS/m)"),
+    "--split": ("split", _comma_list(float), "train,val,test fractions"),
+    "--epochs": ("epochs", int, "training epochs"),
+    "--bits": ("bits", _comma_list(int), "comma-separated bit widths"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biozpipe",
         description="bioimpedance tissue-classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def stage(name, summary, flags):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", help="run directory")
@@ -405,47 +427,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--geometry", help="probe layout file override")
         p.add_argument("--model", choices=sorted(phm.TISSUE_MODELS),
                        help="tissue model")
+        for flag in flags:
+            dest, kind, text = STAGE_FLAGS[flag]
+            p.add_argument(flag, dest=dest, type=kind, help=text)
+        return p
 
-    p_gen = sub.add_parser("generate", help="phantoms, frames, dataset")
-    common(p_gen)
-    p_gen.add_argument("--n", dest="n_phantoms", type=int,
-                       help="number of phantoms")
-    p_gen.add_argument("--mesh-edge", dest="mesh_edge_mm", type=float)
-    p_gen.add_argument("--gain", dest="gain_per_mv", type=float)
-    p_gen.add_argument("--saline", dest="saline_ms_per_m", type=float)
-    p_gen.add_argument("--split", help="train,val,test fractions")
-
-    p_train = sub.add_parser("train", help="train the full-precision model")
-    common(p_train)
-    p_train.add_argument("--epochs", type=int)
-
-    p_quant = sub.add_parser("quantize", help="bit-width accuracy sweep")
-    common(p_quant)
-    p_quant.add_argument("--bits", help="comma-separated bit widths")
-
-    p_eval = sub.add_parser("eval", help="evaluate a model on data")
-    common(p_eval)
+    stage("generate", "phantoms, frames, dataset",
+          ("--n", "--mesh-edge", "--gain", "--saline", "--split"))
+    stage("train", "train the full-precision model", ("--epochs",))
+    stage("quantize", "bit-width accuracy sweep", ("--bits",))
+    p_eval = stage("eval", "evaluate a model on data", ("--gain",))
     p_eval.add_argument("--model-file", required=True, dest="model_file",
                         help=".afua or .afuaq model")
     p_eval.add_argument("--data", required=True,
                         help=".bzds dataset or frames file")
     p_eval.add_argument("--labels", help="CSV (id,label) for frames input")
-    p_eval.add_argument("--gain", dest="gain_per_mv", type=float)
 
     p_budget = sub.add_parser("budget", help="hardware power/area budget")
     p_budget.add_argument("--json", action="store_true", dest="as_json")
     p_budget.add_argument("--out")
 
-    p_pipe = sub.add_parser("pipeline",
-                            help="generate + train + quantize + eval + budget")
-    common(p_pipe)
-    p_pipe.add_argument("--n", dest="n_phantoms", type=int)
-    p_pipe.add_argument("--epochs", type=int)
-    p_pipe.add_argument("--mesh-edge", dest="mesh_edge_mm", type=float)
-    p_pipe.add_argument("--gain", dest="gain_per_mv", type=float)
-    p_pipe.add_argument("--saline", dest="saline_ms_per_m", type=float)
-    p_pipe.add_argument("--split", help="train,val,test fractions")
-    p_pipe.add_argument("--bits", help="comma-separated bit widths")
+    stage("pipeline", "generate + train + quantize + eval + budget",
+          tuple(STAGE_FLAGS))
     return parser
 
 
@@ -454,7 +457,7 @@ def run_command(args) -> int:
         stage_budget(Path(args.out) if args.out else None, args.as_json)
         return 0
 
-    cfg = _config_with_overrides(args)
+    cfg = resolve_config(args)
     out = Path(cfg.out)
     layout = _layout(args)
 

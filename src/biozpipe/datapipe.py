@@ -73,6 +73,9 @@ def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, in
     order).  This reproduces published counts such as 4265 -> (2398, 800,
     1067) at fractions (0.5623, 0.1876, 0.2501).
     """
+    if len(fractions) != 3:
+        raise ConfigError(f"need 3 fractions (train, validation, test), "
+                          f"got {len(fractions)}")
     if any(f < 0 for f in fractions) or fractions[0] <= 0 or fractions[1] <= 0:
         raise ConfigError("train and validation fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -180,3 +183,19 @@ def load_split_assignment(path) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII: {exc}") from exc
     return out
+
+
+def load_labels(path) -> dict[str, int]:
+    """Labels of externally measured frames: CSV with columns id and label."""
+    labels = {}
+    try:
+        with open(path, "r", newline="", encoding="ascii") as f:
+            for row in csv.DictReader(f):
+                label = (row.get("label") or "").strip()
+                if row.get("id") is None or label not in ("0", "1"):
+                    raise FormatError(f"{path}: row {row} needs an id and a "
+                                      "label of 0 or 1")
+                labels[row["id"]] = int(label)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII: {exc}") from exc
+    return labels

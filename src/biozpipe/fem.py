@@ -81,29 +81,26 @@ class AssembledSystem:
     electrode_order: tuple[int, ...]  # outer electrode ids, block order
     contact_impedance: np.ndarray
     inner_vertices: np.ndarray  # (25,) vertex index per inner electrode
-    arc_lengths: np.ndarray  # (8,) total contact length per electrode
     edge_data: list  # per electrode: (v_a array, v_b array, lengths)
     electrode_response: np.ndarray  # (8, 8) complex, row per unit source
     inner_response: np.ndarray  # (8, 25) complex, row per unit source
 
 
-def galerkin_stiffness(mesh: Mesh, element_sigma: np.ndarray,
-                       thickness_mm: float = SLICE_THICKNESS_MM) -> csc_matrix:
+def galerkin_stiffness(mesh: Mesh, element_sigma: np.ndarray) -> csc_matrix:
     """Linear-element stiffness for div(sigma * t * grad u) over the vertices.
 
     Vectorized standard P1 assembly: for a triangle with vertices p1,p2,p3,
     K_ij = sigma_sheet * (b_i b_j + c_i c_j) / (4 A) with b/c the usual
     edge-difference coefficients.
     """
-    sigma_sheet = np.asarray(element_sigma, dtype=complex) * thickness_mm * _SHEET_SCALE
+    sigma_sheet = (np.asarray(element_sigma, dtype=complex)
+                   * SLICE_THICKNESS_MM * _SHEET_SCALE)
     tri = mesh.triangles
     p = mesh.vertices[tri]  # (nt, 3, 2)
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    coef = sigma_sheet / (4.0 * area)
+    coef = sigma_sheet / (4.0 * mesh.triangle_areas())
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     vals = (coef[:, None, None] * local).reshape(-1)
     rows = np.repeat(tri, 3, axis=1).reshape(-1)
@@ -113,8 +110,8 @@ def galerkin_stiffness(mesh: Mesh, element_sigma: np.ndarray,
 
 
 def assemble(mesh: Mesh, element_sigma: np.ndarray,
-             contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM,
-             thickness_mm: float = SLICE_THICKNESS_MM) -> AssembledSystem:
+             contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM
+             ) -> AssembledSystem:
     """Assemble and factorize the complete-electrode-model system.
 
     ``contact_impedance`` is per unit arc length (ohm * mm), scalar or one
@@ -138,17 +135,15 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
 
     nv = mesh.n_vertices
     dim = nv + n_el
-    K = galerkin_stiffness(mesh, sigma, thickness_mm)
+    K = galerkin_stiffness(mesh, sigma)
 
     rows, cols, vals = [], [], []
-    arc_lengths = np.zeros(n_el)
     edge_data = []
     for k, e in enumerate(electrodes):
         edges = np.array(mesh.electrode_edges[e], dtype=np.int64)
         va, vb = edges[:, 0], edges[:, 1]
         seg = mesh.vertices[va] - mesh.vertices[vb]
         lengths = np.hypot(seg[:, 0], seg[:, 1])
-        arc_lengths[k] = lengths.sum()
         edge_data.append((va, vb, lengths))
         g = 1.0 / z[k]  # contact conductance per mm
         # vertex-vertex contact mass: L/3 diagonal, L/6 cross
@@ -164,7 +159,7 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
         # electrode diagonal: total arc length
         rows.append(np.array([nv + k]))
         cols.append(np.array([nv + k]))
-        vals.append(np.array([g * arc_lengths[k]]))
+        vals.append(np.array([g * lengths.sum()]))
 
     contact = coo_matrix(
         (np.concatenate(vals).astype(complex),
@@ -217,8 +212,7 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
     )
     return AssembledSystem(
         stiffness=full, lu=lu, n_vertices=nv, electrode_order=electrodes,
-        contact_impedance=z, inner_vertices=inner, arc_lengths=arc_lengths,
-        edge_data=edge_data,
+        contact_impedance=z, inner_vertices=inner, edge_data=edge_data,
         electrode_response=np.ascontiguousarray(response[nv:].T),
         inner_response=np.ascontiguousarray(response[inner].T),
     )
@@ -261,14 +255,12 @@ def electrode_currents(system: AssembledSystem, solution: np.ndarray) -> np.ndar
 
 def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
                    contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM,
-                   thickness_mm: float = SLICE_THICKNESS_MM,
                    phantom_id: str | None = None) -> Frame:
     """One assembly, then the 28 patterns from its 8 unit responses."""
     if phantom_id is None:
         phantom_id = f"seed{phantom.seed}"
     try:
-        system = assemble(mesh, phantom.element_sigma, contact_impedance,
-                          thickness_mm)
+        system = assemble(mesh, phantom.element_sigma, contact_impedance)
         patterns = tuple(enumerate_current_patterns(layout))
         voltages = np.empty((len(patterns), len(system.inner_vertices)),
                             dtype=complex)
@@ -283,8 +275,7 @@ def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
 
 def reference_frame(mesh: Mesh, layout: ProbeLayout,
                     sigma_saline: complex = DEFAULT_SALINE_MS_PER_M,
-                    contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM,
-                    thickness_mm: float = SLICE_THICKNESS_MM) -> Frame:
+                    contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM) -> Frame:
     """Frame of a uniform saline bath."""
     if complex(sigma_saline).real <= 0:
         raise SolverError("saline conductivity real part must be positive")
@@ -292,7 +283,7 @@ def reference_frame(mesh: Mesh, layout: ProbeLayout,
     ref = Phantom(element_sigma=sigma,
                   inclusion=Inclusion(center=(0.0, 0.0), diameter=0.0),
                   label=0, seed=0)
-    return simulate_frame(ref, mesh, layout, contact_impedance, thickness_mm,
+    return simulate_frame(ref, mesh, layout, contact_impedance,
                           phantom_id="reference")
 
 

@@ -63,7 +63,6 @@ class RbfNoiseConfig:
 
     n_centers: int = 1300
     kernel_width: float = 0.15  # mm
-    weight_seed: int = 0
     amplitude: complex = 1.0 + 1.0j  # mS/m scale of raw weights, pre-rescale
 
     def __post_init__(self):
@@ -81,16 +80,6 @@ class Inclusion:
     diameter: float
 
 
-def validate_inclusion(inclusion: Inclusion, layout: ProbeLayout) -> None:
-    if not 0 <= inclusion.diameter <= MAX_INCLUSION_DIAMETER_MM:
-        raise ConfigError(
-            f"inclusion diameter {inclusion.diameter} outside "
-            f"[0, {MAX_INCLUSION_DIAMETER_MM}] mm"
-        )
-    if math.hypot(*inclusion.center) > layout.domain_radius:
-        raise ConfigError("inclusion center outside the domain disk")
-
-
 @dataclass(frozen=True)
 class Phantom:
     """Per-element conductivity plus inclusion metadata and binary label."""
@@ -102,8 +91,8 @@ class Phantom:
 
 
 def synth_background(mesh: Mesh, model: TissueModel,
-                     rbf: RbfNoiseConfig = RbfNoiseConfig(),
-                     seed: int | None = None) -> np.ndarray:
+                     rbf: RbfNoiseConfig = RbfNoiseConfig(), *,
+                     seed: int) -> np.ndarray:
     """Background conductivity with RBF texture at element centroids.
 
     The raw field (Gaussian bumps, standard-normal complex weights scaled by
@@ -129,8 +118,6 @@ def synth_background(mesh: Mesh, model: TissueModel,
     threads the BLAS library runs.  The kernel stays real; the real and
     imaginary parts of the field are two real matrix-vector products.
     """
-    if seed is None:
-        seed = rbf.weight_seed
     rng = np.random.default_rng(seed)
     centroids = mesh.centroids()
     n = len(centroids)

@@ -11,14 +11,13 @@ gradients are the exact reverse-mode derivatives of the unclamped recursion.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .afua import (PARAM_NAMES, IntegrationConfig, NetworkParams, head_batch,
-                   predict, unroll)
-from .datapipe import DatasetSplit, InputSequence
+from .afua import (N_HIDDEN, PARAM_NAMES, IntegrationConfig, NetworkParams,
+                   head_batch, predict, unroll)
+from .datapipe import N_INPUTS, DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
 _EVAL_BATCH = 256
@@ -50,7 +49,6 @@ class TrainReport:
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    wall_seconds: float = 0.0
     config: TrainConfig | None = None
 
 
@@ -141,8 +139,7 @@ def batch_loss_and_hits(batch, params, cfg):
                           _labels(batch))
 
 
-def init_params(seed: int, n_inputs: int = 25, n_hidden: int = 16,
-                tau_h: float = 1.0) -> NetworkParams:
+def init_params(seed: int) -> NetworkParams:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
     ``fc1_b`` starts at 0 and ``fc2_b`` at 0.5. The sigmoid layer's output
@@ -162,15 +159,14 @@ def init_params(seed: int, n_inputs: int = 25, n_hidden: int = 16,
         return rng.uniform(-lim, lim, size=shape)
 
     return NetworkParams(
-        W_z=u((n_hidden, n_inputs), n_inputs),
-        U_z=u((n_hidden, n_hidden), n_hidden),
-        W=u((n_hidden, n_inputs), n_inputs),
-        U=u((n_hidden, n_hidden), n_hidden),
-        fc1_w=u((2, n_hidden), n_hidden),
+        W_z=u((N_HIDDEN, N_INPUTS), N_INPUTS),
+        U_z=u((N_HIDDEN, N_HIDDEN), N_HIDDEN),
+        W=u((N_HIDDEN, N_INPUTS), N_INPUTS),
+        U=u((N_HIDDEN, N_HIDDEN), N_HIDDEN),
+        fc1_w=u((2, N_HIDDEN), N_HIDDEN),
         fc1_b=np.zeros(2),
         fc2_w=u((2, 2), 2),
         fc2_b=np.full(2, 0.5),
-        tau_h=tau_h,
     )
 
 
@@ -186,7 +182,6 @@ def train(splits: DatasetSplit, config: TrainConfig,
     """
     if not splits.train or not splits.validation:
         raise ConfigError("train and validation sets must be non-empty")
-    t_start = time.perf_counter()
     train_set = sorted(splits.train, key=lambda s: s.provenance)
     val_set = sorted(splits.validation, key=lambda s: s.provenance)
 
@@ -246,7 +241,6 @@ def train(splits: DatasetSplit, config: TrainConfig,
             best_params = params
             report.best_epoch = epoch
 
-    report.wall_seconds = time.perf_counter() - t_start
     return best_params, report
 
 

@@ -77,6 +77,53 @@ class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self):
         assert run_cli(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("args, config, named", [
+        (["generate", "--split", "a,b,c"], None, "--split"),
+        (["generate", "--split", "0.5,0.5", "--n", "2", "--mesh-edge", "0.5"],
+         None, "split"),
+        (["quantize", "--bits", "x"], None, "--bits"),
+        (["generate"], '{"n_phantoms": "abc"}', "n_phantoms"),
+        (["generate"], '{"split": 5}', "split"),
+        (["generate", "--n", "2", "--mesh-edge", "0.5"], '{"threads": true}',
+         "threads"),
+        (["generate"], '["seed"]', "not a JSON object"),
+    ], ids=["split-flag", "split-two-fractions", "bits-flag",
+            "n_phantoms-str", "split-int", "threads-bool", "json-list"])
+    def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
+                                              config, named):
+        if config is not None:
+            (tmp_path / "c.json").write_text(config)
+            args = [*args, "--config", str(tmp_path / "c.json")]
+        assert run_cli([*args, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestResolveConfig:
+    @staticmethod
+    def resolve(*argv):
+        return cli.resolve_config(cli.build_parser().parse_args(
+            ["generate", *argv]))
+
+    def test_bovine_config_file_keeps_explicit_saline(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"model": "bovine", "saline_ms_per_m": 126.0}')
+        got = self.resolve("--config", str(cfg))
+        assert (got.split, got.saline_ms_per_m) == ((0.75, 0.25, 0.0), 126.0)
+        got = self.resolve("--model", "bovine")
+        assert (got.split, got.saline_ms_per_m) == ((0.75, 0.25, 0.0), 341.0)
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"model": "bovine", "split": [0.5, 0.5, 0.0], '
+                       '"bits": [4], "seed": 3}')
+        got = self.resolve("--config", str(cfg), "--split", "0.6,0.2,0.2",
+                           "--saline", "200")
+        assert (got.model, got.split, got.saline_ms_per_m, got.bits,
+                got.seed) == ("bovine", (0.6, 0.2, 0.2), 200.0, (4,), 3)
+
 
 class TestPipelineOutputs:
     def test_expected_files(self, tiny_run):
@@ -232,6 +279,16 @@ class TestReruns:
         assert (run / "model.afua").read_bytes() == \
             (tiny_run / "model.afua").read_bytes()
         self.assert_manifest_lists_files(run)
+
+    def test_config_fault_leaves_finished_run_untouched(self, tiny_run,
+                                                        tmp_path):
+        run = self.finished_copy(tiny_run, tmp_path)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        for args in (["generate", "--split", "0.5,0.5,0.5"],
+                     ["pipeline", "--bits", "2", "--epochs", "2"]):
+            assert run_cli([*args, "--n", "12", "--mesh-edge", "0.3",
+                            "--out", str(run)]) == 2
+            assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_dead_head_train_exit_3_names_the_epoch(self, tiny_run, tmp_path,
                                                     monkeypatch, capsys):

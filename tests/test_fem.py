@@ -48,7 +48,7 @@ class TestAssembly:
         # K = s/2 * [[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]
         mesh = hand_mesh()
         sigma = np.array([100.0 + 0j])  # mS/m
-        K = fem.galerkin_stiffness(mesh, sigma, thickness_mm=5.0).toarray()
+        K = fem.galerkin_stiffness(mesh, sigma).toarray()
         s = 100.0 * 5.0 * 1e-6
         expected = s / 2.0 * np.array([[2.0, -1.0, -1.0],
                                        [-1.0, 1.0, 0.0],

@@ -22,6 +22,8 @@ LOADERS = {
     "frames.frame": fem.load_frames,
     "layout.txt": geo.load_layout,
     "mesh.txt": geo.load_mesh,
+    "dataset_manifest.csv": datapipe.load_split_assignment,
+    "labels.csv": datapipe.load_labels,
 }
 
 # few examples per format keep the suite fast; each draws a fresh offset
@@ -47,6 +49,10 @@ def valid_files(tmp_path_factory):
         steps=rng.uniform(-1, 1, (28, 25)).astype(np.float32), label=k % 2,
         provenance=f"p{k:05d}") for k in range(2)]
     datapipe.save_sequences(seqs, root / "data.bzds")
+    datapipe.save_split_manifest(
+        datapipe.make_splits(seqs, (0.5, 0.5, 0.0), seed=0),
+        root / "dataset_manifest.csv")
+    (root / "labels.csv").write_text("id,label\np00000,0\np00001,1\n")
     layout = geo.build_probe_layout()
     patterns = tuple(geo.enumerate_current_patterns(layout))
     frames = [fem.Frame(voltages=rng.normal(size=(28, 25))
