@@ -7,11 +7,11 @@ relaxes toward a gated candidate:
     h_cand = max(logistic(W x + U h), eps)
     tau_h * dh/dt = z * (1 - h / h_cand)
 
-integrated with forward Euler.  A two-unit sigmoid layer, a two-unit ReLU
-layer, and a softmax head map the final hidden state to class
-probabilities.  The state update multiplies no two state vectors together
-(no Hadamard products); each unit couples to the others only through the
-four matrix-vector products.
+integrated with forward Euler from h = H0 in every unit.  A two-unit
+sigmoid layer, a two-unit ReLU layer, and a softmax head map the final
+hidden state to class probabilities.  The state update multiplies no two
+state vectors together (no Hadamard products); each unit couples to the
+others only through the four matrix-vector products.
 
 ``unroll`` and ``head_batch`` are the batched kernel that classify,
 training, the quantized sweep and current mode all run, and ``predict`` is
@@ -41,6 +41,8 @@ import numpy as np
 from .errors import ConfigError, FormatError, NumericalError
 
 N_HIDDEN = 16
+# every unit's hidden state at the start of a sequence
+H0 = 0.5
 
 LABEL_BENIGN = 0
 LABEL_LESION = 1
@@ -90,15 +92,6 @@ PARAM_NAMES = tuple(f.name for f in fields(NetworkParams) if f.name != "tau_h")
 
 
 @dataclass(frozen=True)
-class AfuaState:
-    """Hidden state plus the most recently computed gate and candidate."""
-
-    h: np.ndarray
-    z: np.ndarray
-    h_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class IntegrationConfig:
     """Euler discretization: S substeps of size dt per held input."""
 
@@ -144,16 +137,10 @@ def sigmoid(v, out=None):
     return float(e) if e.ndim == 0 else e
 
 
-def initial_state(n_hidden: int = N_HIDDEN, h0: float = 0.5) -> AfuaState:
-    h = np.full(n_hidden, h0)
-    return AfuaState(h=h, z=np.full(n_hidden, 0.5),
-                     h_tilde=np.full(n_hidden, 0.5))
-
-
-def afua_step(x: np.ndarray, state: AfuaState, params: NetworkParams,
-              cfg: IntegrationConfig) -> AfuaState:
-    """One forward-Euler substep with the input held at x."""
-    h = state.h
+def afua_step(x: np.ndarray, h: np.ndarray, params: NetworkParams,
+              cfg: IntegrationConfig):
+    """One forward-Euler substep from state h with the input held at x;
+    returns the new state, the gate and the candidate."""
     z = sigmoid(params.W_z @ x + params.U_z @ h)
     h_tilde = np.maximum(sigmoid(params.W @ x + params.U @ h), cfg.epsilon)
     h_new = h + cfg.dt * (z / params.tau_h) * (1.0 - h / h_tilde)
@@ -163,12 +150,11 @@ def afua_step(x: np.ndarray, state: AfuaState, params: NetworkParams,
             raise NumericalError(
                 f"non-finite {name} value at unit {int(np.argmax(bad))}"
             )
-    h_new = np.clip(h_new, cfg.epsilon, 1.0 - cfg.epsilon)
-    return AfuaState(h=h_new, z=z, h_tilde=h_tilde)
+    return np.clip(h_new, cfg.epsilon, 1.0 - cfg.epsilon), z, h_tilde
 
 
-def run_sequence(seq, params: NetworkParams, cfg: IntegrationConfig,
-                 h0: float = 0.5) -> np.ndarray:
+def run_sequence(seq, params: NetworkParams,
+                 cfg: IntegrationConfig) -> np.ndarray:
     """Integrate through all input steps; return the final hidden vector.
 
     ``seq`` is an InputSequence or a plain (steps, inputs) array.  Each row
@@ -181,18 +167,18 @@ def run_sequence(seq, params: NetworkParams, cfg: IntegrationConfig,
         )
     if cfg.dt > params.tau_h:
         raise ConfigError("dt must not exceed tau_h")
-    state = initial_state(params.n_hidden, h0)
+    h = np.full(params.n_hidden, H0)
     for t, x in enumerate(steps):
         try:
             for _ in range(cfg.substeps_per_pattern):
-                state = afua_step(x, state, params, cfg)
+                h, _, _ = afua_step(x, h, params, cfg)
         except NumericalError as exc:
             raise NumericalError(f"step {t}: {exc}") from exc
-    return state.h
+    return h
 
 
 def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
-           h0: float = 0.5, keep_records: bool = False):
+           keep_records: bool = False):
     """Euler unroll of a (B, T, D) batch with the gates stacked.
 
     Returns the final (B, n) states, the number of state entries the clamp
@@ -223,7 +209,7 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
     x_in = np.empty((B, 2 * n))
     free = np.empty((S, B, n))  # one held input's updates before the clamp
     moved = np.empty((S, B, n), dtype=bool)
-    Hs[0] = h0
+    Hs[0] = H0
     clamped = last = 0
     for t in range(T):
         k0 = t * S if keep_records else 0
@@ -263,11 +249,6 @@ def head_batch(H: np.ndarray, params: NetworkParams):
     return E / E.sum(axis=1, keepdims=True), A1, A2
 
 
-def head_forward(h: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Sigmoid FC, ReLU FC, softmax; returns the 2 class probabilities."""
-    return head_batch(h[None, :], params)[0][0]
-
-
 def predict(P: np.ndarray) -> np.ndarray:
     """Labels of (..., 2) class probabilities; ties resolve to benign."""
     return np.where(P[..., 1] > P[..., 0], LABEL_LESION, LABEL_BENIGN)
@@ -278,7 +259,7 @@ def classify(seq, params: NetworkParams,
     """Label one sequence; return the label and the class probabilities."""
     steps = np.asarray(getattr(seq, "steps", seq), dtype=float)
     H, _, _ = unroll(steps[None], params, cfg)
-    p = head_forward(H[0], params)
+    p = head_batch(H, params)[0][0]
     return int(predict(p)), p
 
 

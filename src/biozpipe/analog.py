@@ -39,8 +39,8 @@ class CurrentTrajectory:
 
 
 def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
-                          cfg: IntegrationConfig = IntegrationConfig(),
-                          h0: float = 0.5) -> CurrentTrajectory:
+                          cfg: IntegrationConfig = IntegrationConfig()
+                          ) -> CurrentTrajectory:
     """Integrate the current-mode update over a held-input sequence.
 
     Gates are evaluated from the normalized state I_h/I_unit, mirroring the
@@ -51,7 +51,7 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
         raise ConfigError("I_unit must be positive")
     steps = np.asarray(getattr(x_sequence, "steps", x_sequence), dtype=float)
     H, clamped, (H_rec, Z, _, Ht, _) = unroll(steps[None], params, cfg,
-                                              h0=h0, keep_records=True)
+                                              keep_records=True)
     # H_rec[k] is the state substep k started from; the trajectory is the
     # state after each substep
     h_after = np.concatenate((H_rec, H[None]))[1:, 0]

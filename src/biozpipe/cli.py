@@ -6,14 +6,18 @@ a manifest of file hashes; re-running with the same configuration must
 reproduce every hash.  Files of a run directory, by the stage that writes
 them; every command but budget also rewrites manifest.json:
 
-    generate   geometry.txt, mesh.txt, reference.frame, phantoms.csv (index,
-               seed, inclusion and label: make_phantom rebuilds a phantom
-               from its seed), frames.frame (all frames, in index order),
-               dataset.bzds, dataset_manifest.csv
+    generate   geometry.txt, mesh.txt (format v2), reference.frame,
+               phantoms.csv (index, seed, inclusion and label: make_phantom
+               rebuilds a phantom from its seed), frames.frame (all frames,
+               in index order), dataset.bzds, dataset_manifest.csv
     train      model.afua, training_curve.csv
     quantize   sweep.csv, model_q<bits>.afuaq for each bit width
     eval       confusion.csv (pipeline: on the held-out split)
     budget     budget.txt, or budget.json with --json
+
+The records of reference.frame and frames.frame do not store a pattern
+order: each holds the 28 patterns in the canonical order of
+``geometry.enumerate_current_patterns``.
 
 The run configuration (``RunConfig``) is resolved once, in this order: the
 defaults, then the ``--config`` JSON file, then the flags given, then the
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -97,6 +102,11 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if not self.mesh_edge_mm > 0:
             raise ConfigError("mesh_edge_mm must be positive")
+        if not 0 < self.saline_ms_per_m < math.inf:
+            raise ConfigError("saline_ms_per_m must be positive and finite")
+        if not 0 < abs(self.contact_impedance_ohm_mm) < math.inf:
+            raise ConfigError("contact_impedance_ohm_mm must be finite and "
+                              "nonzero")
         self.tissue_model()
         self.rbf()
         self.integration()

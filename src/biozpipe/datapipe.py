@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .fem import Frame
-
-N_STEPS = 28
-N_INPUTS = 25
+from .geometry import N_INNER as N_INPUTS, N_PATTERNS as N_STEPS
 
 _ONE_MINUS = np.nextafter(np.float32(1.0), np.float32(0.0))
 
@@ -50,16 +48,6 @@ class DatasetSplit:
 def normalize(meas: Frame, ref: Frame, gain: float = 1.0,
               label: int = 0) -> InputSequence:
     """Apply the tanh magnitude-difference preprocessing to one frame."""
-    if meas.voltages.shape != ref.voltages.shape:
-        raise ConfigError(
-            f"measurement shape {meas.voltages.shape} does not match "
-            f"reference {ref.voltages.shape}"
-        )
-    if tuple(p.source for p in meas.pattern_order) != tuple(
-            p.source for p in ref.pattern_order) or tuple(
-            p.sink for p in meas.pattern_order) != tuple(
-            p.sink for p in ref.pattern_order):
-        raise ConfigError("measurement and reference pattern orders differ")
     x = np.tanh(gain * (np.abs(meas.voltages) - np.abs(ref.voltages)))
     x = np.clip(x.astype(np.float32), -_ONE_MINUS, _ONE_MINUS)
     return InputSequence(steps=x, label=label, provenance=meas.phantom_id)

@@ -35,13 +35,12 @@ from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import FormatError, SolverError
-from .geometry import (CurrentPattern, Mesh, ProbeLayout, build_probe_layout,
+from .geometry import (N_INNER, N_PATTERNS, CurrentPattern, Mesh, ProbeLayout,
                        enumerate_current_patterns)
 from .phantom import Inclusion, Phantom
 
 SLICE_THICKNESS_MM = 5.0
 DEFAULT_CONTACT_IMPEDANCE_OHM_MM = 10.0
-DEFAULT_SALINE_MS_PER_M = 200.0
 
 # mS/m * mm slice -> sheet conductance in S
 _SHEET_SCALE = 1e-6
@@ -49,16 +48,17 @@ _SHEET_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class Frame:
-    """28 patterns x 25 single-ended inner-electrode voltages (mV, phasors)."""
+    """28 patterns x 25 single-ended inner-electrode voltages (mV, phasors);
+    row k is pattern k of ``geometry.enumerate_current_patterns``."""
 
     voltages: np.ndarray  # (28, 25) complex128
-    pattern_order: tuple[CurrentPattern, ...]
     phantom_id: str
 
     def __post_init__(self):
         v = self.voltages
-        if v.shape != (len(self.pattern_order), v.shape[1]):
-            raise SolverError("frame shape inconsistent with pattern order")
+        if v.shape != (N_PATTERNS, N_INNER):
+            raise SolverError(f"frame {self.phantom_id} has shape {v.shape}, "
+                              f"expected {(N_PATTERNS, N_INNER)}")
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
             raise SolverError(f"non-finite voltage in frame {self.phantom_id}")
 
@@ -269,12 +269,10 @@ def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
             voltages[i] = inner
     except SolverError as exc:
         raise SolverError(f"phantom {phantom_id}: {exc}") from exc
-    return Frame(voltages=voltages, pattern_order=patterns,
-                 phantom_id=phantom_id)
+    return Frame(voltages=voltages, phantom_id=phantom_id)
 
 
-def reference_frame(mesh: Mesh, layout: ProbeLayout,
-                    sigma_saline: complex = DEFAULT_SALINE_MS_PER_M,
+def reference_frame(mesh: Mesh, layout: ProbeLayout, sigma_saline: complex,
                     contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM) -> Frame:
     """Frame of a uniform saline bath."""
     if complex(sigma_saline).real <= 0:
@@ -314,17 +312,13 @@ def save_frames(frames: Iterable[Frame], path) -> None:
             f.write(_frame_record(frame))
 
 
-def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
+def load_frames(path) -> list[Frame]:
     """Read all frame records from a file.
 
-    Pattern order is reconstructed canonically from the layout (the default
-    probe when none is given); externally measured frames must be recorded
-    in the same canonical order, and a record whose pattern or electrode
-    count differs from the layout's raises ``FormatError``.
+    Records hold no pattern order: externally measured frames must be
+    recorded in the canonical order (see ``Frame``), and a record whose
+    pattern or electrode count is not the probe's raises ``FormatError``.
     """
-    layout = build_probe_layout() if layout is None else layout
-    patterns = tuple(enumerate_current_patterns(layout))
-    n_inner = len(layout.inner_electrodes)
     frames = []
     with open(path, "rb") as f:
         data = f.read()
@@ -343,12 +337,12 @@ def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: frame id is not UTF-8: {exc}") from exc
         pos += id_len
-        if n_pat != len(patterns):
+        if n_pat != N_PATTERNS:
             raise FormatError(f"{path}: frame {pid!r} has {n_pat} patterns, "
-                              f"the layout drives {len(patterns)}")
-        if n_el != n_inner:
+                              f"the probe drives {N_PATTERNS}")
+        if n_el != N_INNER:
             raise FormatError(f"{path}: frame {pid!r} has {n_el} electrodes, "
-                              f"the layout has {n_inner} inner electrodes")
+                              f"the probe has {N_INNER} inner electrodes")
         count = 2 * n_pat * n_el
         if len(data) < pos + 8 * count:
             raise FormatError(f"{path}: truncated frame body")
@@ -357,7 +351,6 @@ def load_frames(path, layout: ProbeLayout | None = None) -> list[Frame]:
             raise FormatError(f"{path}: frame {pid!r} has non-finite voltages")
         pos += 8 * count
         voltages = (body[0::2] + 1j * body[1::2]).reshape(n_pat, n_el)
-        frames.append(Frame(voltages=voltages, pattern_order=patterns,
-                            phantom_id=pid))
+        frames.append(Frame(voltages=voltages, phantom_id=pid))
     return frames
 

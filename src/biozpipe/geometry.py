@@ -29,6 +29,8 @@ from .errors import ConfigError, FormatError, MeshError
 
 N_INNER = 25
 N_OUTER = 8
+# every source/sink pair of outer electrodes: the steps of one frame
+N_PATTERNS = N_OUTER * (N_OUTER - 1) // 2
 FIRST_OUTER = 26  # electrodes 1..25 are inner probes, 26..33 outer arcs
 
 # 1 mA peak-to-peak sinusoid -> 0.5 mA phasor amplitude
@@ -61,10 +63,6 @@ class Arc:
     start_angle: float
     end_angle: float
     radius: float
-
-    @property
-    def center_angle(self) -> float:
-        return 0.5 * (self.start_angle + self.end_angle)
 
     @property
     def length(self) -> float:
@@ -186,16 +184,13 @@ class Mesh:
 
     ``electrode_edges`` maps each outer electrode (26..33) to the ring edges
     covering its arc; ``inner_vertex`` maps each inner electrode (1..25) to
-    the mesh vertex at its position.  ``element_region`` tags triangles by
-    centroid: 0 inside the sensing disk, 1 between sensing disk and ring,
-    2 beyond the ring.
+    the mesh vertex at its position.
     """
 
     vertices: np.ndarray  # (nv, 2) float64, mm
     triangles: np.ndarray  # (nt, 3) int32, CCW
     electrode_edges: dict[int, tuple[tuple[int, int], ...]]
     inner_vertex: dict[int, int]
-    element_region: np.ndarray  # (nt,) int8
     _centroids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -397,15 +392,8 @@ def build_mesh(layout: ProbeLayout, target_edge_length: float) -> Mesh:
                                                ring_start, vertices)
     inner_vertex = _locate_inner_vertices(layout, vertices, h)
 
-    centroids = vertices[triangles].mean(axis=1)
-    rc = np.hypot(centroids[:, 0], centroids[:, 1])
-    ring_r = layout.outer_electrodes[0].radius
-    region = np.where(rc <= layout.sensing_radius, 0,
-                      np.where(rc <= ring_r, 1, 2)).astype(np.int8)
-
     mesh = Mesh(vertices=vertices, triangles=triangles,
-                electrode_edges=electrode_edges, inner_vertex=inner_vertex,
-                element_region=region)
+                electrode_edges=electrode_edges, inner_vertex=inner_vertex)
     validate_mesh(mesh, layout)
     return mesh
 
@@ -493,7 +481,7 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 _LAYOUT_HEADER = "biozpipe-layout v1"
-_MESH_HEADER = "biozpipe-mesh v1"
+_MESH_HEADER = "biozpipe-mesh v2"
 
 
 def save_layout(layout: ProbeLayout, path) -> None:
@@ -546,8 +534,8 @@ def save_mesh(mesh: Mesh, path) -> None:
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
     lines.append(f"triangles {mesh.n_triangles}")
-    for (a, b, c), reg in zip(mesh.triangles, mesh.element_region):
-        lines.append(f"{a} {b} {c} {reg}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"{a} {b} {c}")
     n_edges = sum(len(v) for v in mesh.electrode_edges.values())
     lines.append(f"electrode_edges {n_edges}")
     for e in sorted(mesh.electrode_edges):
@@ -576,10 +564,10 @@ def load_mesh(path) -> Mesh:
         ).reshape(nv, 2)
         idx += nv
         nt = int(lines[idx].split()[1]); idx += 1
-        tri_rows = [[int(v) for v in lines[idx + k].split()] for k in range(nt)]
+        triangles = np.array(
+            [[int(v) for v in lines[idx + k].split()] for k in range(nt)],
+            dtype=np.int32).reshape(nt, 3)
         idx += nt
-        triangles = np.array([r[:3] for r in tri_rows], dtype=np.int32)
-        region = np.array([r[3] for r in tri_rows], dtype=np.int8)
         ne = int(lines[idx].split()[1]); idx += 1
         electrode_edges: dict[int, list[tuple[int, int]]] = {}
         for k in range(ne):
@@ -600,7 +588,7 @@ def load_mesh(path) -> Mesh:
         mesh = Mesh(vertices=vertices, triangles=triangles,
                     electrode_edges={e: tuple(v)
                                      for e, v in electrode_edges.items()},
-                    inner_vertex=inner_vertex, element_region=region)
+                    inner_vertex=inner_vertex)
         validate_mesh(mesh)
     except (ValueError, IndexError, OverflowError, MeshError) as exc:
         # UnicodeDecodeError is a ValueError

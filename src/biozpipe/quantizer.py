@@ -86,14 +86,10 @@ def quantize(params: NetworkParams, total_bits: int) -> QuantizedParams:
     return QuantizedParams(codes=codes, spec=spec, tau_h=float(params.tau_h))
 
 
-def quantized_forward(qparams, seq, cfg: IntegrationConfig = IntegrationConfig()):
-    """Classify with dequantized weights; full-precision state/activations.
-
-    Passing full-precision NetworkParams runs the identical classify path
-    (passthrough mode).
-    """
-    return classify(seq, qparams if isinstance(qparams, NetworkParams)
-                    else qparams.dequantize(), cfg)
+def quantized_forward(qparams: QuantizedParams, seq,
+                      cfg: IntegrationConfig = IntegrationConfig()):
+    """Classify with dequantized weights; full-precision state/activations."""
+    return classify(seq, qparams.dequantize(), cfg)
 
 
 def sweep(params: NetworkParams, test_set, bit_list,

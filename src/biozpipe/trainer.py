@@ -36,8 +36,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must be in [0, 1)")
+        if not 0 < self.adam_eps < np.inf:
+            raise ConfigError("adam_eps must be positive and finite")
 
 
 @dataclass
@@ -49,7 +53,6 @@ class TrainReport:
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    config: TrainConfig | None = None
 
 
 def _stack_steps(batch) -> np.ndarray:
@@ -192,7 +195,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
     m = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
     v = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
     step = 0
-    report = TrainReport(config=config)
+    report = TrainReport()
     best_acc = -1.0
     best_params = params
 

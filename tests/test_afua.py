@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biozpipe import afua
-from biozpipe.afua import AfuaState, IntegrationConfig, NetworkParams
+from biozpipe.afua import IntegrationConfig, NetworkParams
 from biozpipe.errors import ConfigError, NumericalError
 
 
@@ -42,7 +42,7 @@ def reference_sigmoid(v):
     return out
 
 
-def reference_unroll(X, params, cfg, h0=0.5, keep_records=False):
+def reference_unroll(X, params, cfg, keep_records=False):
     """``unroll`` with fresh arrays per substep and a clamp count per
     substep; its records are a ``(t, h, z, cand, h_tilde, 1 - h/h_tilde)``
     tuple per substep, ``h`` being the state the substep started from."""
@@ -57,7 +57,7 @@ def reference_unroll(X, params, cfg, h0=0.5, keep_records=False):
     W_in = np.vstack([params.W_z, params.W]).T
     U_rec = np.vstack([params.U_z, params.U]).T
     dt_tau = cfg.dt / params.tau_h
-    H = np.full((X.shape[0], n), h0)
+    H = np.full((X.shape[0], n), afua.H0)
     clamped = 0
     records = [] if keep_records else None
     for t in range(X.shape[1]):
@@ -111,41 +111,38 @@ class TestSigmoid:
 class TestStep:
     def test_dt_zero_is_identity(self):
         p = zero_params(4, 3)
-        st = AfuaState(h=np.full(4, 0.3), z=np.full(4, 0.5),
-                       h_tilde=np.full(4, 0.5))
+        h = np.full(4, 0.3)
         cfg = IntegrationConfig(substeps_per_pattern=1, dt=0.0)
-        out = afua.afua_step(np.zeros(3), st, p, cfg)
-        assert np.array_equal(out.h, st.h)
+        out, _, _ = afua.afua_step(np.zeros(3), h, p, cfg)
+        assert np.array_equal(out, h)
 
     def test_zero_weights_fixed_point(self):
-        # z = h_tilde = 0.5 and h = 0.5 make the derivative exactly zero
+        # z = h_tilde = 0.5 and h = H0 = 0.5 make the derivative exactly zero
         p = zero_params(4, 3)
-        st = afua.initial_state(4, h0=0.5)
+        h = np.full(4, afua.H0)
         cfg = IntegrationConfig()
         for _ in range(40):
-            st = afua.afua_step(np.zeros(3), st, p, cfg)
-        assert np.all(st.h == 0.5)
-        assert np.all(st.z == 0.5)
-        assert np.all(st.h_tilde == 0.5)
+            h, z, h_tilde = afua.afua_step(np.zeros(3), h, p, cfg)
+        assert np.all(h == 0.5)
+        assert np.all(z == 0.5)
+        assert np.all(h_tilde == 0.5)
 
     def test_euler_arithmetic(self):
         # h=0.25, h_tilde=0.5, z=0.5, tau=1, dt=0.1 -> 0.25 + 0.1*0.5*0.5
         p = zero_params(1, 1)
-        st = AfuaState(h=np.array([0.25]), z=np.array([0.5]),
-                       h_tilde=np.array([0.5]))
         cfg = IntegrationConfig(substeps_per_pattern=1, dt=0.1)
-        out = afua.afua_step(np.array([0.0]), st, p, cfg)
-        assert out.h[0] == pytest.approx(0.275, abs=1e-15)
+        out, _, _ = afua.afua_step(np.array([0.0]), np.array([0.25]), p, cfg)
+        assert out[0] == pytest.approx(0.275, abs=1e-15)
 
     def test_state_stays_in_open_unit_interval(self):
         p = rand_params(8, 5, seed=3, scale=2.0)
         cfg = IntegrationConfig()
         rng = np.random.default_rng(0)
-        st = afua.initial_state(8)
+        h = np.full(8, afua.H0)
         for _ in range(300):
-            st = afua.afua_step(rng.uniform(-1, 1, 5), st, p, cfg)
-            assert np.all(st.h >= cfg.epsilon)
-            assert np.all(st.h <= 1 - cfg.epsilon)
+            h, _, _ = afua.afua_step(rng.uniform(-1, 1, 5), h, p, cfg)
+            assert np.all(h >= cfg.epsilon)
+            assert np.all(h <= 1 - cfg.epsilon)
 
     def test_no_cross_unit_coupling_without_recurrent_weights(self):
         # with U and U_z zero, perturbing h_k leaves every other unit's
@@ -156,21 +153,21 @@ class TestStep:
                           fc2_w=p.fc2_w, fc2_b=p.fc2_b)
         cfg = IntegrationConfig()
         x = np.random.default_rng(1).uniform(-1, 1, 4)
-        base = afua.initial_state(6)
-        bumped = AfuaState(h=base.h.copy(), z=base.z, h_tilde=base.h_tilde)
-        bumped.h[2] = 0.9
-        out_a = afua.afua_step(x, base, p, cfg)
-        out_b = afua.afua_step(x, bumped, p, cfg)
+        base = np.full(6, afua.H0)
+        bumped = base.copy()
+        bumped[2] = 0.9
+        out_a, _, _ = afua.afua_step(x, base, p, cfg)
+        out_b, _, _ = afua.afua_step(x, bumped, p, cfg)
         others = [i for i in range(6) if i != 2]
-        assert np.array_equal(out_a.h[others], out_b.h[others])
+        assert np.array_equal(out_a[others], out_b[others])
 
 
 class TestRunSequence:
     def test_zero_weights_keeps_initial_h(self):
         p = zero_params()
         seq = np.zeros((28, 25))
-        h = afua.run_sequence(seq, p, IntegrationConfig(), h0=0.5)
-        assert np.all(h == 0.5)
+        h = afua.run_sequence(seq, p, IntegrationConfig())
+        assert np.all(h == afua.H0)
 
     def test_output_shape_and_range(self):
         p = rand_params(seed=4)
@@ -212,10 +209,9 @@ class TestRunSequence:
             afua.run_sequence(np.zeros((2, 2)), p, cfg)
 
 
-def assert_unroll_matches_reference(X, params, cfg, h0, keep_records):
-    H, clamped, records = afua.unroll(X, params, cfg, h0, keep_records)
-    H_ref, clamped_ref, ref = reference_unroll(X, params, cfg, h0,
-                                               keep_records)
+def assert_unroll_matches_reference(X, params, cfg, keep_records):
+    H, clamped, records = afua.unroll(X, params, cfg, keep_records)
+    H_ref, clamped_ref, ref = reference_unroll(X, params, cfg, keep_records)
     assert np.array_equal(H, H_ref)
     assert clamped == clamped_ref
     if not keep_records:
@@ -241,15 +237,14 @@ class TestUnrollReference:
            n_hidden=st.integers(1, 8), n_inputs=st.integers(1, 6),
            scale=st.sampled_from([0.5, 5.0, 300.0]),
            dt=st.sampled_from([0.0, 0.1, 1.0]),
-           h0=st.floats(0.01, 0.99), keep_records=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
+           keep_records=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_reference(self, batch, steps, substeps, n_hidden,
-                               n_inputs, scale, dt, h0, keep_records, seed):
+                               n_inputs, scale, dt, keep_records, seed):
         p = rand_params(n_hidden, n_inputs, seed=seed, scale=scale)
         cfg = IntegrationConfig(substeps_per_pattern=substeps, dt=dt)
         X = np.random.default_rng(seed).uniform(-1, 1,
                                                 (batch, steps, n_inputs))
-        assert_unroll_matches_reference(X, p, cfg, h0, keep_records)
+        assert_unroll_matches_reference(X, p, cfg, keep_records)
 
     @pytest.mark.parametrize("batch", [1, 7, 300])
     @pytest.mark.parametrize("keep_records", [False, True])
@@ -260,7 +255,7 @@ class TestUnrollReference:
         p = rand_params(8, 5, seed=batch, scale=300.0)
         cfg = IntegrationConfig(substeps_per_pattern=3)
         X = np.random.default_rng(batch).uniform(-1, 1, (batch, 4, 5))
-        assert assert_unroll_matches_reference(X, p, cfg, 0.5,
+        assert assert_unroll_matches_reference(X, p, cfg,
                                                keep_records) > 0  # clamped
         _, _, (_, Z, C, _, _) = afua.unroll(X, p, cfg, keep_records=True)
         gates = np.concatenate((Z, C), axis=2)
@@ -274,13 +269,18 @@ class TestUnrollReference:
             X = rng.uniform(-1, 1, (batch, 28, 25))
             for keep_records in (False, True):
                 assert_unroll_matches_reference(X, p, IntegrationConfig(),
-                                                0.5, keep_records)
+                                                keep_records)
+
+
+def head(h, params):
+    """Class probabilities of one final state."""
+    return afua.head_batch(h[None, :], params)[0][0]
 
 
 class TestHead:
     def test_uniform_when_fc2_output_zero(self):
         p = zero_params()
-        out = afua.head_forward(np.full(16, 0.5), p)
+        out = head(np.full(16, 0.5), p)
         assert np.allclose(out, [0.5, 0.5])
 
     def test_softmax_closed_form(self):
@@ -290,7 +290,7 @@ class TestHead:
                           fc1_w=np.zeros((2, 2)), fc1_b=np.zeros(2),
                           fc2_w=np.zeros((2, 2)),
                           fc2_b=np.array([np.log(3.0), 0.0]))
-        out = afua.head_forward(np.full(2, 0.5), p)
+        out = head(np.full(2, 0.5), p)
         assert out[0] == pytest.approx(0.75, abs=1e-12)
         assert out[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -298,7 +298,7 @@ class TestHead:
         rng = np.random.default_rng(7)
         p = rand_params(seed=8, scale=2.0)
         for _ in range(20):
-            out = afua.head_forward(rng.uniform(0, 1, 16), p)
+            out = head(rng.uniform(0, 1, 16), p)
             assert abs(out.sum() - 1.0) < 1e-12
             assert np.all(out > 0)
 

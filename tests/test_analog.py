@@ -50,15 +50,15 @@ class TestCurrentMode:
         for p in (rand_params(3), rand_params(5), clamping_params()):
             seq = rng.uniform(-1, 1, (28, 25))
             traj = analog.simulate_current_mode(seq, p, I_unit=7.5, cfg=cfg)
-            st = afua.initial_state(p.n_hidden)
-            ref = []
+            h = np.full(p.n_hidden, afua.H0)
+            ref = []  # (h, z, h_tilde) after each substep
             for x in seq:
                 for _ in range(cfg.substeps_per_pattern):
-                    st = afua.afua_step(x, st, p, cfg)
-                    ref.append(st)
-            for got, field in ((traj.I_h, "h"), (traj.I_z, "z"),
-                               (traj.I_htilde, "h_tilde")):
-                want = 7.5 * np.stack([getattr(r, field) for r in ref])
+                    h, z, h_tilde = afua.afua_step(x, h, p, cfg)
+                    ref.append((h, z, h_tilde))
+            for i, (got, field) in enumerate(((traj.I_h, "h"), (traj.I_z, "z"),
+                                              (traj.I_htilde, "h_tilde"))):
+                want = 7.5 * np.stack([r[i] for r in ref])
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), field
         assert traj.clamped_substeps > 0

@@ -285,10 +285,28 @@ class TestReruns:
         run = self.finished_copy(tiny_run, tmp_path)
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         for args in (["generate", "--split", "0.5,0.5,0.5"],
+                     ["generate", "--saline", "-1"],
                      ["pipeline", "--bits", "2", "--epochs", "2"]):
             assert run_cli([*args, "--n", "12", "--mesh-edge", "0.3",
                             "--out", str(run)]) == 2
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("config", [
+        '{"saline_ms_per_m": NaN}', '{"contact_impedance_ohm_mm": 0}',
+        '{"contact_impedance_ohm_mm": Infinity}', '{"learning_rate": NaN}',
+        '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}'],
+        ids=["saline-nan", "contact-zero", "contact-inf", "lr-nan",
+             "beta1-one", "beta2-above-one", "eps-negative"])
+    def test_config_file_value_fault_leaves_finished_run_untouched(
+            self, tiny_run, tmp_path, capsys, config):
+        run = self.finished_copy(tiny_run, tmp_path)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        (tmp_path / "c.json").write_text(config)
+        assert run_cli(["pipeline", "--config", str(tmp_path / "c.json"),
+                        "--n", "12", "--epochs", "2", "--mesh-edge", "0.3",
+                        "--out", str(run)]) == 2
+        assert next(iter(json.loads(config))) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_dead_head_train_exit_3_names_the_epoch(self, tiny_run, tmp_path,
                                                     monkeypatch, capsys):

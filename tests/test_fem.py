@@ -33,7 +33,7 @@ def hand_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]], dtype=np.int32)
     return geo.Mesh(vertices=verts, triangles=tris, electrode_edges={},
-                    inner_vertex={}, element_region=np.zeros(1, dtype=np.int8))
+                    inner_vertex={})
 
 
 def frame_record(n_pat=28, n_el=25, pid=b"x"):
@@ -193,7 +193,6 @@ class TestFrames:
                               seed=phm.phantom_seed(1, 0))
         frame = fem.simulate_frame(ph, mesh, layout)
         assert frame.voltages.shape == (28, 25)
-        assert len(frame.pattern_order) == 28
 
     def test_zero_inclusion_equals_background(self, mesh, layout):
         model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j,
@@ -277,12 +276,11 @@ class TestFrameIO:
                   for i, p in enumerate(phs)]
         path = tmp_path / "all.frames"
         fem.save_frames(frames, path)
-        back = fem.load_frames(path, layout)
+        back = fem.load_frames(path)
         assert len(back) == 3
         for a, b in zip(frames, back):
             assert np.array_equal(a.voltages, b.voltages)
             assert a.phantom_id == b.phantom_id
-            assert a.pattern_order == b.pattern_order
 
     @pytest.mark.parametrize("data, match", [
         (frame_record(n_pat=27), "27 patterns"),
@@ -294,10 +292,8 @@ class TestFrameIO:
         (frame_record()[:10], "truncated frame header"),
         (frame_record()[:-8], "truncated frame body"),
     ])
-    def test_malformed_record_is_format_error(self, layout, tmp_path, data,
-                                              match):
+    def test_malformed_record_is_format_error(self, tmp_path, data, match):
         path = tmp_path / "bad.frames"
         path.write_bytes(data)
-        for lay in (None, layout):
-            with pytest.raises(FormatError, match=match):
-                fem.load_frames(path, lay)
+        with pytest.raises(FormatError, match=match):
+            fem.load_frames(path)

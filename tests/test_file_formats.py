@@ -54,10 +54,9 @@ def valid_files(tmp_path_factory):
         root / "dataset_manifest.csv")
     (root / "labels.csv").write_text("id,label\np00000,0\np00001,1\n")
     layout = geo.build_probe_layout()
-    patterns = tuple(geo.enumerate_current_patterns(layout))
     frames = [fem.Frame(voltages=rng.normal(size=(28, 25))
                         + 1j * rng.normal(size=(28, 25)),
-                        pattern_order=patterns, phantom_id=f"p{k:05d}")
+                        phantom_id=f"p{k:05d}")
               for k in range(2)]
     fem.save_frames(frames, root / "frames.frame")
     geo.save_layout(layout, root / "layout.txt")

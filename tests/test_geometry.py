@@ -158,8 +158,7 @@ class TestMesh:
         bad_tris[0] = bad_tris[0][[0, 2, 1]]
         bad = geo.Mesh(vertices=mesh.vertices, triangles=bad_tris,
                        electrode_edges=mesh.electrode_edges,
-                       inner_vertex=mesh.inner_vertex,
-                       element_region=mesh.element_region)
+                       inner_vertex=mesh.inner_vertex)
         with pytest.raises(MeshError):
             geo.validate_mesh(bad)
 
@@ -218,6 +217,23 @@ class TestSerialization:
             lines[at] = b" ".join(row)
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match=str(path)):
+            geo.load_mesh(path)
+
+    def test_v1_mesh_is_format_error(self, mesh, tmp_path):
+        # format v1 carried a region tag as a fourth column of each triangle
+        path = tmp_path / "mesh.txt"
+        geo.save_mesh(mesh, path)
+        lines = path.read_text().split("\n")
+        lines[0] = "biozpipe-mesh v1"
+        at = lines.index(f"triangles {mesh.n_triangles}") + 1
+        for k in range(at, at + mesh.n_triangles):
+            lines[k] += " 0"
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match="not a biozpipe mesh file"):
+            geo.load_mesh(path)
+        lines[0] = "biozpipe-mesh v2"
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match="malformed mesh file"):
             geo.load_mesh(path)
 
     def test_mesh_file_deterministic(self, mesh, tmp_path):

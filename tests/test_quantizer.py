@@ -124,15 +124,6 @@ class TestQuantizedForward:
             _, prob_f = afua.classify(seq, p, cfg)
             assert np.max(np.abs(prob_q - prob_f)) < 1e-3
 
-    def test_full_precision_passthrough_bit_identical(self):
-        p = rand_params(11)
-        cfg = IntegrationConfig()
-        seq = np.random.default_rng(1).uniform(-1, 1, (28, 25))
-        lab_q, prob_q = quantizer.quantized_forward(p, seq, cfg)
-        lab_c, prob_c = afua.classify(seq, p, cfg)
-        assert lab_q == lab_c
-        assert np.array_equal(prob_q, prob_c)
-
     def test_probabilities_sum_to_one(self):
         p = rand_params(12)
         cfg = IntegrationConfig()
