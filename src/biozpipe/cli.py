@@ -107,6 +107,8 @@ class RunConfig:
         if not 0 < abs(self.contact_impedance_ohm_mm) < math.inf:
             raise ConfigError("contact_impedance_ohm_mm must be finite and "
                               "nonzero")
+        if not 0 < self.gain_per_mv < math.inf:
+            raise ConfigError("gain_per_mv must be positive and finite")
         self.tissue_model()
         self.rbf()
         self.integration()
@@ -217,17 +219,21 @@ def _clear_outputs(out: Path, stage: str) -> None:
 
 
 def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
-    """Geometry, mesh, reference, phantoms.csv, frames and the dataset."""
+    """Geometry, mesh, reference, phantoms.csv, frames and the dataset.
+
+    The mesh, its CEM operator and the reference frame are built before
+    anything is deleted, so a mesh the probe rejects leaves the run as it
+    was."""
+    mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
+    ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
+                              contact_impedance=cfg.contact_impedance_ohm_mm)
     out.mkdir(parents=True, exist_ok=True)
     _clear_outputs(out, "generate")
     geo.save_layout(layout, out / "geometry.txt")
-    mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     geo.save_mesh(mesh, out / "mesh.txt")
+    fem.save_frames([ref], out / "reference.frame")
 
     model = cfg.tissue_model()
-    ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
-                              contact_impedance=cfg.contact_impedance_ohm_mm)
-    fem.save_frames([ref], out / "reference.frame")
 
     def one(i_ph):
         i, p = i_ph

@@ -192,6 +192,10 @@ class Mesh:
     electrode_edges: dict[int, tuple[tuple[int, int], ...]]
     inner_vertex: dict[int, int]
     _centroids: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # memo of fem.cem_operator: the CEM system's structure depends on the
+    # mesh alone
+    _cem_operator: object | None = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def n_vertices(self) -> int:

@@ -291,6 +291,18 @@ class TestReruns:
                             "--out", str(run)]) == 2
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    @pytest.mark.parametrize("args, message", [
+        (["generate", "--mesh-edge", "5"], "target_edge_length 5.0"),
+        (["pipeline", "--gain", "nan", "--epochs", "2", "--mesh-edge", "0.3"],
+         "gain_per_mv")], ids=["mesh-edge-above-electrode", "gain-nan"])
+    def test_value_fault_exit_2_leaves_finished_run_untouched(
+            self, tiny_run, tmp_path, capsys, args, message):
+        run = self.finished_copy(tiny_run, tmp_path)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert run_cli([*args, "--n", "12", "--out", str(run)]) == 2
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     @pytest.mark.parametrize("config", [
         '{"saline_ms_per_m": NaN}', '{"contact_impedance_ohm_mm": 0}',
         '{"contact_impedance_ohm_mm": Infinity}', '{"learning_rate": NaN}',

@@ -1,4 +1,8 @@
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +189,163 @@ class TestSuperposition:
         frame = fem.simulate_frame(Phantom(sigma, inc, 1, 0), mesh, layout,
                                    contact_impedance=z).voltages
         assert np.abs(frame - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def reference_assemble(mesh, element_sigma, contact_impedance=10.0):
+    """Reference for ``fem.assemble``: the CEM system assembled from COO
+    triplets for this phantom alone, with no per-mesh operator.  Returns
+    the ungrounded matrix ``stiffness``, its grounded ``lu`` (symmetric
+    mode, ``MMD_AT_PLUS_A`` ordering) and the unit-electrode responses.
+
+    The triplets become a matrix in one conversion, which keeps an entry
+    that sums to zero (the cotangent weights of a uniform patch often do).
+    A sparse sum would drop it, and with it change the ordering."""
+    electrodes = tuple(sorted(mesh.electrode_edges))
+    n_el = len(electrodes)
+    z = np.broadcast_to(np.asarray(contact_impedance, dtype=complex), (n_el,))
+    nv = mesh.n_vertices
+    dim = nv + n_el
+    K = fem.galerkin_stiffness(mesh, element_sigma).tocoo()
+    rows, cols, vals = [K.row], [K.col], [K.data]
+    for k, e in enumerate(electrodes):
+        edges = np.array(mesh.electrode_edges[e], dtype=np.int64)
+        va, vb = edges[:, 0], edges[:, 1]
+        seg = mesh.vertices[va] - mesh.vertices[vb]
+        lengths = np.hypot(seg[:, 0], seg[:, 1])
+        g = 1.0 / z[k]
+        col_e = np.full(len(va), nv + k, dtype=np.int64)
+        rows += [va, vb, va, vb, va, vb, col_e, col_e, [nv + k]]
+        cols += [va, vb, vb, va, col_e, col_e, va, vb, [nv + k]]
+        vals += [g * lengths / 3.0, g * lengths / 3.0, g * lengths / 6.0,
+                 g * lengths / 6.0, *[-g * lengths / 2.0] * 4,
+                 [g * lengths.sum()]]
+
+    def matrix():
+        return coo_matrix((np.concatenate(vals).astype(complex),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(dim, dim)).tocsc()
+
+    full = matrix()
+    el = np.arange(nv, dim)
+    rows.append(np.repeat(el, n_el))
+    cols.append(np.tile(el, n_el))
+    vals.append(np.full(n_el * n_el, abs(full.diagonal()[:nv]).mean()))
+    lu = splu(matrix(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    unit = np.zeros((dim, n_el), dtype=complex)
+    unit[nv:] = np.eye(n_el)
+    response = lu.solve(unit)
+    inner = [mesh.inner_vertex[e] for e in sorted(mesh.inner_vertex)]
+    return SimpleNamespace(stiffness=full, lu=lu,
+                           electrode_response=response[nv:].T,
+                           inner_response=response[inner].T)
+
+
+@pytest.fixture(scope="module")
+def fine_mesh(layout):
+    return geo.build_mesh(layout, 0.14)
+
+
+def bovine_sigma(mesh):
+    bg = phm.synth_background(mesh, phm.BOVINE, seed=9)
+    return phm.place_inclusion(bg, mesh, Inclusion((0.4, -0.3), 2.5),
+                               phm.BOVINE.sigma_inclusion)
+
+
+class TestOperatorAssembly:
+    """``assemble`` on the per-mesh operator against the per-phantom
+    assembly it replaced."""
+
+    @pytest.mark.parametrize("mesh_name", ["mesh", "fine_mesh"])
+    @pytest.mark.parametrize("case", ["prostate", "bovine-complex-z",
+                                      "per-electrode-z"])
+    def test_matches_reference_assembly(self, request, layout, mesh_name,
+                                        case):
+        mesh = request.getfixturevalue(mesh_name)
+        if case == "prostate":
+            sigma = phm.make_phantom(mesh, layout, phm.PROSTATE,
+                                     seed=phm.phantom_seed(4, 1)).element_sigma
+            z = 10.0
+        else:
+            sigma = bovine_sigma(mesh)
+            z = (10.0 + 3.0j if case == "bovine-complex-z"
+                 else np.array([8.0, 9.0 + 1j, 10.0, 11.0 - 2j, 12.0, 7.5,
+                                10.0 + 0.5j, 9.5]))
+        system = fem.assemble(mesh, sigma, contact_impedance=z)
+        want = reference_assemble(mesh, sigma, contact_impedance=z)
+        for got, ref in ((system.electrode_response, want.electrode_response),
+                         (system.inner_response, want.inner_response)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        scale = abs(want.stiffness).max()
+        assert abs(system.stiffness - want.stiffness).max() <= 1e-15 * scale
+        # a reversed permutation solves just as accurately, with ten times
+        # the fill; only the fill tells the two apart
+        factor = system.lu.factor
+        assert (factor.L.nnz + factor.U.nnz
+                == want.lu.L.nnz + want.lu.U.nnz)
+
+    def test_fill_at_default_mesh_edge(self, fine_mesh):
+        factor = fem.assemble(fine_mesh, bovine_sigma(fine_mesh)).lu.factor
+        assert factor.L.nnz + factor.U.nnz == 72556
+
+
+def fresh_copy(mesh):
+    """The same mesh with no CEM operator built yet."""
+    return geo.Mesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                    electrode_edges=mesh.electrode_edges,
+                    inner_vertex=mesh.inner_vertex)
+
+
+class TestOperatorMemo:
+    """Frames are the same bytes whichever call builds the mesh's operator."""
+
+    @staticmethod
+    def phantoms(mesh, layout):
+        return [phm.make_phantom(mesh, layout, phm.PROSTATE,
+                                 seed=phm.phantom_seed(6, i))
+                for i in range(2)]
+
+    @staticmethod
+    def frame_bytes(phantom, mesh, layout, z=10.0):
+        return fem.simulate_frame(phantom, mesh, layout,
+                                  contact_impedance=z).voltages.tobytes()
+
+    def test_loaded_mesh_copy(self, mesh, layout, tmp_path):
+        ph = self.phantoms(mesh, layout)[0]
+        want = self.frame_bytes(ph, fresh_copy(mesh), layout)
+        geo.save_mesh(mesh, tmp_path / "mesh.txt")
+        loaded = geo.load_mesh(tmp_path / "mesh.txt")
+        assert loaded._cem_operator is None
+        assert self.frame_bytes(ph, loaded, layout) == want
+
+    def test_first_built_by_another_phantom_and_impedance(self, mesh,
+                                                          layout):
+        ph, other = self.phantoms(mesh, layout)
+        want = self.frame_bytes(ph, fresh_copy(mesh), layout)
+        copy = fresh_copy(mesh)
+        self.frame_bytes(other, copy, layout, z=4.0 - 1.5j)
+        assert self.frame_bytes(ph, copy, layout) == want
+
+    def test_threads_race_to_build(self, mesh, layout):
+        # more threads than cores, switching often, all past one barrier:
+        # each may find the operator missing and build its own
+        phantoms = self.phantoms(mesh, layout) * 2
+        want = [self.frame_bytes(p, fresh_copy(mesh), layout)
+                for p in phantoms]
+        copy = fresh_copy(mesh)
+        barrier = threading.Barrier(len(phantoms), timeout=60)
+
+        def task(p):
+            barrier.wait()
+            return self.frame_bytes(p, copy, layout)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(phantoms)) as pool:
+                assert list(pool.map(task, phantoms, timeout=120)) == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFrames:
