@@ -255,8 +255,9 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
              ) -> AssembledSystem:
     """Fill the mesh's CEM operator for one phantom and factorize it.
 
-    ``contact_impedance`` is per unit arc length (ohm * mm), scalar or one
-    value per outer electrode; complex values are allowed.
+    ``contact_impedance`` is per unit arc length (ohm * mm), a scalar or one
+    value per outer electrode, each finite and nonzero; complex values are
+    allowed.
     """
     sigma = np.asarray(element_sigma, dtype=complex)
     if sigma.shape != (mesh.n_triangles,):
@@ -268,8 +269,15 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
         raise SolverError("element conductivity real parts must be positive")
 
     n_el = len(mesh.electrode_edges)
-    z = np.broadcast_to(np.asarray(contact_impedance, dtype=complex),
-                        (n_el,)).copy()
+    z = np.array(contact_impedance, dtype=complex)
+    if z.ndim == 0:
+        z = np.full(n_el, z)
+    elif z.shape != (n_el,):
+        raise SolverError(
+            f"contact impedance has shape {z.shape}; expected a scalar or "
+            f"one value per outer electrode, ({n_el},)")
+    if not np.all(np.isfinite(z)):
+        raise SolverError("contact impedance must be finite")
     if np.any(z == 0):
         raise SolverError("contact impedance must be nonzero")
     if n_el == 0:

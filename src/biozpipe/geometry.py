@@ -196,6 +196,10 @@ class Mesh:
     # mesh alone
     _cem_operator: object | None = field(default=None, repr=False,
                                          compare=False)
+    # memo of phantom.background_layout: the background kernel's element
+    # order and blocks depend on the mesh alone
+    _background_layout: object | None = field(default=None, repr=False,
+                                              compare=False)
 
     @property
     def n_vertices(self) -> int:

@@ -24,9 +24,16 @@ LABEL_POSITIVE = 1
 AREA_FRACTION_THRESHOLD = 0.08
 MAX_INCLUSION_DIAMETER_MM = 3.0
 
-# element rows per block of the background kernel (see synth_background)
+# element rows per block of the background kernel (see synth_background):
+# one product fills a block's (near x rows) exponents into a buffer that
+# stays cache-sized; smaller blocks spend more of a call in per-block
+# dispatch, which holds the GIL.  On 2 threads at h = 0.14, blocks of 32
+# and 64 rows were slower; 256 was faster on 2 threads but slower on 1,
+# and its wider quadrants raise the expansion's error
 _KERNEL_BLOCK_ROWS = 128
-# kernel exponent cap: beyond it every entry is exp(-_KERNEL_EXP_CAP)
+# kernel exponent cap: an entry whose exponent is below -46 is exactly
+# exp(-46), so a center beyond the cap radius sqrt(46 * 2 w^2) of a whole
+# block adds exp(-46) times its weight to each of its elements unevaluated
 _KERNEL_EXP_CAP = 46.0
 
 
@@ -90,6 +97,76 @@ class Phantom:
     seed: int
 
 
+@dataclass(frozen=True)
+class BackgroundLayout:
+    """What the background kernel needs of a mesh, in mm.
+
+    ``order`` lists the elements in serpentine-strip order (x running
+    forward and back in turn along strips of y); block ``b`` is rows
+    ``b * _KERNEL_BLOCK_ROWS`` onward of ``order`` and ``elements``, and
+    ``mid[b] +- half[b]`` is its bounding box.  The box's middle splits the
+    block into four quadrants ``q = 2 [x > mid x] + [y > mid y]``, and
+    ``centre[b, q]`` is the middle of the box around quadrant q's elements
+    and the block's middle.  An element at ``centre[b, q] + b'`` has
+    ``[b'x, b'y, 1]`` in columns ``3q`` to ``3q + 2`` of its row of the
+    element factor ``elements``, ``|b'|^2`` in column 12 and zeros
+    elsewhere.
+    """
+
+    order: np.ndarray  # (nt,) element indices
+    elements: np.ndarray  # (13, nt) element factor of the exponent product
+    centre: np.ndarray  # (n_blocks, 4, 2) expansion centre per quadrant
+    mid: np.ndarray  # (n_blocks, 2) middle of each block's bounding box
+    half: np.ndarray  # (n_blocks, 2) half its width and height
+    domain_radius: float  # farthest vertex from the origin
+
+
+def _build_layout(mesh: Mesh) -> BackgroundLayout:
+    centroids = mesh.centroids()
+    n = len(centroids)
+    domain_r = math.hypot(*mesh.vertices[np.argmax(
+        np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))])
+    # serpentine strip order: strip index in y, then x forward or backward;
+    # a strip is as high as a square holding one block's share of the disk
+    strip_h = math.sqrt(_KERNEL_BLOCK_ROWS * math.pi * domain_r ** 2 / n)
+    strip = np.floor((centroids[:, 1] - centroids[:, 1].min()) / strip_h)
+    order = np.lexsort((np.where(strip % 2 == 0, 1.0, -1.0) * centroids[:, 0],
+                        strip))
+    ordered = centroids[order]
+    starts = np.arange(0, n, _KERNEL_BLOCK_ROWS)
+    lo = np.minimum.reduceat(ordered, starts)
+    hi = np.maximum.reduceat(ordered, starts)
+    mid = 0.5 * (lo + hi)
+    block = np.arange(n) // _KERNEL_BLOCK_ROWS
+    quadrant = (ordered > mid[block]) @ np.array([2, 1])
+    # each box holds its block's middle, so an empty quadrant has a finite
+    # centre and every box is at most a quarter of the block's
+    q_lo = np.repeat(mid, 4, axis=0)
+    q_hi = q_lo.copy()
+    np.minimum.at(q_lo, 4 * block + quadrant, ordered)
+    np.maximum.at(q_hi, 4 * block + quadrant, ordered)
+    centre = 0.5 * (q_lo + q_hi)
+    rel = ordered - centre[4 * block + quadrant]
+    elements = np.zeros((13, n))
+    elements[3 * quadrant + np.arange(3)[:, None], np.arange(n)] = [
+        *rel.T, np.ones(n)]
+    elements[12] = (rel ** 2).sum(axis=1)
+    return BackgroundLayout(order=order, elements=elements,
+                            centre=centre.reshape(-1, 4, 2), mid=mid,
+                            half=0.5 * (hi - lo), domain_radius=domain_r)
+
+
+def background_layout(mesh: Mesh) -> BackgroundLayout:
+    """The mesh's background-kernel layout, built on first use and kept on
+    the mesh.
+
+    Threads that find it missing may each build one; the builds are equal,
+    so whichever is kept gives the same fields."""
+    if mesh._background_layout is None:
+        object.__setattr__(mesh, "_background_layout", _build_layout(mesh))
+    return mesh._background_layout
+
+
 def synth_background(mesh: Mesh, model: TissueModel,
                      rbf: RbfNoiseConfig = RbfNoiseConfig(), *,
                      seed: int) -> np.ndarray:
@@ -102,92 +179,94 @@ def synth_background(mesh: Mesh, model: TissueModel,
 
     The kernel exponent is capped at 46, so every center farther than the
     cap radius ``sqrt(46 * 2 w^2)`` from an element adds exactly
-    ``exp(-46)`` times its weight.  Elements are visited in serpentine-strip
-    order (x running forward and back in turn), ``_KERNEL_BLOCK_ROWS`` at a
-    time; a strip is as high as a square holding one block's share of the
-    domain disk, so each block covers a compact, roughly square patch.  A
-    block evaluates the kernel only for the centers within the cap radius
-    of its bounding box; all other centers enter as ``exp(-46)`` times the
-    sum of their weights, which is what the dense element x center kernel
-    gives them.  A block's temporaries stay cache-sized, and parallel
-    callers need no dense matrix each.
+    ``exp(-46)`` times its weight.  Elements go in blocks of
+    ``_KERNEL_BLOCK_ROWS``, compact patches of the mesh's
+    ``background_layout``.  One (blocks x centers) test picks the centers
+    within the cap radius of each block's bounding box; all other centers
+    enter as ``exp(-46)`` times the sum of their weights, which is what the
+    dense element x center kernel gives them.
 
-    Distances come from plain coordinate differences rather than the
-    expanded ``|c|^2 + |x|^2 - 2 c.x`` BLAS product: they cannot go
-    negative by cancellation, and their bytes do not depend on how many
-    threads the BLAS library runs.  The kernel stays real; the real and
-    imaginary parts of the field are two real matrix-vector products.
+    A block's exponents ``-u |b - c|^2``, with ``u = 1/(2 w^2)``, are one
+    (near x 13) @ (13 x rows) product, written into one reused buffer.  Its
+    right factor is the block's columns of the layout's element factor.
+    Row j of the left factor holds, for each of the block's four quadrant
+    centres, ``u [2 c'x, 2 c'y, -|c'|^2]`` with ``c'`` the offset of center
+    j from that quadrant centre, and last ``-u``.  An element picks its own
+    quadrant's entries, so each exponent is ``-u (|b'|^2 - 2 b'.c' +
+    |c'|^2)``, expanded about the centre of the element's quadrant.
+
+    The expansion cancels: an entry that matters, with ``c`` near ``b``,
+    carries an error of a few eps * u * |b'|^2, and about the quadrant
+    centre ``|b'|`` is at most a quarter of the block's diagonal.  On the
+    h = 0.3 test mesh at w = 0.02 mm the worst case measured is 2.4e-13 of
+    the texture, against 2.1e-12 when expanding about each block's centre;
+    about the origin the error reaches eps * u * (3 mm)^2.
+
+    After the cap and ``exp`` in place, the near weights' real and
+    imaginary parts times the buffer are two vector-matrix products.  In
+    these forms the bytes do not depend on how many threads OpenBLAS runs
+    (``test_blas_threads_do_not_change_fields``); the (rows x 4),
+    (rows x 13) and (2 x near) product forms gave other bytes on 2 threads
+    once near passed a few hundred to a few thousand centers.
     """
     rng = np.random.default_rng(seed)
-    centroids = mesh.centroids()
-    n = len(centroids)
     if model.noise_rel_std == 0.0:
-        return np.full(n, complex(model.sigma_background), dtype=complex)
+        return np.full(mesh.n_triangles, complex(model.sigma_background),
+                       dtype=complex)
+    layout = background_layout(mesh)
 
     # centers uniform in the domain disk (area-uniform polar sampling)
-    domain_r = math.hypot(*mesh.vertices[np.argmax(
-        np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))])
-    radii = domain_r * np.sqrt(rng.uniform(size=rbf.n_centers))
+    radii = layout.domain_radius * np.sqrt(rng.uniform(size=rbf.n_centers))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=rbf.n_centers)
-    cx, cy = radii * np.cos(angles), radii * np.sin(angles)
+    centers = np.array([radii * np.cos(angles), radii * np.sin(angles)])
     weights = (rng.standard_normal(rbf.n_centers)
                + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
-    w_re = np.ascontiguousarray(weights.real)
-    w_im = np.ascontiguousarray(weights.imag)
-    sum_re, sum_im = w_re.sum(), w_im.sum()
+    w = np.array([weights.real, weights.imag])
+    w_sum = w.sum(axis=1)
 
-    # serpentine strip order: strip index in y, then x forward or backward
-    strip_h = math.sqrt(_KERNEL_BLOCK_ROWS * math.pi * domain_r ** 2 / n)
-    strip = np.floor((centroids[:, 1] - centroids[:, 1].min()) / strip_h)
-    order = np.lexsort((np.where(strip % 2 == 0, 1.0, -1.0) * centroids[:, 0],
-                        strip))
-    ordered = centroids[order]
-
-    # lengths in units of sqrt(2) * width: a squared distance is then the
-    # kernel exponent, and the cap radius is sqrt(_KERNEL_EXP_CAP)
-    unit = 1.0 / (math.sqrt(2.0) * rbf.kernel_width)
-    ordered *= unit
-    cx *= unit
-    cy *= unit
+    # near[b, j]: center j lies within the cap radius of block b's box
+    u = 1.0 / (2.0 * rbf.kernel_width ** 2)
+    gap = np.abs(centers[:, None, :] - layout.mid.T[:, :, None])
+    gap -= layout.half.T[:, :, None]
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    near = gap[0] + gap[1] <= _KERNEL_EXP_CAP / u
     capped = math.exp(-_KERNEL_EXP_CAP)  # every entry past the cap radius
-    raw_re = np.empty(n)
-    raw_im = np.empty(n)
-    for lo in range(0, n, _KERNEL_BLOCK_ROWS):
-        bx = ordered[lo:lo + _KERNEL_BLOCK_ROWS, 0:1]
-        by = ordered[lo:lo + _KERNEL_BLOCK_ROWS, 1:2]
-        # centers within the cap radius of the block's bounding box
-        gx = np.maximum(bx.min() - cx, cx - bx.max())
-        gy = np.maximum(by.min() - cy, cy - by.max())
-        np.maximum(gx, 0.0, out=gx)
-        np.maximum(gy, 0.0, out=gy)
-        gx *= gx
-        gy *= gy
-        gx += gy
-        near = np.flatnonzero(gx <= _KERNEL_EXP_CAP)
-        # fill, then subtract a row vector: faster than broadcasting the
-        # (rows, 1) column against the centers in one subtraction
-        k = np.empty((len(bx), len(near)))
-        dy = np.empty_like(k)
-        k[:] = bx
-        dy[:] = by
-        k -= cx[near]
-        dy -= cy[near]
-        k *= k
-        dy *= dy
-        k += dy
-        np.minimum(k, _KERNEL_EXP_CAP, out=k)
-        np.negative(k, out=k)
-        np.exp(k, out=k)
-        near_re, near_im = w_re[near], w_im[near]
-        rows = order[lo:lo + _KERNEL_BLOCK_ROWS]
-        raw_re[rows] = k @ near_re + capped * (sum_re - near_re.sum())
-        raw_im[rows] = k @ near_im + capped * (sum_im - near_im.sum())
 
-    raw_std = float(np.std(raw_re))
+    # the raw field in layout order, one block of elements at a time
+    raw = np.empty((2, mesh.n_triangles))
+    buf = np.empty(_KERNEL_BLOCK_ROWS * int(near.sum(axis=1).max()))
+    for b, lo in enumerate(range(0, mesh.n_triangles, _KERNEL_BLOCK_ROWS)):
+        block = slice(lo, lo + _KERNEL_BLOCK_ROWS)
+        elements = layout.elements[:, block]
+        idx = np.flatnonzero(near[b])
+        # per quadrant q: u [2 c'x, 2 c'y, -|c'|^2], c' = c - centre[b, q]
+        cols = np.empty((13, len(idx)))
+        quad = cols[:12].reshape(4, 3, len(idx))
+        np.subtract(centers.take(idx, axis=1), layout.centre[b, :, :, None],
+                    out=quad[:, :2])
+        np.multiply(quad[:, 0], quad[:, 0], out=quad[:, 2])
+        quad[:, 2] += quad[:, 1] ** 2
+        quad[:, :2] *= 2.0 * u
+        quad[:, 2] *= -u
+        cols[12] = -u
+        shape = (len(idx), elements.shape[1])
+        k = buf[:shape[0] * shape[1]].reshape(shape)
+        np.matmul(cols.T, elements, out=k)
+        np.maximum(k, -_KERNEL_EXP_CAP, out=k)
+        np.exp(k, out=k)
+        w_near = w.take(idx, axis=1)
+        raw[0, block] = w_near[0] @ k
+        raw[1, block] = w_near[1] @ k
+        raw[:, block] += capped * (w_sum - w_near.sum(axis=1))[:, None]
+
+    raw_std = float(np.std(raw[0]))
     if raw_std == 0.0:
         raise NumericalError("RBF field is identically zero; cannot rescale")
     scale = model.noise_rel_std * abs(model.sigma_background) / raw_std
-    field = model.sigma_background + (raw_re + 1j * raw_im) * scale
+    field = np.empty(mesh.n_triangles, dtype=complex)
+    field[layout.order] = (model.sigma_background
+                           + (raw[0] + 1j * raw[1]) * scale)
     if np.any(field.real <= 0):
         raise NumericalError("background noise drove conductivity non-positive")
     return field

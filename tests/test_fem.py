@@ -93,6 +93,20 @@ class TestAssembly:
         with pytest.raises(SolverError):
             fem.assemble(mesh, np.ones(5, dtype=complex))
 
+    @pytest.mark.parametrize("z, fault", [
+        (np.full(3, 10.0), "shape"),
+        (np.full((1, 8), 10.0), "shape"),
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (np.array([10.0] * 7 + [complex(10.0, float("inf"))]), "finite"),
+    ])
+    def test_rejects_malformed_contact_impedance(self, mesh, z, fault):
+        # named before any arithmetic: no broadcasting error, no warning
+        # from 1/z and no singular factor
+        sigma = np.full(mesh.n_triangles, 100.0 + 0j)
+        with pytest.raises(SolverError, match=fault):
+            fem.assemble(mesh, sigma, contact_impedance=z)
+
 
 class TestSolve:
     def test_grounded_mean_and_conservation(self, uniform_system, layout):

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import biozpipe
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
 from biozpipe.errors import NumericalError
@@ -65,8 +71,12 @@ def dense_raw(mesh, rbf=phm.RbfNoiseConfig(), seed=0, expanded=True):
 
     Squared distances come from the expanded |x|^2 + |c|^2 - 2 x.c matrix
     product, or with ``expanded=False`` from coordinate differences.  The
-    expanded form cancels: each exponent carries an error of about
-    eps * (3 mm)^2 / (2 w^2), which is 1e-12 at w = 0.02 mm.
+    expanded form is taken about the origin and cancels: each exponent
+    carries an error of about eps * (3 mm)^2 / (2 w^2), which is 1e-12 at
+    w = 0.02 mm.  ``synth_background`` also expands, but about the centre
+    of each element's block quadrant, which is at most a quarter of the
+    block's diagonal away; so narrow kernels compare with the exact
+    coordinate differences.
     """
     rng = np.random.default_rng(seed)
     centroids = mesh.centroids()
@@ -121,6 +131,11 @@ class TestBackgroundReference:
     @settings(max_examples=60, deadline=None, database=None)
     @given(width=st.floats(0.02, 3.0), n_centers=st.integers(1, 2000),
            seed=st.integers(0, 2 ** 32 - 1))
+    # the narrowest kernel, where the expansion cancels most; expanded
+    # about each block's centre instead of its quadrants' these two seeds
+    # miss the bound (1.3e-12 and 2.1e-12 of the texture)
+    @example(width=0.02, n_centers=1300, seed=31)
+    @example(width=0.02, n_centers=2000, seed=26)
     def test_bounded_kernel_matches_dense(self, mesh, width, n_centers, seed):
         # The cap radius sqrt(92) * width runs from 0.19 mm, under the
         # element spacing, to beyond the 6 mm domain, where every block
@@ -139,6 +154,75 @@ class TestBackgroundReference:
         got = phm.synth_background(mesh, phm.BOVINE, rbf, seed=seed)
         texture = want - phm.BOVINE.sigma_background
         assert np.abs(got - want).max() <= 1e-12 * np.abs(texture).max()
+
+
+def fresh_copy(mesh):
+    """The same mesh with no background layout built yet."""
+    return geo.Mesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                    electrode_edges=mesh.electrode_edges,
+                    inner_vertex=mesh.inner_vertex)
+
+
+class TestLayoutMemo:
+    """Fields are the same bytes whichever call builds the mesh's layout."""
+
+    SEEDS = [phm.phantom_seed(6, i) for i in range(4)]
+
+    @staticmethod
+    def field_bytes(mesh, seed):
+        return phm.synth_background(mesh, phm.PROSTATE, seed=seed).tobytes()
+
+    def test_loaded_mesh_copy(self, mesh, tmp_path):
+        want = [self.field_bytes(fresh_copy(mesh), s) for s in self.SEEDS]
+        geo.save_mesh(mesh, tmp_path / "mesh.txt")
+        loaded = geo.load_mesh(tmp_path / "mesh.txt")
+        assert loaded._background_layout is None
+        assert [self.field_bytes(loaded, s) for s in self.SEEDS] == want
+
+    def test_threads_race_to_build(self, mesh):
+        # more threads than cores, switching often, all past one barrier:
+        # each may find the layout missing and build its own
+        want = [self.field_bytes(fresh_copy(mesh), s) for s in self.SEEDS]
+        copy = fresh_copy(mesh)
+        barrier = threading.Barrier(len(self.SEEDS), timeout=60)
+
+        def task(seed):
+            barrier.wait()
+            return self.field_bytes(copy, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(self.SEEDS)) as pool:
+                assert list(pool.map(task, self.SEEDS, timeout=120)) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# hash of fields whose near-center counts reach the sizes at which the
+# BLAS library splits a product's work differently on 2 threads
+_FIELDS_HASH = """
+import hashlib
+from biozpipe import geometry as geo, phantom as phm
+mesh = geo.build_mesh(geo.build_probe_layout(), 0.3)
+h = hashlib.sha256()
+for width, n_centers in ((0.15, 1300), (0.5, 1300), (3.0, 5000)):
+    rbf = phm.RbfNoiseConfig(n_centers=n_centers, kernel_width=width)
+    h.update(phm.synth_background(mesh, phm.BOVINE, rbf, seed=4).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_blas_threads_do_not_change_fields():
+    src = str(Path(biozpipe.__file__).resolve().parents[1])
+    hashes = []
+    for blas in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _FIELDS_HASH], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
 
 
 class TestInclusion:
