@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -102,13 +101,16 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if not self.mesh_edge_mm > 0:
             raise ConfigError("mesh_edge_mm must be positive")
-        if not 0 < self.saline_ms_per_m < math.inf:
-            raise ConfigError("saline_ms_per_m must be positive and finite")
-        if not 0 < abs(self.contact_impedance_ohm_mm) < math.inf:
-            raise ConfigError("contact_impedance_ohm_mm must be finite and "
-                              "nonzero")
-        if not 0 < self.gain_per_mv < math.inf:
-            raise ConfigError("gain_per_mv must be positive and finite")
+        if not self.saline_ms_per_m > 0:
+            raise ConfigError("saline_ms_per_m must be positive")
+        if self.contact_impedance_ohm_mm == 0:
+            raise ConfigError("contact_impedance_ohm_mm must be nonzero")
+        if not self.gain_per_mv > 0:
+            raise ConfigError("gain_per_mv must be positive")
+        # the background kernel is exp(-d^2 / (2 w^2)): inside this range
+        # 1/(2 w^2) is finite and nonzero
+        if not 1e-150 < self.rbf_width_mm < 1e150:
+            raise ConfigError("rbf_width_mm must lie in (1e-150, 1e150)")
         self.tissue_model()
         self.rbf()
         self.integration()
@@ -158,6 +160,9 @@ def _check_type(name: str, value, default) -> None:
             (int, float) if isinstance(default, float) else type(default))):
         raise ConfigError(
             f"{name} must be {type(default).__name__}, got {value!r}")
+    elif isinstance(default, float) and not abs(value) <= sys.float_info.max:
+        # NaN, an infinity, or an int too large to convert
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 # bovine protocol: train/validation only, reference in the muscle's saline
@@ -341,7 +346,10 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
     else:
         # externally measured frames: normalize against the run's reference
         frames = fem.load_frames(data_path)
-        ref = fem.load_frames(out / "reference.frame")[0]
+        refs = fem.load_frames(out / "reference.frame")
+        if not refs:
+            raise FormatError(f"{out / 'reference.frame'}: holds no frame")
+        ref = refs[0]
         if labels_path is None:
             raise ConfigError("frames input requires --labels <csv>")
         labels = datapipe.load_labels(labels_path)

@@ -17,13 +17,14 @@ so one sparse LU in SuperLU's symmetric mode (diagonal pivots, no row
 interchanges) factorizes it.
 
 Everything but the numbers depends on the mesh alone, so it is built once
-per mesh (``cem_operator``, kept on the ``Mesh``): the sparsity pattern of
-the grounded matrix, SuperLU's minimum-degree ordering of A + A^T, and a
-sparse map from the element conductivities and the 8 contact conductances
-to the matrix values.  The pattern is stored already permuted: old row and
-column i is new row and column ``perm[i]`` (SuperLU's ``perm_c``).  Per
-phantom, ``assemble`` only refills the values, adds the grounding term and
-refactorizes in the natural order of that permuted pattern.
+per mesh (``cem_operator``, kept in the mesh's memo by ``Mesh.derived``):
+the sparsity pattern of the grounded matrix, SuperLU's minimum-degree
+ordering of A + A^T, and a sparse map from the element conductivities and
+the 8 contact conductances to the matrix values.  The pattern is stored
+already permuted: old row and column i is new row and column ``perm[i]``
+(SuperLU's ``perm_c``).  Per phantom, ``assemble`` only refills the values,
+adds the grounding term and refactorizes in the natural order of that
+permuted pattern.
 
 The model is linear in the injected electrode currents, so ``assemble``
 solves it once for each of the 8 unit-electrode currents, as one 8-column
@@ -165,14 +166,6 @@ def _p1_entries(mesh: Mesh):
     return rows, cols, values
 
 
-def galerkin_stiffness(mesh: Mesh, element_sigma: np.ndarray) -> csc_matrix:
-    """Linear-element stiffness for div(sigma * t * grad u) over the vertices."""
-    rows, cols, values = _p1_entries(mesh)
-    vals = (np.asarray(element_sigma, dtype=complex)[:, None] * values)
-    nv = mesh.n_vertices
-    return coo_matrix((vals.reshape(-1), (rows, cols)), shape=(nv, nv)).tocsc()
-
-
 def _build_operator(mesh: Mesh) -> CemOperator:
     nv, nt = mesh.n_vertices, mesh.n_triangles
     electrodes = tuple(sorted(mesh.electrode_edges))
@@ -241,13 +234,8 @@ def _build_operator(mesh: Mesh) -> CemOperator:
 
 
 def cem_operator(mesh: Mesh) -> CemOperator:
-    """The mesh's CEM operator, built on first use and kept on the mesh.
-
-    Threads that find it missing may each build one; the builds are equal,
-    so whichever is kept gives the same frames."""
-    if mesh._cem_operator is None:
-        object.__setattr__(mesh, "_cem_operator", _build_operator(mesh))
-    return mesh._cem_operator
+    """The mesh's CEM operator, built on first use and kept on the mesh."""
+    return mesh.derived(_build_operator)
 
 
 def assemble(mesh: Mesh, element_sigma: np.ndarray,

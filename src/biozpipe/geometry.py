@@ -185,21 +185,18 @@ class Mesh:
     ``electrode_edges`` maps each outer electrode (26..33) to the ring edges
     covering its arc; ``inner_vertex`` maps each inner electrode (1..25) to
     the mesh vertex at its position.
+
+    What depends on the mesh alone (its centroids, the solver's operator,
+    the background kernel's layout) is built on first use by ``derived``
+    and kept in one memo, keyed by the function that builds it.
     """
 
     vertices: np.ndarray  # (nv, 2) float64, mm
     triangles: np.ndarray  # (nt, 3) int32, CCW
     electrode_edges: dict[int, tuple[tuple[int, int], ...]]
     inner_vertex: dict[int, int]
-    _centroids: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # memo of fem.cem_operator: the CEM system's structure depends on the
-    # mesh alone
-    _cem_operator: object | None = field(default=None, repr=False,
-                                         compare=False)
-    # memo of phantom.background_layout: the background kernel's element
-    # order and blocks depend on the mesh alone
-    _background_layout: object | None = field(default=None, repr=False,
-                                              compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -209,19 +206,35 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    def derived(self, build):
+        """``build(self)``, built on first use and kept on the mesh.
+
+        Threads that find it missing may each build one; the first one
+        stored is the one every caller gets."""
+        value = self._memo.get(build)
+        if value is None:
+            value = self._memo.setdefault(build, build(self))
+        return value
+
     def centroids(self) -> np.ndarray:
-        """Per-triangle centroid positions, cached after first call."""
-        if self._centroids is None:
-            c = self.vertices[self.triangles].mean(axis=1)
-            object.__setattr__(self, "_centroids", c)
-        return self._centroids
+        """Per-triangle centroid positions, built once."""
+        return self.derived(_centroid_positions)
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return _signed_areas(self.vertices, self.triangles)
+
+
+def _centroid_positions(mesh: Mesh) -> np.ndarray:
+    return mesh.vertices[mesh.triangles].mean(axis=1)
+
+
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Triangle areas, positive for counter-clockwise vertex order."""
+    p = vertices[triangles]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
 
 
 def _dedupe_sorted(values: list[float], tol: float) -> list[float]:
@@ -334,70 +347,43 @@ def build_mesh(layout: ProbeLayout, target_edge_length: float) -> Mesh:
         )
 
     radii = _ring_radii(layout, h)
-    quarters = [[0.0]]  # ring 0 = origin placeholder
-    ring_start = [0]
+    # ring 0 is the origin; ring k > 0 is 4 copies of its quarter angles,
+    # each turned by pi/2, with vertex ids from starts[k] on
+    quarters = [[0.0]] + [_quarter_angles(layout, r, h) for r in radii[1:]]
+    sizes = np.array([1] + [4 * len(q) for q in quarters[1:]])
+    starts = np.cumsum(sizes) - sizes
     verts: list[tuple[float, float]] = [(0.0, 0.0)]
-    for r in radii[1:]:
-        q = _quarter_angles(layout, r, h)
-        ring_start.append(len(verts))
-        quarters.append(q)
+    for r, q in zip(radii[1:], quarters[1:]):
         for copy in range(4):
             for a in q:
                 ang = a + copy * _QUARTER
                 verts.append((r * math.cos(ang), r * math.sin(ang)))
-
-    n_rings = len(radii)
-
-    def quarter_ids(k: int) -> list[int]:
-        # quarter vertex ids including the pi/2 endpoint (first id of copy 1)
-        m = len(quarters[k])
-        s = ring_start[k]
-        return [s + t for t in range(m)] + [s + m]
-
-    def rotate(vid: int, copy: int) -> int:
-        if vid == 0:
-            return 0
-        k = ring_of[vid]
-        m = len(quarters[k])
-        s = ring_start[k]
-        return s + (vid - s + copy * m) % (4 * m)
-
-    ring_of = np.empty(len(verts), dtype=np.int32)
-    ring_of[0] = 0
-    for k in range(1, n_rings):
-        end = ring_start[k] + 4 * len(quarters[k])
-        ring_of[ring_start[k]:end] = k
-
-    quarter_tris: list[tuple[int, int, int]] = []
-    ids1 = quarter_ids(1)
-    for j in range(len(ids1) - 1):
-        quarter_tris.append((0, ids1[j], ids1[j + 1]))
-    for k in range(1, n_rings - 1):
-        a_ang = quarters[k] + [_QUARTER]
-        b_ang = quarters[k + 1] + [_QUARTER]
-        _merge_quarter(quarter_ids(k), a_ang, quarter_ids(k + 1), b_ang,
-                       quarter_tris)
-
-    tris: list[tuple[int, int, int]] = []
-    for copy in range(4):
-        for t in quarter_tris:
-            tris.append((rotate(t[0], copy), rotate(t[1], copy),
-                         rotate(t[2], copy)))
-
     vertices = np.array(verts, dtype=float)
-    triangles = np.array(tris, dtype=np.int32)
 
-    # enforce CCW orientation
-    p = vertices[triangles]
-    signed = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    flip = signed < 0
+    # quarter vertex ids including the pi/2 endpoint (first id of copy 1)
+    ids = [list(range(s, s + len(q) + 1))
+           for s, q in zip(starts.tolist(), quarters)]
+    quarter_tris = [(0, ids[1][j], ids[1][j + 1])
+                    for j in range(len(quarters[1]))]
+    for k in range(1, len(radii) - 1):
+        _merge_quarter(ids[k], quarters[k] + [_QUARTER],
+                       ids[k + 1], quarters[k + 1] + [_QUARTER], quarter_tris)
+
+    # copy c of vertex start + local on a ring of n vertices is
+    # start + (local + c n/4) % n; the origin (n = 1) stays put
+    tri = np.array(quarter_tris)
+    ring = np.repeat(np.arange(len(radii)), sizes)[tri]
+    start, size = starts[ring], sizes[ring]
+    copies = np.arange(4)[:, None, None]
+    triangles = (start + (tri - start + copies * (size // 4)) % size
+                 ).reshape(-1, 3).astype(np.int32)
+    flip = _signed_areas(vertices, triangles) < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    electrode_edges = _collect_electrode_edges(layout, radii, quarters,
-                                               ring_start, vertices)
+    ring_r = layout.outer_electrodes[0].radius
+    k_ring = next(k for k, r in enumerate(radii) if abs(r - ring_r) < 1e-9)
+    electrode_edges = _collect_electrode_edges(layout, quarters[k_ring],
+                                               int(starts[k_ring]))
     inner_vertex = _locate_inner_vertices(layout, vertices, h)
 
     mesh = Mesh(vertices=vertices, triangles=triangles,
@@ -406,45 +392,34 @@ def build_mesh(layout: ProbeLayout, target_edge_length: float) -> Mesh:
     return mesh
 
 
-def _collect_electrode_edges(layout, radii, quarters, ring_start, vertices):
-    ring_r = layout.outer_electrodes[0].radius
-    k_ring = next(k for k, r in enumerate(radii) if abs(r - ring_r) < 1e-9)
-    m = len(quarters[k_ring])
-    s = ring_start[k_ring]
-    n_ring = 4 * m
-    full_angles = [
-        quarters[k_ring][t % m] + (t // m) * _QUARTER for t in range(n_ring)
-    ]
-    edges_by_electrode: dict[int, list[tuple[int, int]]] = {
-        FIRST_OUTER + i: [] for i in range(len(layout.outer_electrodes))
-    }
-    for t in range(n_ring):
-        t2 = (t + 1) % n_ring
-        a1 = full_angles[t]
-        a2 = full_angles[t2] if t2 != 0 else _TWO_PI
-        mid = 0.5 * (a1 + a2)
-        for i, arc in enumerate(layout.outer_electrodes):
-            lo = arc.start_angle % _TWO_PI
-            hi = arc.end_angle % _TWO_PI
-            inside = (lo <= mid <= hi) if lo < hi else (mid >= lo or mid <= hi)
-            if inside:
-                edges_by_electrode[FIRST_OUTER + i].append((s + t, s + t2))
-                break
-    return {e: tuple(v) for e, v in edges_by_electrode.items()}
+def _collect_electrode_edges(layout, quarter, start):
+    """Each edge of the electrode ring (vertex ids from ``start`` on) goes
+    to the first arc that holds its mid-angle."""
+    m = len(quarter)
+    n = 4 * m
+    t = np.arange(n)
+    angle = np.array(quarter)[t % m] + (t // m) * _QUARTER
+    mid = (0.5 * (angle + np.append(angle[1:], _TWO_PI)))[:, None]
+    arcs = layout.outer_electrodes
+    lo = np.array([arc.start_angle % _TWO_PI for arc in arcs])
+    hi = np.array([arc.end_angle % _TWO_PI for arc in arcs])
+    # an arc across angle 0 has lo > hi
+    inside = np.where(lo < hi, (lo <= mid) & (mid <= hi),
+                      (mid >= lo) | (mid <= hi))
+    arc_of = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    edges = np.stack([start + t, start + (t + 1) % n], axis=1)
+    return {FIRST_OUTER + i: tuple(map(tuple, edges[arc_of == i].tolist()))
+            for i in range(len(arcs))}
 
 
 def _locate_inner_vertices(layout, vertices, h):
-    inner_vertex: dict[int, int] = {}
-    for e in range(1, len(layout.inner_electrodes) + 1):
-        p = layout.inner_position(e)
-        d = np.hypot(vertices[:, 0] - p[0], vertices[:, 1] - p[1])
-        v = int(np.argmin(d))
-        if d[v] > h:
-            raise MeshError(
-                f"no mesh vertex within {h} mm of inner electrode {e}"
-            )
-        inner_vertex[e] = v
-    return inner_vertex
+    offset = vertices - layout.inner_electrodes[:, None, :]  # (25, nv, 2)
+    d = np.hypot(offset[..., 0], offset[..., 1])
+    far = np.flatnonzero(d.min(axis=1) > h)
+    if far.size:
+        raise MeshError(
+            f"no mesh vertex within {h} mm of inner electrode {far[0] + 1}")
+    return {e + 1: int(v) for e, v in enumerate(d.argmin(axis=1))}
 
 
 def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
@@ -454,20 +429,21 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
         bad = int(np.argmin(areas))
         raise MeshError(f"triangle {bad} has non-positive area {areas[bad]}")
 
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    if any(c > 2 for c in edge_count.values()):
+    pairs = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    # each sorted pair read as one int64: unlike a * nv + b, a key no other
+    # pair shares (the indices passed the area check, so they fit int32)
+    keys = np.sort(pairs, axis=1).astype(np.int32).view(np.int64)
+    keys, count = np.unique(keys, return_counts=True)
+    mesh_edges = keys.view(np.int32).reshape(-1, 2)
+    if np.any(count > 2):
         raise MeshError("edge shared by more than two triangles")
     if layout is not None:
-        boundary = [e for e, c in edge_count.items() if c == 1]
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        for a, b in boundary:
-            if (abs(r[a] - layout.domain_radius) > 1e-6
-                    or abs(r[b] - layout.domain_radius) > 1e-6):
-                raise MeshError("boundary edge off the domain circle: mesh has holes")
+        boundary = mesh_edges[count == 1]
+        if np.any(np.abs(r[boundary] - layout.domain_radius) > 1e-6):
+            raise MeshError("boundary edge off the domain circle: mesh has holes")
+    # Python int pairs: an electrode edge read from a file may hold any int
+    edge_set = set(zip(*mesh_edges.T.tolist()))
 
     seen: set[tuple[int, int]] = set()
     for e, edges in mesh.electrode_edges.items():
@@ -477,7 +453,7 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
             key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise MeshError(f"electrode edge {key} assigned twice")
-            if key not in edge_count:
+            if key not in edge_set:
                 raise MeshError(f"electrode edge {key} is not a mesh edge")
             seen.add(key)
     if layout is not None and len(mesh.inner_vertex) != len(layout.inner_electrodes):

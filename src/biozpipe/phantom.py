@@ -158,13 +158,8 @@ def _build_layout(mesh: Mesh) -> BackgroundLayout:
 
 def background_layout(mesh: Mesh) -> BackgroundLayout:
     """The mesh's background-kernel layout, built on first use and kept on
-    the mesh.
-
-    Threads that find it missing may each build one; the builds are equal,
-    so whichever is kept gives the same fields."""
-    if mesh._background_layout is None:
-        object.__setattr__(mesh, "_background_layout", _build_layout(mesh))
-    return mesh._background_layout
+    the mesh."""
+    return mesh.derived(_build_layout)
 
 
 def synth_background(mesh: Mesh, model: TissueModel,

@@ -17,6 +17,7 @@ import numpy as np
 from .afua import (PARAM_NAMES, IntegrationConfig, NetworkParams, classify,
                    read_model_file, write_model_file)
 from .errors import ConfigError
+from .trainer import evaluate
 
 MIN_BITS = 3
 MAX_BITS = 16
@@ -99,8 +100,6 @@ def sweep(params: NetworkParams, test_set, bit_list,
     Returns rows of (label, accuracy) where label is the bit count or the
     literal "FP".
     """
-    from .trainer import evaluate  # local import avoids a cycle
-
     if not test_set:
         raise ConfigError("sweep needs a non-empty evaluation set")
     rows = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import biozpipe
-from biozpipe import cli
+from biozpipe import cli, fem
 
 
 def run_cli(args):
@@ -87,8 +87,10 @@ class TestUsageErrors:
         (["generate", "--n", "2", "--mesh-edge", "0.5"], '{"threads": true}',
          "threads"),
         (["generate"], '["seed"]', "not a JSON object"),
+        (["generate", "--split", "nan,0.5,0.5", "--n", "2"], None, "split"),
     ], ids=["split-flag", "split-two-fractions", "bits-flag",
-            "n_phantoms-str", "split-int", "threads-bool", "json-list"])
+            "n_phantoms-str", "split-int", "threads-bool", "json-list",
+            "split-nan"])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
                                               config, named):
         if config is not None:
@@ -306,9 +308,13 @@ class TestReruns:
     @pytest.mark.parametrize("config", [
         '{"saline_ms_per_m": NaN}', '{"contact_impedance_ohm_mm": 0}',
         '{"contact_impedance_ohm_mm": Infinity}', '{"learning_rate": NaN}',
-        '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}'],
+        '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}',
+        '{"rbf_width_mm": NaN}', '{"rbf_width_mm": Infinity}',
+        '{"rbf_width_mm": 1e-200}',
+        '{"saline_ms_per_m": 1%s}' % ("0" * 400)],
         ids=["saline-nan", "contact-zero", "contact-inf", "lr-nan",
-             "beta1-one", "beta2-above-one", "eps-negative"])
+             "beta1-one", "beta2-above-one", "eps-negative", "rbf-width-nan",
+             "rbf-width-inf", "rbf-width-underflow", "saline-int-overflow"])
     def test_config_file_value_fault_leaves_finished_run_untouched(
             self, tiny_run, tmp_path, capsys, config):
         run = self.finished_copy(tiny_run, tmp_path)
@@ -519,6 +525,19 @@ class TestMalformedInputs:
         assert code == 4
         assert f"error [eval]: {bundle}" in err
         assert "24 electrodes" in err
+
+    def test_reference_without_frame(self, tiny_run, tmp_path, capsys):
+        run = TestReruns.finished_copy(tiny_run, tmp_path)
+        (run / "reference.frame").write_bytes(b"")
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        labels = tmp_path / "labels.csv"
+        ids = [f.phantom_id for f in fem.load_frames(run / "frames.frame")]
+        labels.write_text("id,label\n" + "".join(f"{i},0\n" for i in ids))
+        code, err = self.eval_exit(capsys, run / "model.afua",
+                                   run / "frames.frame", run, labels)
+        assert code == 4
+        assert f"error [eval]: {run / 'reference.frame'}" in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     @pytest.mark.parametrize("content", [
         b"id,label\np00000,x\n", b"id,label\np00000,2\n",

@@ -1,10 +1,31 @@
+import hashlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from biozpipe import geometry as geo
 from biozpipe.errors import ConfigError, FormatError, MeshError
+
+
+# SHA-256 of build_mesh's output on the default probe (see mesh_digest),
+# recorded at commit e04a617
+MESH_DIGESTS = {
+    0.5: "0bc6a3072fbebe30fdfb550fc456d20d27ac465329c2c82cd3438e32a9c3f654",
+    0.3: "424413639f3a3b9ed66bbb8242a6957ee8a25a86e2f47fbcf8f9f12d32010043",
+    0.14: "48a0fee74f9de777511cb35d83e26534a4746514e16119d94cbade1637585748",
+}
+
+
+def mesh_digest(mesh):
+    h = hashlib.sha256()
+    for array in (mesh.vertices, mesh.triangles):
+        h.update(array.dtype.str.encode() + array.tobytes())
+    h.update(repr(sorted(mesh.electrode_edges.items())).encode())
+    h.update(repr(sorted(mesh.inner_vertex.items())).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +153,10 @@ class TestMesh:
         assert np.array_equal(m1.triangles, m2.triangles)
         assert m1.electrode_edges == m2.electrode_edges
 
+    @pytest.mark.parametrize("h", sorted(MESH_DIGESTS))
+    def test_mesh_bytes_pinned(self, layout, h):
+        assert mesh_digest(geo.build_mesh(layout, h)) == MESH_DIGESTS[h]
+
     def test_conforming(self, mesh):
         counts = {}
         for tri in mesh.triangles:
@@ -161,6 +186,25 @@ class TestMesh:
                        inner_vertex=mesh.inner_vertex)
         with pytest.raises(MeshError):
             geo.validate_mesh(bad)
+
+
+class TestDerived:
+    def test_racing_threads_share_the_first_result(self, mesh):
+        fresh = geo.Mesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                         electrode_edges=mesh.electrode_edges,
+                         inner_vertex=mesh.inner_vertex)
+        barrier = threading.Barrier(4, timeout=60)
+
+        def build(m):
+            # every thread builds before any result is stored
+            barrier.wait()
+            return object()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: fresh.derived(build), range(4),
+                                timeout=120))
+        assert all(g is got[0] for g in got)
+        assert fresh.derived(build) is got[0]
 
 
 class TestSerialization:
@@ -217,6 +261,21 @@ class TestSerialization:
             lines[at] = b" ".join(row)
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match=str(path)):
+            geo.load_mesh(path)
+
+    def test_electrode_edge_past_the_vertices_is_format_error(self, mesh,
+                                                              tmp_path):
+        # keyed as a * nv + b, (a - 1, nv + c) would pass for mesh edge (a, c)
+        path = tmp_path / "mesh.txt"
+        geo.save_mesh(mesh, path)
+        lines = path.read_text().split("\n")
+        at = next(k for k, ln in enumerate(lines)
+                  if ln.startswith("electrode_edges ")) + 1
+        e, a, c = (int(v) for v in lines[at].split())
+        a, c = min(a, c), max(a, c)
+        lines[at] = f"{e} {a - 1} {mesh.n_vertices + c}"
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match="is not a mesh edge"):
             geo.load_mesh(path)
 
     def test_v1_mesh_is_format_error(self, mesh, tmp_path):

@@ -176,7 +176,7 @@ class TestLayoutMemo:
         want = [self.field_bytes(fresh_copy(mesh), s) for s in self.SEEDS]
         geo.save_mesh(mesh, tmp_path / "mesh.txt")
         loaded = geo.load_mesh(tmp_path / "mesh.txt")
-        assert loaded._background_layout is None
+        assert phm._build_layout not in loaded._memo
         assert [self.field_bytes(loaded, s) for s in self.SEEDS] == want
 
     def test_threads_race_to_build(self, mesh):
