@@ -18,15 +18,24 @@ training, the quantized sweep and current mode all run, and ``predict`` is
 the one label rule.  ``afua_step`` and ``run_sequence`` step one sequence at
 a time: the reference for the tests.
 
-``unroll`` allocates its work arrays once per call and writes them in
-place.  With ``keep_records`` it returns them as the records of the whole
-unroll, five arrays ``(H, Z, C, Ht, G)`` of shape (T*S, B, n) for T held
-inputs of S substeps each: row ``k`` is substep ``k``, which holds input
-``k // S``.  ``H[k]`` is the state substep ``k`` started from, ``Z[k]`` the
-gate, ``C[k]`` the raw candidate, ``Ht[k]`` the candidate after the epsilon
-floor and ``G[k] = 1 - H[k] / Ht[k]``.  Z and C are the two halves of one
-(T*S, B, 2n) gate array.  Backpropagation (``trainer.gradients``) walks
-these rows in reverse, and current mode (``analog``) reads them at B = 1.
+Every logistic gate is ``sigmoid``, in its tanh form
+``0.5 + 0.5 * tanh(v / 2)`` clamped into the open range (0, 1).  ``unroll``
+folds the 1/2 into its stacked input and recurrent weights; halving is
+exact in binary, so its gates equal ``sigmoid`` of the full pre-activation
+bit for bit.
+
+``unroll`` writes its work arrays in place, allocated once per call or
+carved from a ``work`` dict that keeps them across calls (see
+``scratch``).  With ``keep_records`` it returns them as the records of the
+whole unroll, five arrays ``(H, Z, C, Ht, G)`` of shape (T*S, B, n) for T
+held inputs of S substeps each: row ``k`` is substep ``k``, which holds
+input ``k // S``.  ``H[k]`` is the state substep ``k`` started from, ``Z[k]``
+the gate, ``C[k]`` the raw candidate, ``Ht[k]`` the candidate after the
+epsilon floor and ``G[k] = 1 - H[k] / Ht[k]``.  Z and C are the two halves
+of one (T*S, B, 2n) gate array, ``scratch(work, "gates", ...)`` when
+``work`` is given.
+Backpropagation (``trainer.gradients``) walks these rows in reverse, and
+current mode (``analog``) reads them at B = 1.
 
 A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
 (``write_model_file`` / ``read_model_file``), with integer codes.
@@ -34,6 +43,7 @@ A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -114,27 +124,43 @@ class IntegrationConfig:
 # floats, which matters at batch 1.
 _SIG_FLOOR = np.array(np.nextafter(0.0, 1.0))
 _SIG_CEIL = np.array(np.nextafter(1.0, 0.0))
-_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
 _ONE = np.array(1.0)
 
 
+def _gate_of_half(u, out):
+    """``sigmoid(2 u)`` written into ``out``: the gate of a pre-activation
+    that is already halved."""
+    np.tanh(u, out=out)
+    np.multiply(out, _HALF, out=out)
+    np.add(out, _HALF, out=out)
+    np.maximum(out, _SIG_FLOOR, out=out)
+    return np.minimum(out, _SIG_CEIL, out=out)
+
+
 def sigmoid(v, out=None):
-    """Logistic function, numerically stable, with open range (0, 1).
+    """Logistic function ``0.5 + 0.5 * tanh(v / 2)``, with open range (0, 1).
 
     Writes into ``out`` when it is given, which may be ``v`` itself.  A
     scalar ``v`` gives a float.
     """
     v = np.asarray(v, dtype=float)
-    nonneg = np.greater_equal(v, _ZERO)
-    e = np.abs(v, out=np.empty_like(v) if out is None else out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.where(nonneg, _ONE, e)
-    np.add(_ONE, e, out=e)
-    np.divide(num, e, out=e)
-    np.maximum(e, _SIG_FLOOR, out=e)
-    np.minimum(e, _SIG_CEIL, out=e)
+    e = np.multiply(v, _HALF, out=np.empty_like(v) if out is None else out)
+    _gate_of_half(e, e)
     return float(e) if e.ndim == 0 else e
+
+
+def scratch(work, name, shape, dtype=float):
+    """An uninitialized array of ``shape``.  With a dict ``work`` it is a
+    view into ``work[name]``, a flat buffer that grows to the largest size
+    asked of it, so that calls on batches of one size reuse its pages."""
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def afua_step(x: np.ndarray, h: np.ndarray, params: NetworkParams,
@@ -178,14 +204,15 @@ def run_sequence(seq, params: NetworkParams,
 
 
 def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
-           keep_records: bool = False):
+           keep_records: bool = False, work: dict | None = None):
     """Euler unroll of a (B, T, D) batch with the gates stacked.
 
     Returns the final (B, n) states, the number of state entries the clamp
     moved, and the records ``(H, Z, C, Ht, G)``: five (T*S, B, n) arrays
     laid out as the module docstring says (``None`` unless
     ``keep_records``).  Without records the work arrays hold one held
-    input's S substeps and are reused.
+    input's S substeps and are reused.  The arrays come from ``work`` when
+    it is given, and the next call with the same ``work`` overwrites them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[2] != params.n_inputs:
@@ -196,19 +223,22 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
         raise ConfigError("dt must not exceed tau_h")
     B, T, _ = X.shape
     n, S = params.n_hidden, cfg.substeps_per_pattern
-    W_in = np.vstack([params.W_z, params.W]).T
-    U_rec = np.vstack([params.U_z, params.U]).T
+    # the gates' 1/2, folded in: sigmoid(v) = _gate_of_half(v / 2)
+    W_in = _HALF * np.vstack([params.W_z, params.W]).T
+    U_rec = _HALF * np.vstack([params.U_z, params.U]).T
     dt_tau = np.array(cfg.dt / params.tau_h)
     eps, top = np.array(cfg.epsilon), np.array(1.0 - cfg.epsilon)
     L = T * S if keep_records else S
-    Hs = np.empty((L + 1, B, n))  # Hs[k]: the state substep k starts from
-    gates = np.empty((L, B, 2 * n))
+    # Hs[k]: the state substep k starts from
+    Hs = scratch(work, "H", (L + 1, B, n))
+    gates = scratch(work, "gates", (L, B, 2 * n))
     Z, C = gates[:, :, :n], gates[:, :, n:]
-    Ht = np.empty((L, B, n))
-    G = np.empty((L, B, n))
-    x_in = np.empty((B, 2 * n))
-    free = np.empty((S, B, n))  # one held input's updates before the clamp
-    moved = np.empty((S, B, n), dtype=bool)
+    Ht = scratch(work, "Ht", (L, B, n))
+    G = scratch(work, "G", (L, B, n))
+    x_in = scratch(work, "x_in", (B, 2 * n))
+    # one held input's updates before the clamp
+    free = scratch(work, "free", (S, B, n))
+    moved = scratch(work, "moved", (S, B, n), dtype=bool)
     Hs[0] = H0
     clamped = last = 0
     for t in range(T):
@@ -222,7 +252,7 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
             u = free[j]
             np.matmul(h, U_rec, out=g)
             np.add(x_in, g, out=g)
-            sigmoid(g, out=g)
+            _gate_of_half(g, g)
             np.maximum(C[k], eps, out=ht)
             np.divide(h, ht, out=gg)
             np.subtract(_ONE, gg, out=gg)

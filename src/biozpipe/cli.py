@@ -107,13 +107,16 @@ class RunConfig:
             raise ConfigError("contact_impedance_ohm_mm must be nonzero")
         if not self.gain_per_mv > 0:
             raise ConfigError("gain_per_mv must be positive")
-        # the background kernel is exp(-d^2 / (2 w^2)): inside this range
-        # 1/(2 w^2) is finite and nonzero
-        if not 1e-150 < self.rbf_width_mm < 1e150:
-            raise ConfigError("rbf_width_mm must lie in (1e-150, 1e150)")
         self.tissue_model()
-        self.rbf()
+        try:
+            self.rbf()
+        except ConfigError as exc:
+            raise ConfigError(f"rbf_centers, rbf_width_mm: {exc}") from exc
         self.integration()
+        # every trained model has NetworkParams' default time constant
+        if self.dt > afua.NetworkParams.tau_h:
+            raise ConfigError(f"dt {self.dt!r} must not exceed tau_h "
+                              f"{afua.NetworkParams.tau_h!r}")
         self.train_config()
         try:
             datapipe.split_counts(self.n_phantoms, self.split)
@@ -124,6 +127,17 @@ class RunConfig:
                 quantizer.QuantSpec(total_bits=b, scales={})
             except ConfigError as exc:
                 raise ConfigError(f"bits: {exc}") from exc
+
+    def check_trainable(self) -> None:
+        """Raise ConfigError unless the split leaves train and validation
+        phantoms: a dataset that ``generate`` alone writes, for ``eval``,
+        may lack them, but one that is trained on may not."""
+        counts = datapipe.split_counts(self.n_phantoms, self.split)
+        if not counts[0] or not counts[1]:
+            raise ConfigError(
+                f"n_phantoms {self.n_phantoms} splits into {counts[0]} "
+                f"train and {counts[1]} validation phantoms; training "
+                "needs at least one of each")
 
     def tissue_model(self) -> phm.TissueModel:
         if self.model not in phm.TISSUE_MODELS:
@@ -495,6 +509,7 @@ def run_command(args) -> int:
     elif args.command == "eval":
         stage_eval(cfg, out, args.model_file, args.data, args.labels)
     elif args.command == "pipeline":
+        cfg.check_trainable()
         stage_generate(cfg, layout, out)
         split = _load_split(out)
         params = stage_train(cfg, out, split)

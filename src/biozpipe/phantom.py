@@ -75,8 +75,10 @@ class RbfNoiseConfig:
     def __post_init__(self):
         if self.n_centers < 1:
             raise ConfigError("n_centers must be >= 1")
-        if self.kernel_width <= 0:
-            raise ConfigError("kernel_width must be positive")
+        # the kernel is exp(-d^2 / (2 w^2)): inside this range 1/(2 w^2) is
+        # finite and nonzero
+        if not 1e-150 < self.kernel_width < 1e150:
+            raise ConfigError("kernel_width must lie in (1e-150, 1e150)")
 
 
 @dataclass(frozen=True)

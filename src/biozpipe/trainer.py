@@ -1,11 +1,21 @@
 """Full-precision training: cross-entropy, BPTT through the Euler unroll,
 Adam updates, and accuracy/confusion reporting.
 
-The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``;
-the backward pass walks its record arrays in reverse, one substep (row) at
-a time over the whole batch.
+The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``.
+The backward pass has the same form: it walks the records of ``unroll``
+in reverse, one substep (row) at a time over the whole batch, writing
+preallocated (B, n) and (B, 2n) workspaces in place.  Each substep takes
+one stacked gate derivative ``d * g * (1 - g)`` over the (B, 2n) gate row
+and one product with the stacked recurrent weights ``[U_z; U]``.  The
+stacked derivatives of one held input's S substeps fill an (S, B, 2n)
+block, and the four weight gradients take it once per held input: the
+input weights through its sum over the S substeps, and the recurrent
+weights as one (S*B)-row product with that input's state records.
 Clamps are treated as straight-through in the backward pass, so the
 gradients are the exact reverse-mode derivatives of the unclamped recursion.
+
+``train`` allocates the records and workspaces once, in a ``work`` dict
+that every one of its gradient calls and validation passes reuses.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .afua import (N_HIDDEN, PARAM_NAMES, IntegrationConfig, NetworkParams,
-                   head_batch, predict, unroll)
+                   head_batch, predict, scratch, unroll)
 from .datapipe import N_INPUTS, DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
@@ -55,9 +65,11 @@ class TrainReport:
     best_epoch: int = -1
 
 
-def _stack_steps(batch) -> np.ndarray:
-    return np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
-                     for s in batch])  # (B, T, D)
+def _stack_steps(batch, work=None) -> np.ndarray:
+    """The (B, T, D) float array of a non-empty batch."""
+    steps = [getattr(s, "steps", s) for s in batch]
+    return np.stack(steps, out=scratch(work, "X",
+                                       (len(steps), *np.shape(steps[0]))))
 
 
 def _labels(batch) -> np.ndarray:
@@ -71,28 +83,46 @@ def _loss_and_hits(P: np.ndarray, y: np.ndarray):
 
 
 def forward_probabilities(batch, params: NetworkParams,
-                          cfg: IntegrationConfig) -> np.ndarray:
-    """Class probabilities for a list of sequences, 256 at a time."""
+                          cfg: IntegrationConfig,
+                          work: dict | None = None) -> np.ndarray:
+    """Class probabilities for a list of sequences, 256 at a time, with
+    the arrays of ``work`` when it is given (see ``afua.scratch``)."""
     return np.concatenate([
-        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH]),
-                          params, cfg)[0], params)[0]
+        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH], work),
+                          params, cfg, work=work)[0], params)[0]
         for lo in range(0, len(batch), _EVAL_BATCH)])
 
 
+# OpenBLAS runs a product on one thread while m * n * k <= 2^18; past that
+# its bytes can depend on the BLAS thread count
+_ONE_THREAD_MNK = 2 ** 18
+
+
+def _add_gram(out, A, M):
+    """``out += A.T @ M``, in row blocks that each run on one BLAS thread,
+    so the sum has the same bytes at every BLAS thread count."""
+    rows = max(1, _ONE_THREAD_MNK // (A.shape[1] * M.shape[1]))
+    for lo in range(0, len(A), rows):
+        out += A[lo:lo + rows].T @ M[lo:lo + rows]
+
+
 def gradients(batch: list[InputSequence], params: NetworkParams,
-              cfg: IntegrationConfig):
+              cfg: IntegrationConfig, work: dict | None = None):
     """Mean-loss gradients via reverse-mode BPTT, plus the batch's loss
-    and hits as ``batch_loss_and_hits`` gives them."""
+    and hits as ``batch_loss_and_hits`` gives them.  The records and
+    workspaces come from ``work`` when it is given (see ``afua.scratch``)."""
     if not batch:
         raise ConfigError("gradient batch must be non-empty")
-    X, y = _stack_steps(batch), _labels(batch)
-    B = len(batch)
-    H_final, _, records = unroll(X, params, cfg, keep_records=True)
+    work = {} if work is None else work
+    X, y = _stack_steps(batch, work), _labels(batch)
+    B, T, _ = X.shape
+    n, S = params.n_hidden, cfg.substeps_per_pattern
+    H_final, _, (Hs, Z, _, Ht, G) = unroll(X, params, cfg,
+                                           keep_records=True, work=work)
+    gates = scratch(work, "gates", (T * S, B, 2 * n))  # [Z | C], as written
     P, A1, A2 = head_batch(H_final, params)
 
-    grads = {name: np.zeros_like(getattr(params, name))
-             for name in PARAM_NAMES}
-
+    grads = dict.fromkeys(PARAM_NAMES)
     # a diverging run overflows in here first; stop at the first non-finite
     # value instead of carrying NaN and inf through the remaining substeps
     try:
@@ -110,35 +140,48 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
             grads["fc1_b"] = dpre1.sum(axis=0)
             dH = dpre1 @ params.fc1_w
 
-            dt_tau = cfg.dt / params.tau_h
-            S = cfg.substeps_per_pattern
-            for k in reversed(range(len(records[0]))):
-                H_in, Z, C, Ht, G = (rec[k] for rec in records)
-                Xt = X[:, k // S, :]
-                # clamp on the updated state is straight-through
-                dZ = dH * dt_tau * G
-                dG = dH * dt_tau * Z
-                dHt = dG * (H_in / (Ht * Ht))
-                dC = dHt  # straight-through at the epsilon floor
-                dpre_c = dC * C * (1.0 - C)
-                dpre_z = dZ * Z * (1.0 - Z)
-                grads["W_z"] += dpre_z.T @ Xt
-                grads["U_z"] += dpre_z.T @ H_in
-                grads["W"] += dpre_c.T @ Xt
-                grads["U"] += dpre_c.T @ H_in
-                dH = dH - dG / Ht + dpre_z @ params.U_z + dpre_c @ params.U
+            dt_tau = np.array(cfg.dt / params.tau_h)
+            U_stack = np.vstack([params.U_z, params.U])  # (2n, n)
+            g_in = np.zeros((2 * n, X.shape[2]))  # [W_z; W]
+            g_rec = np.zeros((2 * n, n))  # [U_z; U]
+            a = np.empty((B, n))
+            dgate = np.empty((B, 2 * n))
+            # one held input's stacked pre-activation derivatives
+            D = scratch(work, "dpre", (S, B, 2 * n))
+            for t in reversed(range(T)):
+                k0 = t * S
+                for j in reversed(range(S)):
+                    k, d = k0 + j, D[j]
+                    np.multiply(dH, dt_tau, out=a)
+                    np.multiply(a, G[k], out=d[:, :n])  # dZ
+                    np.multiply(a, Z[k], out=a)  # dG
+                    np.divide(a, Ht[k], out=a)
+                    np.subtract(dH, a, out=dH)
+                    # dC = dG * H / Ht^2, straight-through at the epsilon floor
+                    np.multiply(a, Hs[k], out=d[:, n:])
+                    np.divide(d[:, n:], Ht[k], out=d[:, n:])
+                    # the stacked gate derivative d * g * (1 - g)
+                    np.multiply(d, gates[k], out=d)
+                    np.subtract(1.0, gates[k], out=dgate)
+                    np.multiply(d, dgate, out=d)
+                    np.matmul(d, U_stack, out=a)
+                    np.add(dH, a, out=dH)
+                _add_gram(g_in, D.sum(axis=0), X[:, t, :])
+                _add_gram(g_rec, D.reshape(S * B, 2 * n),
+                          Hs[k0:k0 + S].reshape(S * B, n))
     except FloatingPointError as exc:
         raise NumericalError(f"non-finite backward state: {exc}") from exc
 
+    grads.update(W_z=g_in[:n], W=g_in[n:], U_z=g_rec[:n], U=g_rec[n:])
     for name, gmat in grads.items():
         if not np.all(np.isfinite(gmat)):
             raise NumericalError(f"non-finite gradient in {name}")
     return (grads, *_loss_and_hits(P, y))
 
 
-def batch_loss_and_hits(batch, params, cfg):
+def batch_loss_and_hits(batch, params, cfg, work=None):
     """Mean cross-entropy and correct-label count, forward pass only."""
-    return _loss_and_hits(forward_probabilities(batch, params, cfg),
+    return _loss_and_hits(forward_probabilities(batch, params, cfg, work),
                           _labels(batch))
 
 
@@ -200,6 +243,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
     best_params = params
 
     n = len(train_set)
+    work = {}  # records and workspaces, reused by every unroll
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -208,7 +252,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
         for lo in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
             try:
-                grads, bl, hits = gradients(batch, params, cfg)
+                grads, bl, hits = gradients(batch, params, cfg, work)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}: {exc}") from exc
@@ -233,7 +277,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
                 f"in all {len(range(0, n, config.batch_size))} batches "
                 "(dead ReLU head)")
 
-        vl, vhits = batch_loss_and_hits(val_set, params, cfg)
+        vl, vhits = batch_loss_and_hits(val_set, params, cfg, work)
         report.train_loss.append(epoch_loss / n)
         report.train_acc.append(epoch_hits / n)
         report.val_loss.append(vl)

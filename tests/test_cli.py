@@ -202,6 +202,7 @@ class TestReruns:
         assert manifests[0] == manifests[1]
 
     def test_blas_threads_do_not_change_manifest(self, tmp_path):
+        # every stage, model bytes included; generate on the finer mesh
         src = str(Path(biozpipe.__file__).resolve().parents[1])
         manifests = []
         for blas in ("1", "2"):
@@ -209,9 +210,8 @@ class TestReruns:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
                    "PYTHONPATH": src}
             proc = subprocess.run(
-                [sys.executable, "-m", "biozpipe.cli", "generate",
-                 "--n", "24", "--mesh-edge", "0.14", "--threads", "2",
-                 "--out", str(out)],
+                [sys.executable, "-m", "biozpipe.cli", *TINY_PIPELINE,
+                 "--mesh-edge", "0.14", "--threads", "2", "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             manifests.append((out / "manifest.json").read_bytes())
@@ -324,6 +324,23 @@ class TestReruns:
                         "--n", "12", "--epochs", "2", "--mesh-edge", "0.3",
                         "--out", str(run)]) == 2
         assert next(iter(json.loads(config))) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("config, named", [
+        ('{"dt": 2.0, "n_phantoms": 12}', "dt"),
+        ('{"n_phantoms": 2}', "n_phantoms")],
+        ids=["dt-above-tau_h", "n_phantoms-empty-validation"])
+    def test_training_fault_exit_2_leaves_finished_run_untouched(
+            self, tiny_run, tmp_path, capsys, config, named):
+        # each passed the configuration check and failed only in train,
+        # after generate had replaced the finished run's files
+        run = self.finished_copy(tiny_run, tmp_path)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        (tmp_path / "c.json").write_text(config)
+        assert run_cli(["pipeline", "--config", str(tmp_path / "c.json"),
+                        "--epochs", "2", "--mesh-edge", "0.3",
+                        "--out", str(run)]) == 2
+        assert named in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_dead_head_train_exit_3_names_the_epoch(self, tiny_run, tmp_path,

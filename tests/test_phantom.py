@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import biozpipe
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
-from biozpipe.errors import NumericalError
+from biozpipe.errors import ConfigError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,14 @@ def wide_layout():
     return geo.build_probe_layout(geo.GeometryConfig(
         domain_radius=6.0, ring_radius=5.0, grid_pitch=1.5,
         sensing_radius=3.75))
+
+
+class TestRbfNoiseConfig:
+    @pytest.mark.parametrize("width", [1e-200, 1e200, 0.0, -1.0])
+    def test_width_outside_the_kernels_range_raises(self, width):
+        # 1/(2 w^2) would be infinite at 1e-200 and zero at 1e200
+        with pytest.raises(ConfigError, match="kernel_width"):
+            phm.RbfNoiseConfig(kernel_width=width)
 
 
 class TestBackground:

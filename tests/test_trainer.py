@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biozpipe import afua, datapipe as dp, trainer
 from biozpipe.afua import IntegrationConfig, NetworkParams
 from biozpipe.errors import ConfigError, NumericalError
+from test_afua import reference_unroll
 
 
 def rand_params(n_hidden, n_inputs, seed, scale=0.5):
@@ -50,6 +58,47 @@ def make_dataset(n, seed, separation=1.2):
         seqs.append(dp.InputSequence(steps=steps, label=y,
                                      provenance=f"p{i:05d}"))
     return seqs
+
+
+def reference_gradients(batch, params, cfg):
+    """``trainer.gradients`` one substep at a time: separate gate
+    derivatives, four weight products and four sums per substep, on the
+    records of ``reference_unroll``."""
+    X = np.stack([s.steps for s in batch])
+    y = np.array([s.label for s in batch])
+    B = len(batch)
+    H_final, _, records = reference_unroll(X, params, cfg, keep_records=True)
+    P, A1, A2 = afua.head_batch(H_final, params)
+    grads = {name: np.zeros_like(mat)
+             for name, mat in params.matrices().items()}
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        dA2 = P.copy()
+        dA2[np.arange(B), y] -= 1.0
+        dA2 /= B
+        dpre2 = dA2 * (A2 > 0.0)
+        grads["fc2_w"] = dpre2.T @ A1
+        grads["fc2_b"] = dpre2.sum(axis=0)
+        dA1 = dpre2 @ params.fc2_w
+        dpre1 = dA1 * A1 * (1.0 - A1)
+        grads["fc1_w"] = dpre1.T @ H_final
+        grads["fc1_b"] = dpre1.sum(axis=0)
+        dH = dpre1 @ params.fc1_w
+        dt_tau = cfg.dt / params.tau_h
+        for t, H_in, Z, C, Ht, G in reversed(records):
+            Xt = X[:, t, :]
+            # the clamp on the updated state is straight-through
+            dZ = dH * dt_tau * G
+            dG = dH * dt_tau * Z
+            dHt = dG * (H_in / (Ht * Ht))
+            dC = dHt  # straight-through at the epsilon floor
+            dpre_c = dC * C * (1.0 - C)
+            dpre_z = dZ * Z * (1.0 - Z)
+            grads["W_z"] += dpre_z.T @ Xt
+            grads["U_z"] += dpre_z.T @ H_in
+            grads["W"] += dpre_c.T @ Xt
+            grads["U"] += dpre_c.T @ H_in
+            dH = dH - dG / Ht + dpre_z @ params.U_z + dpre_c @ params.U
+    return grads
 
 
 class TestLoss:
@@ -126,6 +175,73 @@ class TestGradients:
                 got = grads[name][ix]
                 rel = abs(fd - got) / max(abs(fd), abs(got), 1e-8)
                 assert rel <= 1e-4, f"{name}[{ix}]: bp {got} vs fd {fd}"
+
+    # max |gradients - reference| over max |reference|, per matrix; below
+    # the smallest normal number a float keeps no relative precision
+    REFERENCE_REL = 1e-12
+    TINY = np.finfo(float).tiny
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(batch=st.one_of(st.just(1), st.integers(2, 40),
+                           st.integers(257, 300)),
+           steps=st.integers(0, 4), substeps=st.integers(1, 4),
+           n_hidden=st.integers(1, 8), n_inputs=st.integers(1, 6),
+           scale=st.sampled_from([0.5, 5.0, 300.0]),
+           dt=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, batch, steps, substeps, n_hidden,
+                               n_inputs, scale, dt, seed):
+        p = rand_params(n_hidden, n_inputs, seed=seed, scale=scale)
+        cfg = IntegrationConfig(substeps_per_pattern=substeps, dt=dt)
+        seqs = toy_batch(batch, np.random.default_rng(seed), n_steps=steps,
+                         n_inputs=n_inputs)
+        got, _, _ = trainer.gradients(seqs, p, cfg)
+        want = reference_gradients(seqs, p, cfg)
+        assert list(got) == list(want)
+        for name, mat in want.items():
+            assert got[name].shape == mat.shape, name
+            err = np.max(np.abs(got[name] - mat), initial=0.0)
+            assert err <= self.REFERENCE_REL * np.max(np.abs(mat),
+                                                      initial=0.0) \
+                + self.TINY, name
+
+    def test_reused_work_gives_the_same_bits(self):
+        # batches of two sizes through one work dict, as train passes them
+        cfg = IntegrationConfig(substeps_per_pattern=3, dt=0.1)
+        p = rand_params(5, 4, seed=3)
+        rng = np.random.default_rng(4)
+        work = {}
+        for size in (7, 3, 7):
+            seqs = toy_batch(size, rng, n_steps=3, n_inputs=4)
+            fresh, bl, hits = trainer.gradients(seqs, p, cfg)
+            reused, bl2, hits2 = trainer.gradients(seqs, p, cfg, work)
+            assert (bl, hits) == (bl2, hits2)
+            for name in fresh:
+                assert np.array_equal(fresh[name], reused[name]), name
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # 300 sequences of 10 substeps: 3000 rows per held input, past
+        # where a single product would run on two BLAS threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from biozpipe import trainer, datapipe as dp\n"
+            "rng = np.random.default_rng(5)\n"
+            "seqs = [dp.InputSequence(rng.uniform(-1, 1, (28, 25)), i % 2,"
+            " str(i)) for i in range(300)]\n"
+            "g, _, _ = trainer.gradients(seqs, trainer.init_params(1),"
+            " trainer.IntegrationConfig())\n"
+            "print(hashlib.sha256(b''.join(m.tobytes() for m in"
+            " g.values())).hexdigest())\n")
+        src = str(Path(afua.__file__).resolve().parents[1])
+        digests = set()
+        for blas in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                   "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     def test_duplicated_batch_same_mean_gradient(self):
         rng = np.random.default_rng(8)
