@@ -24,16 +24,14 @@ folds the 1/2 into its stacked input and recurrent weights; halving is
 exact in binary, so its gates equal ``sigmoid`` of the full pre-activation
 bit for bit.
 
-``unroll`` writes its work arrays in place, allocated once per call or
-carved from a ``work`` dict that keeps them across calls (see
-``scratch``).  With ``keep_records`` it returns them as the records of the
-whole unroll, five arrays ``(H, Z, C, Ht, G)`` of shape (T*S, B, n) for T
-held inputs of S substeps each: row ``k`` is substep ``k``, which holds
-input ``k // S``.  ``H[k]`` is the state substep ``k`` started from, ``Z[k]``
-the gate, ``C[k]`` the raw candidate, ``Ht[k]`` the candidate after the
-epsilon floor and ``G[k] = 1 - H[k] / Ht[k]``.  Z and C are the two halves
-of one (T*S, B, 2n) gate array, ``scratch(work, "gates", ...)`` when
-``work`` is given.
+``unroll`` allocates its work arrays once per call and writes them in
+place.  With ``keep_records`` it returns them as the records of the whole
+unroll, four arrays ``(H, gates, Ht, G)`` for T held inputs of S substeps
+each: row ``k`` is substep ``k``, which holds input ``k // S``.  ``H[k]``
+(T*S, B, n) is the state substep ``k`` started from; ``gates[k]``
+(T*S, B, 2n) stacks the gate ``Z[k]`` in its first n columns and the raw
+candidate ``C[k]`` in its last n; ``Ht[k]`` (T*S, B, n) is the candidate
+after the epsilon floor and ``G[k] = 1 - H[k] / Ht[k]`` (T*S, B, n).
 Backpropagation (``trainer.gradients``) walks these rows in reverse, and
 current mode (``analog``) reads them at B = 1.
 
@@ -43,7 +41,6 @@ A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -141,26 +138,16 @@ def _gate_of_half(u, out):
 def sigmoid(v, out=None):
     """Logistic function ``0.5 + 0.5 * tanh(v / 2)``, with open range (0, 1).
 
-    Writes into ``out`` when it is given, which may be ``v`` itself.  A
-    scalar ``v`` gives a float.
+    Accurate to 1.2e-16 in absolute terms, not in relative ones: near 0
+    the result moves in steps of 2^-54 (5.6e-17), so from v = -38 on,
+    where the true value is below 3.2e-17, it is the floor.  Writes into
+    ``out`` when it is given, which may be ``v`` itself.  A scalar ``v``
+    gives a float.
     """
     v = np.asarray(v, dtype=float)
     e = np.multiply(v, _HALF, out=np.empty_like(v) if out is None else out)
     _gate_of_half(e, e)
     return float(e) if e.ndim == 0 else e
-
-
-def scratch(work, name, shape, dtype=float):
-    """An uninitialized array of ``shape``.  With a dict ``work`` it is a
-    view into ``work[name]``, a flat buffer that grows to the largest size
-    asked of it, so that calls on batches of one size reuse its pages."""
-    if work is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = work.get(name)
-    if buf is None or buf.size < size:
-        buf = work[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
 
 
 def afua_step(x: np.ndarray, h: np.ndarray, params: NetworkParams,
@@ -204,15 +191,13 @@ def run_sequence(seq, params: NetworkParams,
 
 
 def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
-           keep_records: bool = False, work: dict | None = None):
+           keep_records: bool = False):
     """Euler unroll of a (B, T, D) batch with the gates stacked.
 
     Returns the final (B, n) states, the number of state entries the clamp
-    moved, and the records ``(H, Z, C, Ht, G)``: five (T*S, B, n) arrays
-    laid out as the module docstring says (``None`` unless
-    ``keep_records``).  Without records the work arrays hold one held
-    input's S substeps and are reused.  The arrays come from ``work`` when
-    it is given, and the next call with the same ``work`` overwrites them.
+    moved, and the records ``(H, gates, Ht, G)`` laid out as the module
+    docstring says (``None`` unless ``keep_records``).  Without records
+    the work arrays hold one held input's S substeps and are reused.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[2] != params.n_inputs:
@@ -229,16 +214,14 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
     dt_tau = np.array(cfg.dt / params.tau_h)
     eps, top = np.array(cfg.epsilon), np.array(1.0 - cfg.epsilon)
     L = T * S if keep_records else S
-    # Hs[k]: the state substep k starts from
-    Hs = scratch(work, "H", (L + 1, B, n))
-    gates = scratch(work, "gates", (L, B, 2 * n))
+    Hs = np.empty((L + 1, B, n))  # Hs[k]: the state substep k starts from
+    gates = np.empty((L, B, 2 * n))
     Z, C = gates[:, :, :n], gates[:, :, n:]
-    Ht = scratch(work, "Ht", (L, B, n))
-    G = scratch(work, "G", (L, B, n))
-    x_in = scratch(work, "x_in", (B, 2 * n))
-    # one held input's updates before the clamp
-    free = scratch(work, "free", (S, B, n))
-    moved = scratch(work, "moved", (S, B, n), dtype=bool)
+    Ht = np.empty((L, B, n))
+    G = np.empty((L, B, n))
+    x_in = np.empty((B, 2 * n))
+    free = np.empty((S, B, n))  # one held input's updates before the clamp
+    moved = np.empty((S, B, n), dtype=bool)
     Hs[0] = H0
     clamped = last = 0
     for t in range(T):
@@ -267,7 +250,7 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
         # a non-finite value stays non-finite through every later substep
         if not np.isfinite(Hs[last]).all():
             raise NumericalError(f"step {t}: non-finite state value")
-    records = (Hs[:L], Z, C, Ht, G) if keep_records else None
+    records = (Hs[:L], gates, Ht, G) if keep_records else None
     return Hs[last], clamped, records
 
 

@@ -50,13 +50,13 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     if I_unit <= 0:
         raise ConfigError("I_unit must be positive")
     steps = np.asarray(getattr(x_sequence, "steps", x_sequence), dtype=float)
-    H, clamped, (H_rec, Z, _, Ht, _) = unroll(steps[None], params, cfg,
-                                              keep_records=True)
+    H, clamped, (H_rec, gates, Ht, _) = unroll(steps[None], params, cfg,
+                                               keep_records=True)
     # H_rec[k] is the state substep k started from; the trajectory is the
     # state after each substep
     h_after = np.concatenate((H_rec, H[None]))[1:, 0]
     return CurrentTrajectory(
-        I_h=I_unit * h_after, I_z=I_unit * Z[:, 0],
+        I_h=I_unit * h_after, I_z=I_unit * gates[:, 0, :params.n_hidden],
         I_htilde=I_unit * Ht[:, 0],
         I_unit=I_unit, clamped_substeps=clamped)
 

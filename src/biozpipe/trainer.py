@@ -13,9 +13,6 @@ input weights through its sum over the S substeps, and the recurrent
 weights as one (S*B)-row product with that input's state records.
 Clamps are treated as straight-through in the backward pass, so the
 gradients are the exact reverse-mode derivatives of the unclamped recursion.
-
-``train`` allocates the records and workspaces once, in a ``work`` dict
-that every one of its gradient calls and validation passes reuses.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .afua import (N_HIDDEN, PARAM_NAMES, IntegrationConfig, NetworkParams,
-                   head_batch, predict, scratch, unroll)
+                   head_batch, predict, unroll)
 from .datapipe import N_INPUTS, DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
@@ -65,11 +62,9 @@ class TrainReport:
     best_epoch: int = -1
 
 
-def _stack_steps(batch, work=None) -> np.ndarray:
-    """The (B, T, D) float array of a non-empty batch."""
-    steps = [getattr(s, "steps", s) for s in batch]
-    return np.stack(steps, out=scratch(work, "X",
-                                       (len(steps), *np.shape(steps[0]))))
+def _stack_steps(batch) -> np.ndarray:
+    return np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
+                     for s in batch])  # (B, T, D)
 
 
 def _labels(batch) -> np.ndarray:
@@ -83,13 +78,11 @@ def _loss_and_hits(P: np.ndarray, y: np.ndarray):
 
 
 def forward_probabilities(batch, params: NetworkParams,
-                          cfg: IntegrationConfig,
-                          work: dict | None = None) -> np.ndarray:
-    """Class probabilities for a list of sequences, 256 at a time, with
-    the arrays of ``work`` when it is given (see ``afua.scratch``)."""
+                          cfg: IntegrationConfig) -> np.ndarray:
+    """Class probabilities for a list of sequences, 256 at a time."""
     return np.concatenate([
-        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH], work),
-                          params, cfg, work=work)[0], params)[0]
+        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH]),
+                          params, cfg)[0], params)[0]
         for lo in range(0, len(batch), _EVAL_BATCH)])
 
 
@@ -107,19 +100,16 @@ def _add_gram(out, A, M):
 
 
 def gradients(batch: list[InputSequence], params: NetworkParams,
-              cfg: IntegrationConfig, work: dict | None = None):
+              cfg: IntegrationConfig):
     """Mean-loss gradients via reverse-mode BPTT, plus the batch's loss
-    and hits as ``batch_loss_and_hits`` gives them.  The records and
-    workspaces come from ``work`` when it is given (see ``afua.scratch``)."""
+    and hits as ``batch_loss_and_hits`` gives them."""
     if not batch:
         raise ConfigError("gradient batch must be non-empty")
-    work = {} if work is None else work
-    X, y = _stack_steps(batch, work), _labels(batch)
+    X, y = _stack_steps(batch), _labels(batch)
     B, T, _ = X.shape
     n, S = params.n_hidden, cfg.substeps_per_pattern
-    H_final, _, (Hs, Z, _, Ht, G) = unroll(X, params, cfg,
-                                           keep_records=True, work=work)
-    gates = scratch(work, "gates", (T * S, B, 2 * n))  # [Z | C], as written
+    H_final, _, (Hs, gates, Ht, G) = unroll(X, params, cfg, keep_records=True)
+    Z = gates[:, :, :n]
     P, A1, A2 = head_batch(H_final, params)
 
     grads = dict.fromkeys(PARAM_NAMES)
@@ -147,7 +137,7 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
             a = np.empty((B, n))
             dgate = np.empty((B, 2 * n))
             # one held input's stacked pre-activation derivatives
-            D = scratch(work, "dpre", (S, B, 2 * n))
+            D = np.empty((S, B, 2 * n))
             for t in reversed(range(T)):
                 k0 = t * S
                 for j in reversed(range(S)):
@@ -179,9 +169,9 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     return (grads, *_loss_and_hits(P, y))
 
 
-def batch_loss_and_hits(batch, params, cfg, work=None):
+def batch_loss_and_hits(batch, params, cfg):
     """Mean cross-entropy and correct-label count, forward pass only."""
-    return _loss_and_hits(forward_probabilities(batch, params, cfg, work),
+    return _loss_and_hits(forward_probabilities(batch, params, cfg),
                           _labels(batch))
 
 
@@ -243,7 +233,6 @@ def train(splits: DatasetSplit, config: TrainConfig,
     best_params = params
 
     n = len(train_set)
-    work = {}  # records and workspaces, reused by every unroll
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -252,7 +241,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
         for lo in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
             try:
-                grads, bl, hits = gradients(batch, params, cfg, work)
+                grads, bl, hits = gradients(batch, params, cfg)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}: {exc}") from exc
@@ -277,7 +266,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
                 f"in all {len(range(0, n, config.batch_size))} batches "
                 "(dead ReLU head)")
 
-        vl, vhits = batch_loss_and_hits(val_set, params, cfg, work)
+        vl, vhits = batch_loss_and_hits(val_set, params, cfg)
         report.train_loss.append(epoch_loss / n)
         report.train_acc.append(epoch_hits / n)
         report.val_loss.append(vl)

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,26 @@ class TestSigmoid:
 
     def test_reference_value(self):
         assert afua.sigmoid(2.0) == pytest.approx(0.880797077978, abs=1e-10)
+
+    # the tanh form's absolute error bound; the worst measured, 1.07e-16,
+    # is where the ceiling 1 - 2^-53 stands in for values nearer 1
+    EXACT_ABS = 1.2e-16
+
+    def test_matches_exact_logistic_in_absolute_terms(self):
+        ctx = decimal.Context(prec=50)
+
+        def exact(x):  # 1 / (1 + e^-x) to 50 digits, in a stable form
+            e = ctx.exp(ctx.create_decimal_from_float(-abs(x)))
+            p = ctx.divide(1, ctx.add(1, e))
+            return p if x >= 0 else ctx.subtract(1, p)
+
+        rng = np.random.default_rng(11)
+        v = np.concatenate([np.linspace(-745.0, 40.0, 4001),
+                            rng.uniform(-40.0, 40.0, 4000),
+                            rng.uniform(-3.0, 3.0, 2000)])
+        err = [abs(ctx.create_decimal_from_float(got) - exact(x))
+               for got, x in zip(afua.sigmoid(v).tolist(), v.tolist())]
+        assert float(max(err)) <= self.EXACT_ABS
 
     def test_open_range_even_when_saturated(self):
         assert 0.0 < afua.sigmoid(-800.0) < afua.sigmoid(40.0) < 1.0
@@ -219,6 +241,10 @@ def assert_unroll_matches_reference(X, params, cfg, keep_records):
         return clamped
     S = cfg.substeps_per_pattern
     assert [rec[0] for rec in ref] == [k // S for k in range(len(ref))]
+    H_rec, gates, Ht, G = records
+    n = H.shape[1]
+    assert gates.shape[2] == 2 * n
+    records = (H_rec, gates[:, :, :n], gates[:, :, n:], Ht, G)
     for got, i in zip(records, range(1, 6)):  # H, Z, C, Ht, G
         want = (np.stack([rec[i] for rec in ref]) if ref
                 else np.empty((0, *H.shape)))
@@ -257,8 +283,7 @@ class TestUnrollReference:
         X = np.random.default_rng(batch).uniform(-1, 1, (batch, 4, 5))
         assert assert_unroll_matches_reference(X, p, cfg,
                                                keep_records) > 0  # clamped
-        _, _, (_, Z, C, _, _) = afua.unroll(X, p, cfg, keep_records=True)
-        gates = np.concatenate((Z, C), axis=2)
+        _, _, (_, gates, _, _) = afua.unroll(X, p, cfg, keep_records=True)
         assert np.any(gates == np.nextafter(0.0, 1.0))
         assert np.any(gates == np.nextafter(1.0, 0.0))
 

@@ -205,20 +205,6 @@ class TestGradients:
                                                       initial=0.0) \
                 + self.TINY, name
 
-    def test_reused_work_gives_the_same_bits(self):
-        # batches of two sizes through one work dict, as train passes them
-        cfg = IntegrationConfig(substeps_per_pattern=3, dt=0.1)
-        p = rand_params(5, 4, seed=3)
-        rng = np.random.default_rng(4)
-        work = {}
-        for size in (7, 3, 7):
-            seqs = toy_batch(size, rng, n_steps=3, n_inputs=4)
-            fresh, bl, hits = trainer.gradients(seqs, p, cfg)
-            reused, bl2, hits2 = trainer.gradients(seqs, p, cfg, work)
-            assert (bl, hits) == (bl2, hits2)
-            for name in fresh:
-                assert np.array_equal(fresh[name], reused[name]), name
-
     def test_bytes_do_not_depend_on_blas_threads(self):
         # 300 sequences of 10 substeps: 3000 rows per held input, past
         # where a single product would run on two BLAS threads
