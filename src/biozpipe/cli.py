@@ -1,10 +1,13 @@
 """Command-line entry point chaining the full pipeline.
 
-Subcommands: generate, train, quantize, eval, budget, and pipeline (the
-end-to-end chain).  All outputs land under the run directory together with
-a manifest of file hashes; re-running with the same configuration must
-reproduce every hash.  Files of a run directory, by the stage that writes
-them; every command but budget also rewrites manifest.json:
+Subcommands: the stage commands generate, train, quantize, eval and budget,
+and pipeline, which runs them in that order, eval on the held-out split.
+Each stage reads its inputs from the run directory, so a pipeline run
+writes what ``generate; train; quantize`` write.  All outputs land under
+the run directory together with a manifest of file hashes; re-running with
+the same configuration must reproduce every hash.  Files of a run
+directory, by the stage that writes them; every command but budget also
+rewrites manifest.json:
 
     generate   geometry.txt, mesh.txt (format v2), reference.frame,
                phantoms.csv (index, seed, inclusion and label: make_phantom
@@ -33,7 +36,9 @@ run input and are left in place.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 I/O or file-format failure, which covers any malformed model, quantized
-model, dataset, frames or layout file.
+model, dataset, frames or layout file.  The error message names the stage
+that failed (``error [train]: ...``), also inside pipeline; a configuration
+fault, found before any stage runs, names the command.
 """
 
 from __future__ import annotations
@@ -55,6 +60,27 @@ from .errors import (BiozError, ConfigError, FormatError, MeshError,
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+# upper bounds on the sizes a run commits, sized at the defaults (h = 0.14
+# mm, 3200 triangles; batch 100).  epochs needs none: an epoch commits only
+# time and four floats of the curve, and train writes nothing until it ends,
+# so stopping a long run leaves the run directory as it was.
+MAX_SIZES = {
+    # each phantom's conductivities (3200 x 16 B = 51 KB) stay in memory
+    # through generate: 0.5 GB at 10 000, 6.7x the paper's 1500
+    "n_phantoms": 10_000,
+    # each pool thread holds one phantom in flight, about 4 MB (synthesis,
+    # solve and its LU factor; 24 MB at the rbf_centers bound); threads
+    # beyond the cores only queue
+    "threads": 32,
+    # synthesis takes about 1.1 KB per center per pool thread: 22 MB at
+    # 20 000, 15x the default 1300
+    "rbf_centers": 20_000,
+    # a training batch keeps 28 x substeps records of 640 B per sequence:
+    # 179 MB at 100, 10x the default
+    "substeps": 100,
+}
 
 
 @dataclass(frozen=True)
@@ -99,6 +125,10 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        for name, most in MAX_SIZES.items():
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} {getattr(self, name)} exceeds "
+                                  f"its bound {most}")
         if not self.mesh_edge_mm > 0:
             raise ConfigError("mesh_edge_mm must be positive")
         if not self.saline_ms_per_m > 0:
@@ -124,7 +154,7 @@ class RunConfig:
             raise ConfigError(f"split: {exc}") from exc
         for b in self.bits:
             try:
-                quantizer.QuantSpec(total_bits=b, scales={})
+                quantizer.check_bits(b)
             except ConfigError as exc:
                 raise ConfigError(f"bits: {exc}") from exc
 
@@ -208,7 +238,7 @@ def resolve_config(args) -> RunConfig:
 
 
 def _layout(args) -> geo.ProbeLayout:
-    if getattr(args, "geometry", None):
+    if args.geometry:
         return geo.load_layout(args.geometry)
     return geo.build_probe_layout()
 
@@ -321,20 +351,19 @@ def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
     print(f"confusion (rows true, cols predicted):\n{confusion}")
 
 
-def stage_train(cfg: RunConfig, out: Path, split: datapipe.DatasetSplit):
-    params, report = trainer.train(split, cfg.train_config(),
+def stage_train(cfg: RunConfig, out: Path):
+    params, report = trainer.train(_load_split(out), cfg.train_config(),
                                    cfg.integration())
     _clear_outputs(out, "train")
     afua.save_model(params, cfg.integration(), out / "model.afua")
     trainer.save_training_curve(report, out / "training_curve.csv")
     print(f"trained {cfg.epochs} epochs; best epoch {report.best_epoch} "
           f"(validation accuracy {max(report.val_acc):.4f})")
-    return params
 
 
-def stage_quantize(cfg: RunConfig, out: Path, split: datapipe.DatasetSplit,
-                   params, icfg):
-    _, eval_set = _heldout(split)
+def stage_quantize(cfg: RunConfig, out: Path):
+    params, icfg = afua.load_model(out / "model.afua")
+    _, eval_set = _heldout(_load_split(out))
     rows = quantizer.sweep(params, eval_set, cfg.bits, icfg)
     _clear_outputs(out, "quantize")
     quantizer.save_sweep_csv(rows, out / "sweep.csv")
@@ -378,10 +407,10 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
                          f"evaluated {len(seqs)} sequences:")
 
 
-def stage_eval_heldout(cfg: RunConfig, out: Path,
-                       split: datapipe.DatasetSplit, params, icfg):
-    """Evaluate the trained model on the run's held-out split."""
-    which, eval_set = _heldout(split)
+def stage_eval_heldout(cfg: RunConfig, out: Path):
+    """Evaluate the run's model.afua on the run's held-out split."""
+    params, icfg = afua.load_model(out / "model.afua")
+    which, eval_set = _heldout(_load_split(out))
     _evaluate_and_report(params, eval_set, icfg, out, f"held-out ({which})")
     if which == "validation":
         print("note: the validation split also selected the best epoch, "
@@ -437,8 +466,9 @@ def _comma_list(kind):
     return parse
 
 
-# stage flags: flag -> (RunConfig field, type, help); pipeline takes them all
+# stage flags: flag -> (destination, type, help); pipeline takes them all
 STAGE_FLAGS = {
+    "--geometry": ("geometry", str, "probe layout file override"),
     "--n": ("n_phantoms", int, "number of phantoms"),
     "--mesh-edge": ("mesh_edge_mm", float, "mesh edge length (mm)"),
     "--gain": ("gain_per_mv", float, "preprocessing gain per mV"),
@@ -462,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", help="run directory")
         p.add_argument("--threads", type=int, help="worker cap")
-        p.add_argument("--geometry", help="probe layout file override")
         p.add_argument("--model", choices=sorted(phm.TISSUE_MODELS),
                        help="tissue model")
         for flag in flags:
@@ -471,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     stage("generate", "phantoms, frames, dataset",
-          ("--n", "--mesh-edge", "--gain", "--saline", "--split"))
+          ("--geometry", "--n", "--mesh-edge", "--gain", "--saline",
+           "--split"))
     stage("train", "train the full-precision model", ("--epochs",))
     stage("quantize", "bit-width accuracy sweep", ("--bits",))
     p_eval = stage("eval", "evaluate a model on data", ("--gain",))
@@ -490,34 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(args) -> int:
-    if args.command == "budget":
-        stage_budget(Path(args.out) if args.out else None, args.as_json)
-        return 0
-
-    cfg = resolve_config(args)
-    out = Path(cfg.out)
-    layout = _layout(args)
-
-    if args.command == "generate":
-        stage_generate(cfg, layout, out)
-    elif args.command == "train":
-        stage_train(cfg, out, _load_split(out))
-    elif args.command == "quantize":
-        params, icfg = afua.load_model(out / "model.afua")
-        stage_quantize(cfg, out, _load_split(out), params, icfg)
-    elif args.command == "eval":
-        stage_eval(cfg, out, args.model_file, args.data, args.labels)
-    elif args.command == "pipeline":
-        cfg.check_trainable()
-        stage_generate(cfg, layout, out)
-        split = _load_split(out)
-        params = stage_train(cfg, out, split)
-        stage_quantize(cfg, out, split, params, cfg.integration())
-        stage_eval_heldout(cfg, out, split, params, cfg.integration())
-        stage_budget(out, as_json=False)
-    write_manifest(out)
-    return 0
+# the stage commands that pipeline runs, in order
+PIPELINE = ("generate", "train", "quantize", "eval", "budget")
 
 
 def main(argv=None) -> int:
@@ -528,7 +532,31 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     stage = args.command
     try:
-        return run_command(args)
+        if stage == "budget":
+            stage_budget(Path(args.out) if args.out else None, args.as_json)
+            return 0
+        cfg = resolve_config(args)
+        out = Path(cfg.out)
+        if stage == "pipeline":
+            cfg.check_trainable()
+        # each stage function is looked up by name as it runs, so a wrapper
+        # set on this module (a test's fake, a tracer) is the one called
+        for stage in PIPELINE if args.command == "pipeline" else (stage,):
+            if stage == "generate":
+                stage_generate(cfg, _layout(args), out)
+            elif stage == "train":
+                stage_train(cfg, out)
+            elif stage == "quantize":
+                stage_quantize(cfg, out)
+            elif stage == "eval" and args.command == "eval":
+                stage_eval(cfg, out, args.model_file, args.data, args.labels)
+            elif stage == "eval":
+                stage_eval_heldout(cfg, out)
+            else:
+                stage_budget(out, as_json=False)
+        stage = args.command
+        write_manifest(out)
+        return 0
     except ConfigError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return EXIT_USAGE

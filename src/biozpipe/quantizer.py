@@ -10,7 +10,7 @@ precision.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,12 @@ MIN_BITS = 3
 MAX_BITS = 16
 
 
+def check_bits(total_bits: int) -> None:
+    if not MIN_BITS <= total_bits <= MAX_BITS:
+        raise ConfigError(
+            f"bit width {total_bits} outside [{MIN_BITS}, {MAX_BITS}]")
+
+
 @dataclass(frozen=True)
 class QuantSpec:
     """Bit width plus the per-matrix symmetric scales."""
@@ -31,10 +37,7 @@ class QuantSpec:
     scales: dict[str, float]
 
     def __post_init__(self):
-        if not MIN_BITS <= self.total_bits <= MAX_BITS:
-            raise ConfigError(
-                f"bit width {self.total_bits} outside [{MIN_BITS}, {MAX_BITS}]"
-            )
+        check_bits(self.total_bits)
         if not all(0 < s < np.inf for s in self.scales.values()):
             raise ConfigError("scales must be positive and finite")
 
@@ -53,14 +56,18 @@ class QuantizedParams:
     codes: dict[str, np.ndarray]
     spec: QuantSpec
     tau_h: float
+    # built once: ConfigError here unless the codes fit NetworkParams
+    _dequantized: NetworkParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dequantize()  # ConfigError unless the codes fit NetworkParams
-
-    def dequantize(self) -> NetworkParams:
         deq = {name: self.codes[name] * self.spec.step(name)
                for name in PARAM_NAMES}
-        return NetworkParams(tau_h=self.tau_h, **deq)
+        object.__setattr__(self, "_dequantized",
+                           NetworkParams(tau_h=self.tau_h, **deq))
+
+    def dequantize(self) -> NetworkParams:
+        """The dequantized weights, the same object on every call."""
+        return self._dequantized
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:

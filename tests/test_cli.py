@@ -12,6 +12,7 @@ import pytest
 
 import biozpipe
 from biozpipe import cli, fem
+from biozpipe.errors import ConfigError, FormatError, MeshError, NumericalError
 
 
 def run_cli(args):
@@ -88,9 +89,10 @@ class TestUsageErrors:
          "threads"),
         (["generate"], '["seed"]', "not a JSON object"),
         (["generate", "--split", "nan,0.5,0.5", "--n", "2"], None, "split"),
+        (["train", "--geometry", "probe.txt"], None, "--geometry"),
     ], ids=["split-flag", "split-two-fractions", "bits-flag",
             "n_phantoms-str", "split-int", "threads-bool", "json-list",
-            "split-nan"])
+            "split-nan", "geometry-on-train"])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
                                               config, named):
         if config is not None:
@@ -100,6 +102,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestSizeBounds:
+    @pytest.mark.parametrize("name", sorted(cli.MAX_SIZES))
+    def test_bound_passes_and_one_more_exits_2(self, tmp_path, capsys, name):
+        most = cli.MAX_SIZES[name]
+        assert getattr(cli.RunConfig(**{name: most}), name) == most
+        (tmp_path / "c.json").write_text(json.dumps({name: most + 1}))
+        assert run_cli(["pipeline", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / "run")]) == 2
+        assert f"error [pipeline]: {name} {most + 1} exceeds" in \
+            capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 
@@ -189,6 +204,44 @@ class TestPipelineOutputs:
             rows = list(csv.DictReader(f))
         labels = [int(r["label"]) for r in rows]
         assert 0 < sum(labels) < len(labels)
+
+
+class TestPipelineStages:
+    STAGES = [("stage_generate", "generate", MeshError, 3),
+              ("stage_train", "train", NumericalError, 3),
+              ("stage_quantize", "quantize", FormatError, 4),
+              ("stage_eval_heldout", "eval", ConfigError, 2),
+              ("stage_budget", "budget", OSError, 4)]
+
+    @pytest.mark.parametrize("failing, stage, error, code", STAGES,
+                             ids=[s[1] for s in STAGES])
+    def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys,
+                                     failing, stage, error, code):
+        # the tracer of bench/ wraps stages the same way, by module attribute
+        called = []
+        for name, _, _, _ in self.STAGES:
+            def fake(*args, name=name, **kwargs):
+                called.append(name)
+                if name == failing:
+                    raise error("injected")
+            monkeypatch.setattr(cli, name, fake)
+        assert run_cli(["pipeline", "--n", "12", "--mesh-edge", "0.3",
+                        "--out", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err == f"error [{stage}]: injected\n"
+        names = [s[0] for s in self.STAGES]
+        assert called == names[:names.index(failing) + 1]
+
+    def test_pipeline_writes_what_the_chained_stages_write(self, tiny_run,
+                                                           tmp_path):
+        out = ["--seed", "5", "--out", str(tmp_path)]
+        for args in (["generate", "--n", "40", "--mesh-edge", "0.3",
+                      "--split", "0.5,0.25,0.25"],
+                     ["train", "--epochs", "4"], ["quantize"]):
+            assert run_cli([*args, *out]) == 0
+        chained = json.loads((tmp_path / "manifest.json").read_text())
+        piped = json.loads((tiny_run / "manifest.json").read_text())
+        assert set(piped) - set(chained) == {"confusion.csv", "budget.txt"}
+        assert chained == {k: piped[k] for k in chained}
 
 
 class TestReruns:

@@ -111,6 +111,11 @@ class TestQuantize:
         assert q.tau_h == p.tau_h
         assert q.dequantize().tau_h == p.tau_h
 
+    def test_dequantized_once(self):
+        # quantized_forward runs once per streamed frame of one model
+        q = quantizer.quantize(rand_params(9), 6)
+        assert q.dequantize() is q.dequantize()
+
 
 class TestQuantizedForward:
     def test_16_bit_close_to_full_precision(self):
