@@ -7,11 +7,13 @@ relaxes toward a gated candidate:
     h_cand = max(logistic(W x + U h), eps)
     tau_h * dh/dt = z * (1 - h / h_cand)
 
-integrated with forward Euler from h = H0 in every unit.  A two-unit
-sigmoid layer, a two-unit ReLU layer, and a softmax head map the final
-hidden state to class probabilities.  The state update multiplies no two
-state vectors together (no Hadamard products); each unit couples to the
-others only through the four matrix-vector products.
+integrated with forward Euler from h = H0 in every unit.  tau_h is the
+circuit's fixed ``TAU_H``, the Euler step dt is in its units and at most 1,
+and model files keep a ``tau_h 1.0`` line.  A two-unit sigmoid layer, a
+two-unit ReLU layer, and a softmax head map the final hidden state to class
+probabilities.  The state update multiplies no two state vectors together
+(no Hadamard products); each unit couples to the others only through the
+four matrix-vector products.
 
 ``unroll`` and ``head_batch`` are the batched kernel that classify,
 training, the quantized sweep and current mode all run, and ``predict`` is
@@ -50,13 +52,15 @@ from .errors import ConfigError, FormatError, NumericalError
 N_HIDDEN = 16
 # every unit's hidden state at the start of a sequence
 H0 = 0.5
+# the relaxation time constant of every unit
+TAU_H = 1.0
 
 LABEL_BENIGN = 0
 LABEL_LESION = 1
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """All learnable weights plus the (fixed) relaxation time constant."""
+    """All learnable weights."""
 
     W_z: np.ndarray  # (16, 25)
     U_z: np.ndarray  # (16, 16)
@@ -66,11 +70,8 @@ class NetworkParams:
     fc1_b: np.ndarray  # (2,)
     fc2_w: np.ndarray  # (2, 2)
     fc2_b: np.ndarray  # (2,)
-    tau_h: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.tau_h < np.inf:
-            raise ConfigError("tau_h must be positive and finite")
         # a W_z that is not a matrix fails its own shape check below
         n, d = (np.shape(self.W_z) + (0, 0))[:2]
         shapes = ((n, d), (n, n), (n, d), (n, n), (2, n), (2,), (2, 2), (2,))
@@ -95,7 +96,7 @@ class NetworkParams:
 
 
 # the learnable weights, in model-file order
-PARAM_NAMES = tuple(f.name for f in fields(NetworkParams) if f.name != "tau_h")
+PARAM_NAMES = tuple(f.name for f in fields(NetworkParams))
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,9 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.substeps_per_pattern < 1:
             raise ConfigError("substeps_per_pattern must be >= 1")
-        if not 0 <= self.dt < np.inf:
-            raise ConfigError("dt must be non-negative and finite")
+        if not 0 <= self.dt <= TAU_H:
+            raise ConfigError(f"dt must be in [0, tau_h = {TAU_H!r}], "
+                              f"got {self.dt!r}")
         if not 0 < self.epsilon <= 1e-4:
             raise ConfigError("epsilon must be in (0, 1e-4]")
 
@@ -156,7 +158,7 @@ def afua_step(x: np.ndarray, h: np.ndarray, params: NetworkParams,
     returns the new state, the gate and the candidate."""
     z = sigmoid(params.W_z @ x + params.U_z @ h)
     h_tilde = np.maximum(sigmoid(params.W @ x + params.U @ h), cfg.epsilon)
-    h_new = h + cfg.dt * (z / params.tau_h) * (1.0 - h / h_tilde)
+    h_new = h + cfg.dt * (z / TAU_H) * (1.0 - h / h_tilde)
     for name, vec in (("gate", z), ("candidate", h_tilde), ("state", h_new)):
         bad = ~np.isfinite(vec)
         if bad.any():
@@ -178,8 +180,6 @@ def run_sequence(seq, params: NetworkParams,
         raise ConfigError(
             f"sequence width {steps.shape} does not match {params.n_inputs} inputs"
         )
-    if cfg.dt > params.tau_h:
-        raise ConfigError("dt must not exceed tau_h")
     h = np.full(params.n_hidden, H0)
     for t, x in enumerate(steps):
         try:
@@ -204,14 +204,12 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
         raise ConfigError(
             f"sequence width {X.shape} does not match {params.n_inputs} inputs"
         )
-    if cfg.dt > params.tau_h:
-        raise ConfigError("dt must not exceed tau_h")
     B, T, _ = X.shape
     n, S = params.n_hidden, cfg.substeps_per_pattern
     # the gates' 1/2, folded in: sigmoid(v) = _gate_of_half(v / 2)
     W_in = _HALF * np.vstack([params.W_z, params.W]).T
     U_rec = _HALF * np.vstack([params.U_z, params.U]).T
-    dt_tau = np.array(cfg.dt / params.tau_h)
+    dt_tau = np.array(cfg.dt / TAU_H)
     eps, top = np.array(cfg.epsilon), np.array(1.0 - cfg.epsilon)
     L = T * S if keep_records else S
     Hs = np.empty((L + 1, B, n))  # Hs[k]: the state substep k starts from
@@ -286,19 +284,21 @@ _MODEL_LAYOUTS = {"matrix": ("biozpipe-model v1", float),
                   "codes": ("biozpipe-qmodel v1", int)}
 
 
-def write_model_file(path, tau_h: float, cfg: IntegrationConfig,
-                     mats: dict[str, np.ndarray], spec=None) -> None:
-    """Write weights, or the integer codes of a quantization ``spec``."""
-    key = "matrix" if spec is None else "codes"
+def write_model_file(path, cfg: IntegrationConfig, params) -> None:
+    """Write the weights of NetworkParams, or the integer codes, bit width
+    and scales of QuantizedParams."""
+    quantized = hasattr(params, "codes")
+    key = "codes" if quantized else "matrix"
     header, kind = _MODEL_LAYOUTS[key]
-    lines = [header] + ([] if spec is None else [f"bits {spec.total_bits}"])
-    lines += [f"tau_h {float(tau_h)!r}",
+    lines = [header] + ([f"bits {params.total_bits}"] if quantized else [])
+    lines += [f"tau_h {TAU_H!r}",
               f"substeps {cfg.substeps_per_pattern}",
               f"dt {float(cfg.dt)!r}",
               f"epsilon {float(cfg.epsilon)!r}"]
+    mats = params.codes if quantized else params.matrices()
     for name in PARAM_NAMES:
         mat = np.atleast_2d(mats[name])
-        scale = "" if spec is None else f" {float(spec.scales[name])!r}"
+        scale = f" {float(params.scales[name])!r}" if quantized else ""
         lines.append(f"{key} {name} {mat.shape[0]} {mat.shape[1]}{scale}")
         lines.extend(" ".join(repr(kind(v)) for v in row) for row in mat)
     with open(path, "w", encoding="ascii") as f:
@@ -307,8 +307,9 @@ def write_model_file(path, tau_h: float, cfg: IntegrationConfig,
 
 def read_model_file(path, build, quantized: bool = False):
     """Parse a file ``write_model_file`` wrote into ``(model, cfg)``, the
-    model made by ``build(tau_h, mats, bits, scales)``.  Malformed content,
-    values ``build`` or the config reject included, raises FormatError."""
+    model made by ``build(mats, bits, scales)``.  Malformed content, a
+    ``tau_h`` other than ``TAU_H`` and values ``build`` or the config
+    reject included, raises FormatError."""
     key = "codes" if quantized else "matrix"
     header, kind = _MODEL_LAYOUTS[key]
     with open(path, "rb") as f:
@@ -322,6 +323,8 @@ def read_model_file(path, build, quantized: bool = False):
         settings = dict(lines[1:1 + len(names)])  # "name value" lines only
         if list(settings) != names:
             raise ValueError(f"expected the lines {names}")
+        if float(settings["tau_h"]) != TAU_H:
+            raise ValueError(f"tau_h {settings['tau_h']} is not {TAU_H!r}")
         mats, scales = {}, {}
         idx = 1 + len(names)
         while idx < len(lines):
@@ -343,20 +346,16 @@ def read_model_file(path, build, quantized: bool = False):
         cfg = IntegrationConfig(
             substeps_per_pattern=int(settings["substeps"]),
             dt=float(settings["dt"]), epsilon=float(settings["epsilon"]))
-        tau_h = float(settings["tau_h"])
-        if cfg.dt > tau_h:
-            raise ValueError(f"dt {cfg.dt!r} exceeds tau_h {tau_h!r}")
         bits = int(settings["bits"]) if quantized else None
-        model = build(tau_h, mats, bits, scales)
+        model = build(mats, bits, scales)
     except (ValueError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
     return model, cfg
 
 
 def save_model(params: NetworkParams, cfg: IntegrationConfig, path) -> None:
-    write_model_file(path, params.tau_h, cfg, params.matrices())
+    write_model_file(path, cfg, params)
 
 
 def load_model(path) -> tuple[NetworkParams, IntegrationConfig]:
-    return read_model_file(
-        path, lambda tau_h, mats, *_: NetworkParams(tau_h=tau_h, **mats))
+    return read_model_file(path, lambda mats, *_: NetworkParams(**mats))

@@ -6,8 +6,8 @@ Each stage reads its inputs from the run directory, so a pipeline run
 writes what ``generate; train; quantize`` write.  All outputs land under
 the run directory together with a manifest of file hashes; re-running with
 the same configuration must reproduce every hash.  Files of a run
-directory, by the stage that writes them; every command but budget also
-rewrites manifest.json:
+directory, by the stage that writes them; every command also rewrites
+manifest.json (budget when given --out):
 
     generate   geometry.txt, mesh.txt (format v2), reference.frame,
                phantoms.csv (index, seed, inclusion and label: make_phantom
@@ -106,9 +106,6 @@ class RunConfig:
     batch_size: int = 100
     epochs: int = 500
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     substeps: int = 10
     dt: float = 0.1
     epsilon: float = 1e-6
@@ -143,10 +140,6 @@ class RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"rbf_centers, rbf_width_mm: {exc}") from exc
         self.integration()
-        # every trained model has NetworkParams' default time constant
-        if self.dt > afua.NetworkParams.tau_h:
-            raise ConfigError(f"dt {self.dt!r} must not exceed tau_h "
-                              f"{afua.NetworkParams.tau_h!r}")
         self.train_config()
         try:
             datapipe.split_counts(self.n_phantoms, self.split)
@@ -190,8 +183,7 @@ class RunConfig:
         return trainer.TrainConfig(batch_size=self.batch_size,
                                    epochs=self.epochs,
                                    learning_rate=self.learning_rate,
-                                   seed=self.seed, beta1=self.beta1,
-                                   beta2=self.beta2, adam_eps=self.adam_eps)
+                                   seed=self.seed)
 
 
 def _check_type(name: str, value, default) -> None:
@@ -533,10 +525,10 @@ def main(argv=None) -> int:
     stage = args.command
     try:
         if stage == "budget":
-            stage_budget(Path(args.out) if args.out else None, args.as_json)
-            return 0
-        cfg = resolve_config(args)
-        out = Path(cfg.out)
+            out = Path(args.out) if args.out else None
+        else:
+            cfg = resolve_config(args)
+            out = Path(cfg.out)
         if stage == "pipeline":
             cfg.check_trainable()
         # each stage function is looked up by name as it runs, so a wrapper
@@ -553,9 +545,10 @@ def main(argv=None) -> int:
             elif stage == "eval":
                 stage_eval_heldout(cfg, out)
             else:
-                stage_budget(out, as_json=False)
+                stage_budget(out, getattr(args, "as_json", False))
         stage = args.command
-        write_manifest(out)
+        if out is not None:
+            write_manifest(out)
         return 0
     except ConfigError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)

@@ -78,12 +78,6 @@ class ProbeLayout:
     sensing_radius: float
     domain_radius: float
 
-    def inner_position(self, electrode: int) -> np.ndarray:
-        """Position of inner electrode ``electrode`` (1-based, 1..25)."""
-        if not 1 <= electrode <= len(self.inner_electrodes):
-            raise ConfigError(f"inner electrode index {electrode} out of range")
-        return self.inner_electrodes[electrode - 1]
-
 
 @dataclass(frozen=True)
 class CurrentPattern:
@@ -468,6 +462,32 @@ _LAYOUT_HEADER = "biozpipe-layout v1"
 _MESH_HEADER = "biozpipe-mesh v2"
 
 
+def _read_sections(lines, sections) -> dict:
+    """Parse the lines after the header as ``sections``, in order, each a
+    ``(key, kind, width)``: a ``<key> <n>`` line and n rows of ``width``
+    values of type ``kind``, or with width 0 one ``<key> <value>`` line.
+    Returns the value or the rows by key.  A misnamed key, a row of the
+    wrong width or a line left over is a ValueError."""
+    found, idx = {}, 1
+    for key, kind, width in sections:
+        words = lines[idx].split() if idx < len(lines) else []
+        if len(words) != 2 or words[0] != key:
+            raise ValueError(f"expected a {key!r} line, got {words}")
+        idx += 1
+        if not width:
+            found[key] = kind(words[1])
+            continue
+        n = int(words[1])
+        rows = [[kind(v) for v in ln.split()] for ln in lines[idx:idx + n]]
+        if n < 0 or len(rows) != n or any(len(r) != width for r in rows):
+            raise ValueError(f"{key} is not {n} rows of {width} values")
+        found[key] = rows
+        idx += n
+    if idx != len(lines):
+        raise ValueError(f"{len(lines) - idx} lines after the last section")
+    return found
+
+
 def save_layout(layout: ProbeLayout, path) -> None:
     lines = [_LAYOUT_HEADER,
              f"domain_radius {float(layout.domain_radius)!r}",
@@ -491,22 +511,14 @@ def load_layout(path) -> ProbeLayout:
                  if ln.strip()]
         if not lines or lines[0] != _LAYOUT_HEADER:
             raise FormatError(f"{path}: not a biozpipe layout file")
-        idx = 1
-        dom = float(lines[idx].split()[1]); idx += 1
-        sens = float(lines[idx].split()[1]); idx += 1
-        n_in = int(lines[idx].split()[1]); idx += 1
-        inner = np.array(
-            [[float(v) for v in lines[idx + k].split()] for k in range(n_in)]
-        )
-        idx += n_in
-        n_out = int(lines[idx].split()[1]); idx += 1
-        arcs = []
-        for k in range(n_out):
-            s, e, r = (float(v) for v in lines[idx + k].split())
-            arcs.append(Arc(s, e, r))
-        layout = ProbeLayout(inner_electrodes=inner,
-                             outer_electrodes=tuple(arcs),
-                             sensing_radius=sens, domain_radius=dom)
+        sec = _read_sections(lines, (
+            ("domain_radius", float, 0), ("sensing_radius", float, 0),
+            ("inner", float, 2), ("outer", float, 3)))
+        arcs = tuple(Arc(*row) for row in sec["outer"])
+        layout = ProbeLayout(inner_electrodes=np.array(sec["inner"]),
+                             outer_electrodes=arcs,
+                             sensing_radius=sec["sensing_radius"],
+                             domain_radius=sec["domain_radius"])
         validate_layout(layout)
     except (ValueError, IndexError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed layout file: {exc}") from exc
@@ -541,28 +553,16 @@ def load_mesh(path) -> Mesh:
                  if ln.strip()]
         if not lines or lines[0] != _MESH_HEADER:
             raise FormatError(f"{path}: not a biozpipe mesh file")
-        idx = 1
-        nv = int(lines[idx].split()[1]); idx += 1
-        vertices = np.array(
-            [[float(v) for v in lines[idx + k].split()] for k in range(nv)]
-        ).reshape(nv, 2)
-        idx += nv
-        nt = int(lines[idx].split()[1]); idx += 1
-        triangles = np.array(
-            [[int(v) for v in lines[idx + k].split()] for k in range(nt)],
-            dtype=np.int32).reshape(nt, 3)
-        idx += nt
-        ne = int(lines[idx].split()[1]); idx += 1
+        sec = _read_sections(lines, (
+            ("vertices", float, 2), ("triangles", int, 3),
+            ("electrode_edges", int, 3), ("inner_vertices", int, 2)))
+        nv = len(sec["vertices"])
+        vertices = np.array(sec["vertices"], dtype=float).reshape(nv, 2)
+        triangles = np.array(sec["triangles"], dtype=np.int32).reshape(-1, 3)
         electrode_edges: dict[int, list[tuple[int, int]]] = {}
-        for k in range(ne):
-            e, a, b = (int(v) for v in lines[idx + k].split())
+        for e, a, b in sec["electrode_edges"]:
             electrode_edges.setdefault(e, []).append((a, b))
-        idx += ne
-        ni = int(lines[idx].split()[1]); idx += 1
-        inner_vertex = {}
-        for k in range(ni):
-            e, v = (int(x) for x in lines[idx + k].split())
-            inner_vertex[e] = v
+        inner_vertex = {e: v for e, v in sec["inner_vertices"]}
         if not np.all(np.isfinite(vertices)):
             raise FormatError(f"{path}: non-finite vertex coordinates")
         # validate_mesh requires every electrode edge to be a triangle edge

@@ -379,16 +379,3 @@ def save_phantom_metadata(phantoms: list[Phantom], path) -> None:
                         repr(float(ph.inclusion.center[1])),
                         repr(float(ph.inclusion.diameter)), ph.label])
 
-
-def load_phantom_metadata(path) -> list[dict]:
-    rows = []
-    with open(path, "r", newline="", encoding="ascii") as f:
-        for row in csv.DictReader(f):
-            rows.append({
-                "index": int(row["index"]),
-                "seed": int(row["seed"]),
-                "center": (float(row["center_x"]), float(row["center_y"])),
-                "diameter": float(row["diameter"]),
-                "label": int(row["label"]),
-            })
-    return rows

@@ -3,8 +3,7 @@
 N total bits means one sign bit plus N-1 magnitude bits: codes live in
 [-(2^(N-1)-1), +(2^(N-1)-1)] with a symmetric per-matrix scale equal to the
 largest absolute weight, and ties round half away from zero.  Only weights
-are quantized; activations, state, and the time constant stay full
-precision.
+are quantized; activations and state stay full precision.
 """
 
 from __future__ import annotations
@@ -29,41 +28,32 @@ def check_bits(total_bits: int) -> None:
             f"bit width {total_bits} outside [{MIN_BITS}, {MAX_BITS}]")
 
 
-@dataclass(frozen=True)
-class QuantSpec:
-    """Bit width plus the per-matrix symmetric scales."""
+def max_code(total_bits: int) -> int:
+    """The largest code magnitude of ``total_bits`` signed bits."""
+    return 2 ** (total_bits - 1) - 1
 
+
+@dataclass(frozen=True)
+class QuantizedParams:
+    """Integer codes mirroring NetworkParams, with bit width and scales."""
+
+    codes: dict[str, np.ndarray]
     total_bits: int
     scales: dict[str, float]
+    # built once: ConfigError here unless the codes fit NetworkParams
+    _dequantized: NetworkParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_bits(self.total_bits)
         if not all(0 < s < np.inf for s in self.scales.values()):
             raise ConfigError("scales must be positive and finite")
-
-    @property
-    def max_code(self) -> int:
-        return 2 ** (self.total_bits - 1) - 1
+        deq = {name: self.codes[name] * self.step(name)
+               for name in PARAM_NAMES}
+        object.__setattr__(self, "_dequantized", NetworkParams(**deq))
 
     def step(self, name: str) -> float:
-        return self.scales[name] / self.max_code
-
-
-@dataclass(frozen=True)
-class QuantizedParams:
-    """Integer codes mirroring NetworkParams; tau_h stays full precision."""
-
-    codes: dict[str, np.ndarray]
-    spec: QuantSpec
-    tau_h: float
-    # built once: ConfigError here unless the codes fit NetworkParams
-    _dequantized: NetworkParams = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        deq = {name: self.codes[name] * self.spec.step(name)
-               for name in PARAM_NAMES}
-        object.__setattr__(self, "_dequantized",
-                           NetworkParams(tau_h=self.tau_h, **deq))
+        """The weight one code unit of matrix ``name`` stands for."""
+        return self.scales[name] / max_code(self.total_bits)
 
     def dequantize(self) -> NetworkParams:
         """The dequantized weights, the same object on every call."""
@@ -75,23 +65,18 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def make_spec(params: NetworkParams, total_bits: int) -> QuantSpec:
-    scales = {}
-    for name in PARAM_NAMES:
-        s = float(np.max(np.abs(getattr(params, name))))
-        scales[name] = s if s > 0 else 1.0
-    return QuantSpec(total_bits=total_bits, scales=scales)
-
-
 def quantize(params: NetworkParams, total_bits: int) -> QuantizedParams:
-    """Quantize every weight matrix and bias with the per-matrix rule."""
-    spec = make_spec(params, total_bits)
-    codes = {}
+    """Quantize every weight matrix and bias with the per-matrix rule; an
+    all-zero matrix gets scale 1."""
+    check_bits(total_bits)
+    top = max_code(total_bits)
+    codes, scales = {}, {}
     for name in PARAM_NAMES:
         w = np.asarray(getattr(params, name), dtype=float)
-        c = round_half_away(w / spec.step(name))
-        codes[name] = np.clip(c, -spec.max_code, spec.max_code).astype(np.int32)
-    return QuantizedParams(codes=codes, spec=spec, tau_h=float(params.tau_h))
+        scales[name] = float(np.max(np.abs(w))) or 1.0
+        c = round_half_away(w / (scales[name] / top))
+        codes[name] = np.clip(c, -top, top).astype(np.int32)
+    return QuantizedParams(codes=codes, total_bits=total_bits, scales=scales)
 
 
 def quantized_forward(qparams: QuantizedParams, seq,
@@ -133,11 +118,9 @@ def save_sweep_csv(rows, path) -> None:
 
 def save_quantized_model(qparams: QuantizedParams, cfg: IntegrationConfig,
                          path) -> None:
-    write_model_file(path, qparams.tau_h, cfg, qparams.codes, qparams.spec)
+    write_model_file(path, cfg, qparams)
 
 
 def load_quantized_model(path) -> tuple[QuantizedParams, IntegrationConfig]:
-    return read_model_file(
-        path, lambda tau_h, codes, bits, scales: QuantizedParams(
-            codes=codes, spec=QuantSpec(total_bits=bits, scales=scales),
-            tau_h=tau_h), quantized=True)
+    return read_model_file(path, lambda codes, bits, scales: QuantizedParams(
+        codes=codes, total_bits=bits, scales=scales), quantized=True)

@@ -22,12 +22,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .afua import (N_HIDDEN, PARAM_NAMES, IntegrationConfig, NetworkParams,
-                   head_batch, predict, unroll)
+from .afua import (N_HIDDEN, PARAM_NAMES, TAU_H, IntegrationConfig,
+                   NetworkParams, head_batch, predict, unroll)
 from .datapipe import N_INPUTS, DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
 _EVAL_BATCH = 256
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,19 +40,12 @@ class TrainConfig:
     epochs: int = 500
     learning_rate: float = 1e-3
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must be in [0, 1)")
-        if not 0 < self.adam_eps < np.inf:
-            raise ConfigError("adam_eps must be positive and finite")
 
 
 @dataclass
@@ -130,7 +127,7 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
             grads["fc1_b"] = dpre1.sum(axis=0)
             dH = dpre1 @ params.fc1_w
 
-            dt_tau = np.array(cfg.dt / params.tau_h)
+            dt_tau = np.array(cfg.dt / TAU_H)
             U_stack = np.vstack([params.U_z, params.U])  # (2n, n)
             g_in = np.zeros((2 * n, X.shape[2]))  # [W_z; W]
             g_rec = np.zeros((2 * n, n))  # [U_z; U]
@@ -251,13 +248,13 @@ def train(splits: DatasetSplit, config: TrainConfig,
             step += 1
             updates = {}
             for k in PARAM_NAMES:
-                m[k] = config.beta1 * m[k] + (1 - config.beta1) * grads[k]
-                v[k] = config.beta2 * v[k] + (1 - config.beta2) * grads[k] ** 2
-                mhat = m[k] / (1 - config.beta1 ** step)
-                vhat = v[k] / (1 - config.beta2 ** step)
+                m[k] = _BETA1 * m[k] + (1 - _BETA1) * grads[k]
+                v[k] = _BETA2 * v[k] + (1 - _BETA2) * grads[k] ** 2
+                mhat = m[k] / (1 - _BETA1 ** step)
+                vhat = v[k] / (1 - _BETA2 ** step)
                 updates[k] = (getattr(params, k)
                               - config.learning_rate * mhat
-                              / (np.sqrt(vhat) + config.adam_eps))
+                              / (np.sqrt(vhat) + _ADAM_EPS))
             params = replace(params, **updates)
         if not moved:
             # a ReLU head inactive for every input passes no gradient back

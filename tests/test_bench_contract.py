@@ -1,9 +1,10 @@
-"""Every biozpipe function the benchmark harness names still exists.
+"""Every biozpipe name the benchmark harness uses still exists.
 
-``bench/tracer.py`` wraps the functions of its ``TARGETS`` and
-``bench/selftest.py`` requires those of its ``CALLED``; a renamed function
-would otherwise show only in the selftest, which takes minutes.  Both
-literals are read with ``ast``: importing ``bench/`` would shadow other
+``bench/tracer.py`` wraps the functions of its ``TARGETS``,
+``bench/selftest.py`` requires those of its ``CALLED``, and every bench
+script reads names off the biozpipe modules it imports; a removed name
+would otherwise show only in the selftest, which takes minutes.  The
+scripts are read with ``ast``: importing ``bench/`` would shadow other
 modules with its ``run`` and ``stream``.
 """
 
@@ -11,17 +12,51 @@ import ast
 import importlib
 from pathlib import Path
 
+from biozpipe import cli
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def parse(file):
+    return ast.parse((BENCH / file).read_text(encoding="utf-8"))
 
 
 def literal(file, name):
     """The value assigned to module-level ``name`` in ``bench/<file>``."""
-    tree = ast.parse((BENCH / file).read_text(encoding="utf-8"))
-    for node in tree.body:
+    for node in parse(file).body:
         targets = getattr(node, "targets", ())
         if any(isinstance(t, ast.Name) and t.id == name for t in targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"bench/{file} assigns no {name}")
+
+
+def module_reads(tree):
+    """``(module, name)`` for every ``alias.name`` read in ``tree``, where
+    ``alias`` is bound by ``import biozpipe`` or ``from biozpipe import``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "biozpipe":
+            for a in node.names:
+                aliases[a.asname or a.name] = f"biozpipe.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "biozpipe":
+                    aliases[a.asname or a.name] = "biozpipe"
+    return {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+
+
+def config_reads(tree):
+    """Attributes read off a ``RunConfig`` held as ``cfg`` or ``st["cfg"]``."""
+    def is_cfg(v):
+        return ((isinstance(v, ast.Name) and v.id == "cfg")
+                or (isinstance(v, ast.Subscript)
+                    and isinstance(v.slice, ast.Constant)
+                    and v.slice.value == "cfg"))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_cfg(node.value)}
 
 
 def test_traced_and_required_functions_resolve():
@@ -37,3 +72,24 @@ def test_traced_and_required_functions_resolve():
         if not callable(getattr(module, fn, None)):
             missing.append(name)
     assert not missing
+
+
+def test_module_reads_resolve():
+    reads = {(file.name, mod, name) for file in sorted(BENCH.glob("*.py"))
+             for mod, name in module_reads(parse(file.name))}
+    # the walk sees the reads it is meant to check
+    assert ("stream.py", "biozpipe.phantom", "generate_phantom_set") in reads
+    assert ("health.py", "biozpipe.geometry", "load_mesh") in reads
+    missing = [f"{file}: {mod}.{name}" for file, mod, name in sorted(reads)
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing
+
+
+def test_run_config_reads_resolve():
+    reads = config_reads(parse("stream.py")) | config_reads(parse("health.py"))
+    assert reads >= {"saline_ms_per_m", "contact_impedance_ohm_mm",
+                     "gain_per_mv", "rbf", "tissue_model", "integration"}
+    cfg = cli.RunConfig()
+    assert not [name for name in sorted(reads) if not hasattr(cfg, name)]
+    for method in ("rbf", "tissue_model", "integration"):
+        getattr(cfg, method)()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -45,6 +46,15 @@ class TestBudgetCommand:
         assert payload["supply_current_ma"] == pytest.approx(11.75)
         assert payload["chip_area_mm2"] == pytest.approx(30.0, abs=0.1)
         assert (tmp_path / "budget.json").exists()
+
+    def test_out_rewrites_manifest(self, tiny_run, tmp_path, capsys):
+        run = TestReruns.finished_copy(tiny_run, tmp_path)
+        before = json.loads((run / "manifest.json").read_text())
+        assert "budget.json" not in before
+        assert run_cli(["budget", "--json", "--out", str(run)]) == 0
+        after = json.loads((run / "manifest.json").read_text())
+        digest = hashlib.sha256((run / "budget.json").read_bytes())
+        assert after == {**before, "budget.json": digest.hexdigest()}
 
 
 class TestUsageErrors:
@@ -163,12 +173,14 @@ class TestPipelineOutputs:
         cfg = cli.RunConfig()
         mesh = geo.load_mesh(tiny_run / "mesh.txt")
         layout = geo.load_layout(tiny_run / "geometry.txt")
-        rows = phm.load_phantom_metadata(tiny_run / "phantoms.csv")
+        with open(tiny_run / "phantoms.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
         frames = fem.load_frames(tiny_run / "frames.frame")
         for i in (0, 39):
+            assert int(rows[i]["index"]) == i
             p = phm.make_phantom(mesh, layout, cfg.tissue_model(),
-                                 rows[i]["seed"], cfg.rbf())
-            assert p.label == rows[i]["label"]
+                                 int(rows[i]["seed"]), cfg.rbf())
+            assert p.label == int(rows[i]["label"])
             frame = fem.simulate_frame(
                 p, mesh, layout,
                 contact_impedance=cfg.contact_impedance_ohm_mm,
@@ -361,6 +373,7 @@ class TestReruns:
     @pytest.mark.parametrize("config", [
         '{"saline_ms_per_m": NaN}', '{"contact_impedance_ohm_mm": 0}',
         '{"contact_impedance_ohm_mm": Infinity}', '{"learning_rate": NaN}',
+        # Adam's constants are not configurable: unknown keys
         '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}',
         '{"rbf_width_mm": NaN}', '{"rbf_width_mm": Infinity}',
         '{"rbf_width_mm": 1e-200}',
@@ -529,17 +542,24 @@ def dt_above_tau_h(data):
                      for ln in lines).encode("ascii")
 
 
+def tau_h_2(data):
+    """A model file that names a time constant other than the circuit's."""
+    return data.replace(b"\ntau_h 1.0\n", b"\ntau_h 2.0\n")
+
+
 MALFORMED_MODELS = {
     "afua-epsilon-1": ("model.afua", lambda data: data.replace(
         b"\nepsilon 1e-06\n", b"\nepsilon 1.0\n")),
     "afua-w_z-16x24": ("model.afua", narrow_w_z),
     "afua-byte-ff": ("model.afua", middle_byte_ff),
     "afua-dt-above-tau_h": ("model.afua", dt_above_tau_h),
+    "afua-tau_h-2": ("model.afua", tau_h_2),
     "afuaq-w_z-16x24": ("model_q6.afuaq", narrow_w_z),
     "afuaq-bits-2": ("model_q6.afuaq", lambda data: data.replace(
         b"\nbits 6\n", b"\nbits 2\n")),
     "afuaq-byte-ff": ("model_q6.afuaq", middle_byte_ff),
     "afuaq-dt-above-tau_h": ("model_q6.afuaq", dt_above_tau_h),
+    "afuaq-tau_h-2": ("model_q6.afuaq", tau_h_2),
 }
 
 # a record starts at byte 16 with a 2-byte id length and the label byte
@@ -665,7 +685,11 @@ class TestGeometryOverride:
         lines = good.split(b"\n")
         for bad in (middle_byte_ff(good),
                     # 24 inner electrodes: rows and count agree, count wrong
-                    b"\n".join(lines[:3] + [b"inner 24"] + lines[5:])):
+                    b"\n".join(lines[:3] + [b"inner 24"] + lines[5:]),
+                    # a misnamed key in place of domain_radius
+                    b"\n".join([lines[0], b"bogus_key 3.0"] + lines[2:]),
+                    # a line after the last section
+                    good + b"garbage 1\n"):
             gfile.write_bytes(bad)
             code = run_cli(["generate", "--n", "2", "--geometry", str(gfile),
                             "--out", str(tmp_path / "run")])

@@ -416,7 +416,7 @@ class TestFrames:
         f1 = fem.simulate_frame(Phantom(bumped, inc, 1, 0), mesh, layout)
         dv = np.abs(f1.voltages - f0.voltages)
         _, j = np.unravel_index(np.argmax(dv), dv.shape)
-        pos = layout.inner_position(j + 1)
+        pos = layout.inner_electrodes[j]
         assert np.hypot(*pos) <= 1.5
 
     def test_reference_frame_symmetry(self, mesh, layout):

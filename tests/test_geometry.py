@@ -68,7 +68,7 @@ class TestProbeLayout:
         assert r.max() < layout.outer_electrodes[0].radius
 
     def test_center_electrode_is_13(self, layout):
-        assert np.allclose(layout.inner_position(13), [0.0, 0.0])
+        assert np.allclose(layout.inner_electrodes[13 - 1], [0.0, 0.0])
 
     def test_sensing_radius_within_domain(self, layout):
         assert layout.sensing_radius <= layout.domain_radius
@@ -134,7 +134,7 @@ class TestMesh:
 
     def test_inner_vertices_exact(self, layout, mesh):
         for e in range(1, 26):
-            p = layout.inner_position(e)
+            p = layout.inner_electrodes[e - 1]
             v = mesh.vertices[mesh.inner_vertex[e]]
             assert math.hypot(*(v - p)) < 1e-9
 
@@ -245,14 +245,20 @@ class TestSerialization:
         assert back.inner_vertex == mesh.inner_vertex
 
     @pytest.mark.parametrize("case", ["non-ascii", "triangles",
-                                      "electrode_edges", "inner_vertices"])
+                                      "electrode_edges", "inner_vertices",
+                                      "vertices-key", "trailing-line"])
     def test_malformed_mesh_is_format_error(self, mesh, tmp_path, case):
-        # non-ASCII, or vertex 999999 as the last index of a section's first row
+        # non-ASCII, vertex 999999 as the last index of a section's first
+        # row, the vertices count under another key, or a line past the end
         path = tmp_path / "mesh.txt"
         geo.save_mesh(mesh, path)
         lines = path.read_bytes().split(b"\n")
         if case == "non-ascii":
             lines[1] += b"\xe9"
+        elif case == "vertices-key":
+            lines[1] = lines[1].replace(b"vertices", b"triangles")
+        elif case == "trailing-line":
+            lines.append(b"1 2")
         else:
             at = next(k for k, ln in enumerate(lines)
                       if ln.split(b" ")[0] == case.encode()) + 1

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -385,13 +386,16 @@ class TestPersistence:
         phs = phm.generate_phantom_set(mesh, layout, phm.BOVINE, 5, seed=2)
         path = tmp_path / "meta.csv"
         phm.save_phantom_metadata(phs, path)
-        rows = phm.load_phantom_metadata(path)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 5
-        for p, row in zip(phs, rows):
-            assert row["seed"] == p.seed
-            assert row["label"] == p.label
-            assert row["diameter"] == p.inclusion.diameter
-            assert row["center"] == p.inclusion.center
+        for i, (p, row) in enumerate(zip(phs, rows)):
+            assert int(row["index"]) == i
+            assert int(row["seed"]) == p.seed
+            assert int(row["label"]) == p.label
+            assert float(row["diameter"]) == p.inclusion.diameter
+            assert (float(row["center_x"]),
+                    float(row["center_y"])) == p.inclusion.center
 
     def test_byte_identical_files(self, mesh, layout):
         phs1 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3, seed=6)

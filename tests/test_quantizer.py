@@ -31,7 +31,7 @@ class TestRounding:
         p = NetworkParams(W_z=w, U_z=p.U_z, W=p.W, U=p.U, fc1_w=p.fc1_w,
                           fc1_b=p.fc1_b, fc2_w=p.fc2_w, fc2_b=p.fc2_b)
         q = quantizer.quantize(p, 5)
-        assert q.spec.scales["W_z"] == 1.0
+        assert q.scales["W_z"] == 1.0
         assert q.codes["W_z"][0, 1] == 5
         deq = q.dequantize()
         assert deq.W_z[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -61,7 +61,7 @@ class TestQuantize:
             q = quantizer.quantize(p, bits)
             deq = q.dequantize()
             for name, w in p.matrices().items():
-                step = q.spec.step(name)
+                step = q.step(name)
                 err = np.abs(np.asarray(getattr(deq, name)) - w)
                 assert err.max() <= step / 2 + 1e-12
 
@@ -88,8 +88,8 @@ class TestQuantize:
                           fc1_w=p.fc1_w, fc1_b=np.zeros(2), fc2_w=p.fc2_w,
                           fc2_b=p.fc2_b)
         q = quantizer.quantize(p, 5)
-        assert q.spec.scales["W_z"] == 1.0
-        assert q.spec.scales["fc1_b"] == 1.0
+        assert q.scales["W_z"] == 1.0
+        assert q.scales["fc1_b"] == 1.0
 
     def test_bits_range_enforced(self):
         p = rand_params(7)
@@ -104,12 +104,6 @@ class TestQuantize:
             lim = 2 ** (bits - 1) - 1
             for mat in q.codes.values():
                 assert np.abs(mat).max() <= lim
-
-    def test_tau_kept_full_precision(self):
-        p = rand_params(9)
-        q = quantizer.quantize(p, 3)
-        assert q.tau_h == p.tau_h
-        assert q.dequantize().tau_h == p.tau_h
 
     def test_dequantized_once(self):
         # quantized_forward runs once per streamed frame of one model
@@ -197,21 +191,19 @@ class TestQuantizedModelFile:
         p = rand_params(14)
         q = quantizer.quantize(p, 5)
         # scales held as NumPy scalars must still write plain floats
-        spec_np = quantizer.QuantSpec(
-            total_bits=5,
-            scales={k: np.float64(v) for k, v in q.spec.scales.items()})
-        q_np = quantizer.QuantizedParams(codes=q.codes, spec=spec_np,
-                                         tau_h=q.tau_h)
+        q_np = quantizer.QuantizedParams(
+            codes=q.codes, total_bits=5,
+            scales={k: np.float64(v) for k, v in q.scales.items()})
         cfg = IntegrationConfig()
         for k, qp in enumerate((q, q_np)):
             path = tmp_path / f"m{k}.afuaq"
             quantizer.save_quantized_model(qp, cfg, path)
             back, cfg2 = quantizer.load_quantized_model(path)
-            assert back.spec.total_bits == 5
+            assert back.total_bits == 5
             assert cfg2 == cfg
             for name in qp.codes:
                 assert np.array_equal(back.codes[name], qp.codes[name])
-                assert back.spec.scales[name] == qp.spec.scales[name]
+                assert back.scales[name] == qp.scales[name]
             d1, d2 = qp.dequantize(), back.dequantize()
             for name in d1.matrices():
                 assert np.array_equal(getattr(d1, name), getattr(d2, name))

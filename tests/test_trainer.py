@@ -83,7 +83,7 @@ def reference_gradients(batch, params, cfg):
         grads["fc1_w"] = dpre1.T @ H_final
         grads["fc1_b"] = dpre1.sum(axis=0)
         dH = dpre1 @ params.fc1_w
-        dt_tau = cfg.dt / params.tau_h
+        dt_tau = cfg.dt / afua.TAU_H
         for t, H_in, Z, C, Ht, G in reversed(records):
             Xt = X[:, t, :]
             # the clamp on the updated state is straight-through
