@@ -8,9 +8,8 @@ is the hidden-state dynamics under the exact change of variables
 h = I_h / I_unit, I_z = I_unit * z, I_htilde = I_unit * h_cand, so current
 mode is the trajectory of ``afua.unroll`` at batch 1 scaled by I_unit.
 
-The budget calculator turns the array/amplifier constants into chip area,
-supply current, and power; the routing factor is calibrated so the default
-constants reproduce the 30 mm^2 total alongside the raw array area.
+The budget calculator turns the chip's fixed array and amplifier counts
+into chip area, supply current and power.
 """
 
 from __future__ import annotations
@@ -61,25 +60,14 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
         I_unit=I_unit, clamped_substeps=clamped)
 
 
-@dataclass(frozen=True)
-class HardwareBudget:
-    """Array and amplifier constants of the mixed-signal implementation."""
-
-    n_current_sources: int = 2592
-    source_area_mm2: float = 0.22 * 0.04  # 220 um x 40 um
-    routing_factor: float = 1.315
-    n_amps: int = 25
-    amp_current_ma: float = 0.47
-    supply_voltage_v: float = 3.3
-    frame_rate_fps: float = 20.0  # informational only
-
-    def __post_init__(self):
-        for name in ("n_current_sources", "source_area_mm2", "n_amps",
-                     "amp_current_ma", "supply_voltage_v", "frame_rate_fps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.routing_factor < 1.0:
-            raise ConfigError("routing_factor must be >= 1")
+# the fixed array and amplifier counts of the mixed-signal implementation
+N_CURRENT_SOURCES = 2592
+SOURCE_AREA_MM2 = 0.22 * 0.04  # 220 um x 40 um
+ROUTING_FACTOR = 1.315  # calibrated so the chip totals 30 mm^2
+N_AMPS = 25
+AMP_CURRENT_MA = 0.47
+SUPPLY_VOLTAGE_V = 3.3
+FRAME_RATE_FPS = 20.0  # informational only
 
 
 @dataclass(frozen=True)
@@ -90,29 +78,29 @@ class BudgetResult:
     supply_current_ma: float
 
 
-def hardware_budget(b: HardwareBudget = HardwareBudget()) -> BudgetResult:
+def hardware_budget() -> BudgetResult:
     """Area from the source array (with routing), power from the amplifiers."""
-    array_area = b.n_current_sources * b.source_area_mm2
-    chip_area = array_area * b.routing_factor
-    supply = b.n_amps * b.amp_current_ma
-    power = supply * b.supply_voltage_v
+    array_area = N_CURRENT_SOURCES * SOURCE_AREA_MM2
+    chip_area = array_area * ROUTING_FACTOR
+    supply = N_AMPS * AMP_CURRENT_MA
+    power = supply * SUPPLY_VOLTAGE_V
     return BudgetResult(chip_area_mm2=chip_area, array_area_mm2=array_area,
                         power_mw=power, supply_current_ma=supply)
 
 
-def budget_table(b: HardwareBudget = HardwareBudget()) -> str:
-    r = hardware_budget(b)
+def budget_table() -> str:
+    r = hardware_budget()
     lines = [
-        f"{'current sources':<24}{b.n_current_sources}",
-        f"{'source area (mm^2)':<24}{b.source_area_mm2:.4f}",
+        f"{'current sources':<24}{N_CURRENT_SOURCES}",
+        f"{'source area (mm^2)':<24}{SOURCE_AREA_MM2:.4f}",
         f"{'array area (mm^2)':<24}{r.array_area_mm2:.2f}",
-        f"{'routing factor':<24}{b.routing_factor:.3f}",
+        f"{'routing factor':<24}{ROUTING_FACTOR:.3f}",
         f"{'chip area (mm^2)':<24}{r.chip_area_mm2:.2f}",
-        f"{'amplifiers':<24}{b.n_amps}",
-        f"{'amp current (mA)':<24}{b.amp_current_ma:.2f}",
+        f"{'amplifiers':<24}{N_AMPS}",
+        f"{'amp current (mA)':<24}{AMP_CURRENT_MA:.2f}",
         f"{'supply current (mA)':<24}{r.supply_current_ma:.2f}",
-        f"{'supply voltage (V)':<24}{b.supply_voltage_v:.1f}",
+        f"{'supply voltage (V)':<24}{SUPPLY_VOLTAGE_V:.1f}",
         f"{'power (mW)':<24}{r.power_mw:.3f}",
-        f"{'frame rate (FPS)':<24}{b.frame_rate_fps:.0f}",
+        f"{'frame rate (FPS)':<24}{FRAME_RATE_FPS:.0f}",
     ]
     return "\n".join(lines)

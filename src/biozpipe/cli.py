@@ -77,9 +77,9 @@ MAX_SIZES = {
     # synthesis takes about 1.1 KB per center per pool thread: 22 MB at
     # 20 000, 15x the default 1300
     "rbf_centers": 20_000,
-    # a training batch keeps 28 x substeps records of 640 B per sequence:
-    # 179 MB at 100, 10x the default
-    "substeps": 100,
+    # a training batch keeps 28 x 10 substeps records of 640 B, 179 KB, per
+    # sequence: 179 MB at 1 000, 10x the default
+    "batch_size": 1_000,
 }
 
 
@@ -106,9 +106,6 @@ class RunConfig:
     batch_size: int = 100
     epochs: int = 500
     learning_rate: float = 1e-3
-    substeps: int = 10
-    dt: float = 0.1
-    epsilon: float = 1e-6
     bits: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
     out: str = "run"
     threads: int = 1
@@ -139,7 +136,6 @@ class RunConfig:
             self.rbf()
         except ConfigError as exc:
             raise ConfigError(f"rbf_centers, rbf_width_mm: {exc}") from exc
-        self.integration()
         self.train_config()
         try:
             datapipe.split_counts(self.n_phantoms, self.split)
@@ -176,8 +172,7 @@ class RunConfig:
                                   kernel_width=self.rbf_width_mm)
 
     def integration(self) -> afua.IntegrationConfig:
-        return afua.IntegrationConfig(substeps_per_pattern=self.substeps,
-                                      dt=self.dt, epsilon=self.epsilon)
+        return afua.IntegrationConfig()
 
     def train_config(self) -> trainer.TrainConfig:
         return trainer.TrainConfig(batch_size=self.batch_size,

@@ -167,6 +167,8 @@ def load_split_assignment(path) -> dict[str, str]:
             if not {"id", "split"} <= set(reader.fieldnames or ()):
                 raise FormatError(f"{path}: needs the columns id and split")
             for row in reader:
+                if row["id"] in out:
+                    raise FormatError(f"{path}: id {row['id']!r} listed twice")
                 out[row["id"]] = row["split"]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII: {exc}") from exc

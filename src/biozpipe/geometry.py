@@ -36,24 +36,17 @@ FIRST_OUTER = 26  # electrodes 1..25 are inner probes, 26..33 outer arcs
 # 1 mA peak-to-peak sinusoid -> 0.5 mA phasor amplitude
 PATTERN_AMPLITUDE_MA = 0.5
 
+# probe dimensions in mm and radians: inclusions of up to 3 mm are large
+# against the 1.875 mm sensing disk, so the 8% overlap rule yields balanced
+# labels with resolvable contrast; a layout file describes any other probe
+DOMAIN_RADIUS_MM = 3.0
+RING_RADIUS_MM = 2.5
+GRID_PITCH_MM = 0.75
+SENSING_RADIUS_MM = 1.875
+ARC_HALFWIDTH = 0.175
+
 _TWO_PI = 2.0 * math.pi
 _QUARTER = 0.5 * math.pi
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Probe dimensions in mm (angles in radians).
-
-    Defaults describe a millimeter-scale probe face: inclusions of up to
-    3 mm diameter are large relative to the 1.875 mm sensing disk, so the
-    8% overlap rule yields balanced labels with resolvable contrast.
-    """
-
-    domain_radius: float = 3.0
-    ring_radius: float = 2.5
-    grid_pitch: float = 0.75
-    sensing_radius: float = 1.875
-    arc_halfwidth: float = 0.175
 
 
 @dataclass(frozen=True)
@@ -113,45 +106,30 @@ def validate_layout(layout: ProbeLayout) -> None:
         raise ConfigError("sensing_radius must not exceed domain_radius")
 
 
-def build_probe_layout(config: GeometryConfig = GeometryConfig()) -> ProbeLayout:
+def build_probe_layout() -> ProbeLayout:
     """Construct the default probe: 5x5 inner grid plus 8 equispaced arcs.
 
     Inner electrodes are numbered 1..25 in reading order (top row first,
     x ascending), so electrode 13 sits at the origin.  Outer electrodes
     26..33 are centered at angles 0, 45, ..., 315 degrees.
     """
-    if config.domain_radius <= 0 or config.ring_radius <= 0:
-        raise ConfigError("radii must be positive")
-    if config.grid_pitch <= 0:
-        raise ConfigError("grid pitch must be positive")
-    if config.ring_radius >= config.domain_radius:
-        raise ConfigError("outer ring must lie inside the meshed domain")
-    if not 0 < config.arc_halfwidth < math.pi / N_OUTER:
-        raise ConfigError("arc halfwidth must be in (0, pi/8) so arcs stay disjoint")
-    corner = config.grid_pitch * 2.0 * math.sqrt(2.0)
-    if corner >= config.ring_radius:
-        raise ConfigError(
-            f"5x5 grid (corner radius {corner:.3f} mm) extends past the "
-            f"outer ring (radius {config.ring_radius:.3f} mm)"
-        )
-
-    offsets = (np.arange(5) - 2) * config.grid_pitch
+    offsets = (np.arange(5) - 2) * GRID_PITCH_MM
     inner = np.array(
         [(x, y) for y in offsets[::-1] for x in offsets], dtype=float
     )
     arcs = tuple(
         Arc(
-            start_angle=k * _TWO_PI / N_OUTER - config.arc_halfwidth,
-            end_angle=k * _TWO_PI / N_OUTER + config.arc_halfwidth,
-            radius=config.ring_radius,
+            start_angle=k * _TWO_PI / N_OUTER - ARC_HALFWIDTH,
+            end_angle=k * _TWO_PI / N_OUTER + ARC_HALFWIDTH,
+            radius=RING_RADIUS_MM,
         )
         for k in range(N_OUTER)
     )
     layout = ProbeLayout(
         inner_electrodes=inner,
         outer_electrodes=arcs,
-        sensing_radius=config.sensing_radius,
-        domain_radius=config.domain_radius,
+        sensing_radius=SENSING_RADIUS_MM,
+        domain_radius=DOMAIN_RADIUS_MM,
     )
     validate_layout(layout)
     return layout

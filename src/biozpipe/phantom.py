@@ -31,6 +31,8 @@ MAX_INCLUSION_DIAMETER_MM = 3.0
 # and 64 rows were slower; 256 was faster on 2 threads but slower on 1,
 # and its wider quadrants raise the expansion's error
 _KERNEL_BLOCK_ROWS = 128
+# scale of the raw weights (mS/m); the rescale cancels its magnitude
+_WEIGHT_SCALE = 1.0 + 1.0j
 # kernel exponent cap: an entry whose exponent is below -46 is exactly
 # exp(-46), so a center beyond the cap radius sqrt(46 * 2 w^2) of a whole
 # block adds exp(-46) times its weight to each of its elements unevaluated
@@ -70,7 +72,6 @@ class RbfNoiseConfig:
 
     n_centers: int = 1300
     kernel_width: float = 0.15  # mm
-    amplitude: complex = 1.0 + 1.0j  # mS/m scale of raw weights, pre-rescale
 
     def __post_init__(self):
         if self.n_centers < 1:
@@ -170,9 +171,10 @@ def synth_background(mesh: Mesh, model: TissueModel,
     """Background conductivity with RBF texture at element centroids.
 
     The raw field (Gaussian bumps, standard-normal complex weights scaled by
-    ``rbf.amplitude``) is rescaled by a single real factor so the empirical
+    ``_WEIGHT_SCALE``) is rescaled by a single real factor so the empirical
     relative standard deviation of the real part equals
-    ``model.noise_rel_std`` exactly.  Deterministic given the seed.
+    ``model.noise_rel_std`` exactly; a raw real part flat to rounding
+    raises NumericalError.  Deterministic given the seed.
 
     The kernel exponent is capped at 46, so every center farther than the
     cap radius ``sqrt(46 * 2 w^2)`` from an element adds exactly
@@ -217,7 +219,7 @@ def synth_background(mesh: Mesh, model: TissueModel,
     angles = rng.uniform(0.0, 2.0 * math.pi, size=rbf.n_centers)
     centers = np.array([radii * np.cos(angles), radii * np.sin(angles)])
     weights = (rng.standard_normal(rbf.n_centers)
-               + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
+               + 1j * rng.standard_normal(rbf.n_centers)) * _WEIGHT_SCALE
     w = np.array([weights.real, weights.imag])
     w_sum = w.sum(axis=1)
 
@@ -257,9 +259,11 @@ def synth_background(mesh: Mesh, model: TissueModel,
         raw[1, block] = w_near[1] @ k
         raw[:, block] += capped * (w_sum - w_near.sum(axis=1))[:, None]
 
+    # flat to rounding: std at most 1e-9 of the largest magnitude, a rescale
+    # would blow rounding noise up to the target
     raw_std = float(np.std(raw[0]))
-    if raw_std == 0.0:
-        raise NumericalError("RBF field is identically zero; cannot rescale")
+    if raw_std <= 1e-9 * float(np.abs(raw[0]).max()):
+        raise NumericalError("RBF field is flat to rounding; cannot rescale")
     scale = model.noise_rel_std * abs(model.sigma_background) / raw_std
     field = np.empty(mesh.n_triangles, dtype=complex)
     field[layout.order] = (model.sigma_background

@@ -47,6 +47,11 @@ class QuantizedParams:
         check_bits(self.total_bits)
         if not all(0 < s < np.inf for s in self.scales.values()):
             raise ConfigError("scales must be positive and finite")
+        top = max_code(self.total_bits)
+        for name in PARAM_NAMES:
+            codes = self.codes[name]
+            if np.min(codes) < -top or np.max(codes) > top:
+                raise ConfigError(f"{name} has a code beyond +-{top}")
         deq = {name: self.codes[name] * self.step(name)
                for name in PARAM_NAMES}
         object.__setattr__(self, "_dequantized", NetworkParams(**deq))

@@ -3,7 +3,6 @@ import pytest
 
 from biozpipe import afua, analog
 from biozpipe.afua import IntegrationConfig, NetworkParams
-from biozpipe.analog import BudgetResult, HardwareBudget
 from biozpipe.errors import ConfigError
 
 
@@ -89,32 +88,11 @@ class TestCurrentMode:
 
 class TestBudget:
     def test_paper_constants(self):
-        r = analog.hardware_budget(HardwareBudget())
+        r = analog.hardware_budget()
         assert r.chip_area_mm2 == pytest.approx(30.0, abs=0.1)
         assert r.array_area_mm2 == pytest.approx(22.81, abs=0.01)
         assert r.supply_current_ma == pytest.approx(11.75, abs=1e-12)
         assert r.power_mw == pytest.approx(38.775, abs=1e-9)
-
-    def test_zero_chip(self):
-        b = HardwareBudget(n_current_sources=0, n_amps=0)
-        r = analog.hardware_budget(b)
-        assert (r.chip_area_mm2, r.power_mw, r.supply_current_ma) == (0, 0, 0)
-
-    def test_linear_in_counts(self):
-        base = HardwareBudget()
-        r1 = analog.hardware_budget(base)
-        r2 = analog.hardware_budget(HardwareBudget(
-            n_current_sources=2 * base.n_current_sources))
-        assert r2.chip_area_mm2 == pytest.approx(2 * r1.chip_area_mm2)
-        r3 = analog.hardware_budget(HardwareBudget(n_amps=3 * base.n_amps))
-        assert r3.supply_current_ma == pytest.approx(3 * r1.supply_current_ma)
-        assert r3.power_mw == pytest.approx(3 * r1.power_mw)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            HardwareBudget(n_amps=-1)
-        with pytest.raises(ConfigError):
-            HardwareBudget(routing_factor=0.5)
 
     def test_table_mentions_key_numbers(self):
         text = analog.budget_table()

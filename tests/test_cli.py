@@ -33,7 +33,37 @@ def tiny_run(tmp_path_factory):
     return out
 
 
+# the exact stdout of the budget commands: an edit to any of the chip's
+# constants, or to how they print, changes these bytes
+BUDGET_STDOUT = {
+    "budget": (
+        'current sources         2592\n'
+        'source area (mm^2)      0.0088\n'
+        'array area (mm^2)       22.81\n'
+        'routing factor          1.315\n'
+        'chip area (mm^2)        29.99\n'
+        'amplifiers              25\n'
+        'amp current (mA)        0.47\n'
+        'supply current (mA)     11.75\n'
+        'supply voltage (V)      3.3\n'
+        'power (mW)              38.775\n'
+        'frame rate (FPS)        20\n'),
+    "budget --json": (
+        '{\n'
+        '  "chip_area_mm2": 29.994623999999998,\n'
+        '  "array_area_mm2": 22.8096,\n'
+        '  "power_mw": 38.775,\n'
+        '  "supply_current_ma": 11.75\n'
+        '}\n'),
+}
+
+
 class TestBudgetCommand:
+    @pytest.mark.parametrize("command", sorted(BUDGET_STDOUT))
+    def test_stdout_pinned(self, capsys, command):
+        assert run_cli(command.split()) == 0
+        assert capsys.readouterr().out == BUDGET_STDOUT[command]
+
     def test_prints_paper_numbers(self, capsys):
         assert run_cli(["budget"]) == 0
         text = capsys.readouterr().out
@@ -399,7 +429,8 @@ class TestReruns:
     def test_training_fault_exit_2_leaves_finished_run_untouched(
             self, tiny_run, tmp_path, capsys, config, named):
         # each passed the configuration check and failed only in train,
-        # after generate had replaced the finished run's files
+        # after generate had replaced the finished run's files.  dt is not
+        # a config key: the unknown-key check rejects it
         run = self.finished_copy(tiny_run, tmp_path)
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         (tmp_path / "c.json").write_text(config)
@@ -542,6 +573,14 @@ def dt_above_tau_h(data):
                      for ln in lines).encode("ascii")
 
 
+def first_w_z_code_1000(data):
+    """A quantized model file whose first W_z code lies beyond its bits."""
+    lines = data.decode("ascii").split("\n")
+    i = next(k for k, ln in enumerate(lines) if ln.split()[1:2] == ["W_z"])
+    lines[i + 1] = " ".join(["1000"] + lines[i + 1].split()[1:])
+    return "\n".join(lines).encode("ascii")
+
+
 def tau_h_2(data):
     """A model file that names a time constant other than the circuit's."""
     return data.replace(b"\ntau_h 1.0\n", b"\ntau_h 2.0\n")
@@ -558,6 +597,8 @@ MALFORMED_MODELS = {
     "afuaq-bits-2": ("model_q6.afuaq", lambda data: data.replace(
         b"\nbits 6\n", b"\nbits 2\n")),
     "afuaq-byte-ff": ("model_q6.afuaq", middle_byte_ff),
+    # 1000 is far past max_code(3) = 3
+    "afuaq-code-1000": ("model_q3.afuaq", first_w_z_code_1000),
     "afuaq-dt-above-tau_h": ("model_q6.afuaq", dt_above_tau_h),
     "afuaq-tau_h-2": ("model_q6.afuaq", tau_h_2),
 }
@@ -643,7 +684,7 @@ class TestMalformedInputs:
         assert f"error [eval]: {labels}" in err
 
     @pytest.mark.parametrize("case", ["missing-id", "no-split-column",
-                                      "non-ascii"])
+                                      "non-ascii", "repeated-id"])
     def test_split_manifest(self, tiny_run, tmp_path, capsys, case):
         run = tmp_path / "run"
         shutil.copytree(tiny_run, run)
@@ -652,21 +693,23 @@ class TestMalformedInputs:
         dropped = lines[2].split(b",")[0].decode("ascii")
         bad = {"missing-id": lines[:2] + lines[3:],
                "no-split-column": [b"id,part,label\n"] + lines[1:],
-               "non-ascii": lines[:2] + [b"p\xe9" + lines[2]] + lines[3:]}
+               "non-ascii": lines[:2] + [b"p\xe9" + lines[2]] + lines[3:],
+               # an id listed again under another split
+               "repeated-id": lines + [dropped.encode("ascii") + b",test,1\n"]}
         manifest.write_bytes(b"".join(bad[case]))
         assert run_cli(["quantize", "--out", str(run)]) == 4
         err = capsys.readouterr().err
         assert f"error [quantize]: {manifest}" in err
-        if case == "missing-id":
+        if case in ("missing-id", "repeated-id"):
             assert repr(dropped) in err
 
 
 class TestGeometryOverride:
     def test_geometry_flag(self, tmp_path):
+        from dataclasses import replace
+
         from biozpipe import geometry as geo
-        layout = geo.build_probe_layout(geo.GeometryConfig(
-            domain_radius=3.6, ring_radius=3.0, grid_pitch=0.9,
-            sensing_radius=2.25))
+        layout = replace(geo.build_probe_layout(), sensing_radius=2.25)
         gfile = tmp_path / "probe.txt"
         geo.save_layout(layout, gfile)
         out = tmp_path / "run"

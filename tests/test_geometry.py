@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,20 +44,24 @@ class TestProbeLayout:
         assert len(layout.inner_electrodes) == 25
         assert len(layout.outer_electrodes) == 8
 
-    def test_zero_pitch_rejected(self):
-        with pytest.raises(ConfigError):
-            geo.build_probe_layout(geo.GeometryConfig(grid_pitch=0.0))
+    # the probe's dimensions are constants; a layout file describes any
+    # other probe, and validate_layout checks it
+    def test_zero_pitch_rejected(self, layout):
+        flat = replace(layout, inner_electrodes=0.0 * layout.inner_electrodes)
+        with pytest.raises(ConfigError, match="coincide"):
+            geo.validate_layout(flat)
 
-    def test_grid_past_ring_rejected(self):
-        # corner radius = pitch * 2 * sqrt(2) must stay inside the ring
-        with pytest.raises(ConfigError):
-            geo.build_probe_layout(geo.GeometryConfig(grid_pitch=0.9))
+    def test_grid_past_ring_rejected(self, layout):
+        # at pitch 0.9 the corner radius 0.9 * 2 * sqrt(2) = 2.55 mm lies
+        # past the 2.5 mm ring
+        wide = replace(layout, inner_electrodes=1.2 * layout.inner_electrodes)
+        with pytest.raises(ConfigError, match="inside the outer ring"):
+            geo.validate_layout(wide)
 
-    @pytest.mark.parametrize("pitch", [0.75, 0.6])
-    def test_nearest_pair_separation_equals_pitch(self, pitch):
+    @pytest.mark.parametrize("pitch", [geo.GRID_PITCH_MM])
+    def test_nearest_pair_separation_equals_pitch(self, layout, pitch):
         # exhaustive pairwise check over the 25 points
-        cfg = geo.GeometryConfig(grid_pitch=pitch)
-        pts = geo.build_probe_layout(cfg).inner_electrodes
+        pts = layout.inner_electrodes
         best = math.inf
         for i in range(25):
             for j in range(i + 1, 25):
@@ -165,7 +170,7 @@ class TestMesh:
                 counts[key] = counts.get(key, 0) + 1
         assert max(counts.values()) == 2
         # boundary edges form the outer circle only
-        dom = geo.GeometryConfig().domain_radius
+        dom = geo.DOMAIN_RADIUS_MM
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         for (a, b), c in counts.items():
             if c == 1:

@@ -28,14 +28,6 @@ def mesh(layout):
     return geo.build_mesh(layout, 0.3)
 
 
-@pytest.fixture(scope="module")
-def wide_layout():
-    # wider probe used by the closed-form labeling examples below
-    return geo.build_probe_layout(geo.GeometryConfig(
-        domain_radius=6.0, ring_radius=5.0, grid_pitch=1.5,
-        sensing_radius=3.75))
-
-
 class TestRbfNoiseConfig:
     @pytest.mark.parametrize("width", [1e-200, 1e200, 0.0, -1.0])
     def test_width_outside_the_kernels_range_raises(self, width):
@@ -67,10 +59,12 @@ class TestBackground:
             assert np.all(field.real > 0)
 
     def test_all_zero_raw_field_raises(self, mesh):
-        # zero weight amplitude makes the raw field identically zero, so
-        # the rescaling to the noise target is impossible
-        rbf = phm.RbfNoiseConfig(n_centers=4, kernel_width=1.0, amplitude=0.0)
-        with pytest.raises(NumericalError):
+        # one center under a kernel far wider than the domain makes the raw
+        # field its weight everywhere: flat, as an all-zero field is, but
+        # to rounding only, so its std (about 1e-16 of its magnitude) is
+        # rounding noise that the rescale would blow up to the target
+        rbf = phm.RbfNoiseConfig(n_centers=1, kernel_width=1e10)
+        with pytest.raises(NumericalError, match="flat"):
             phm.synth_background(mesh, phm.PROSTATE, rbf, seed=3)
 
 
@@ -95,7 +89,7 @@ def dense_raw(mesh, rbf=phm.RbfNoiseConfig(), seed=0, expanded=True):
     angles = rng.uniform(0.0, 2.0 * math.pi, size=rbf.n_centers)
     centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     weights = (rng.standard_normal(rbf.n_centers)
-               + 1j * rng.standard_normal(rbf.n_centers)) * rbf.amplitude
+               + 1j * rng.standard_normal(rbf.n_centers)) * (1 + 1j)
     if expanded:
         d2 = ((centroids ** 2).sum(axis=1)[:, None]
               + (centers ** 2).sum(axis=1)[None, :]
@@ -270,13 +264,14 @@ class TestLabel:
     def test_zero_diameter_negative(self, layout):
         assert phm.label_phantom(phm.Inclusion((0, 0), 0.0), layout) == 0
 
-    def test_three_mm_inside_positive(self, wide_layout):
-        # closed form: pi*1.5^2 / (pi*3.75^2) = 0.16 >= 0.08
-        assert phm.label_phantom(phm.Inclusion((0, 0), 3.0), wide_layout) == 1
+    def test_three_mm_inside_positive(self, layout):
+        # a 3 mm inclusion on a probe of twice the size, halved; closed
+        # form: pi*0.75^2 / (pi*1.875^2) = 0.16 >= 0.08
+        assert phm.label_phantom(phm.Inclusion((0, 0), 1.5), layout) == 1
 
-    def test_two_mm_inside_negative(self, wide_layout):
-        # pi*1.0^2 / (pi*3.75^2) = 0.0711 < 0.08
-        assert phm.label_phantom(phm.Inclusion((0, 0), 2.0), wide_layout) == 0
+    def test_two_mm_inside_negative(self, layout):
+        # likewise 2 mm, halved: pi*0.5^2 / (pi*1.875^2) = 0.0711 < 0.08
+        assert phm.label_phantom(phm.Inclusion((0, 0), 1.0), layout) == 0
 
     def test_default_probe_threshold(self, layout):
         # sensing radius 1.875: 8% of the disk corresponds to a fully
