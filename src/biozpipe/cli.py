@@ -36,9 +36,10 @@ run input and are left in place.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 I/O or file-format failure, which covers any malformed model, quantized
-model, dataset, frames or layout file.  The error message names the stage
-that failed (``error [train]: ...``), also inside pipeline; a configuration
-fault, found before any stage runs, names the command.
+model, dataset, frames or layout file, and a layout whose ring lies off
+its domain.  The error message names the stage that failed (``error
+[train]: ...``), also inside pipeline; a configuration fault, found before
+any stage runs, names the command.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import afua, analog, datapipe, fem, quantizer, trainer
@@ -81,6 +82,14 @@ MAX_SIZES = {
     # sequence: 179 MB at 1 000, 10x the default
     "batch_size": 1_000,
 }
+# lower bound on mesh_edge_mm: the mesh and each phantom's conductivities
+# grow as 1/h^2, the LU factor slightly faster.  Measured for one phantom
+# (mesh, reference, synthesis and solve; triangles, LU fill, RSS above the
+# import): h = 0.14: 3200, 73 k, 7.8 MB; 0.1: 5948, 159 k, 13 MB; 0.07:
+# 12 276, 373 k, 28 MB.  At 0.07 the conductivities kept through generate
+# reach 2.0 GB at the n_phantoms bound, and a pool thread's 4 MB in flight
+# grows to about 14 MB, 0.46 GB at the threads bound
+MIN_MESH_EDGE_MM = 0.07
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,9 @@ class RunConfig:
     n_phantoms: int = 1500
     seed: int = 7
     mesh_edge_mm: float = 0.14
-    # effective sheet noise: the 10% volumetric heterogeneity depth-averages
-    # over the 5 mm slice to ~2.3% at the default correlation length
+    # the texture's effective sheet noise (RbfNoiseConfig): the 10%
+    # volumetric heterogeneity depth-averages over the 5 mm slice to ~2.3%
+    # at the default correlation length
     noise_rel_std: float = 0.023
     rbf_centers: int = 1300
     rbf_width_mm: float = 0.15
@@ -123,8 +133,9 @@ class RunConfig:
             if getattr(self, name) > most:
                 raise ConfigError(f"{name} {getattr(self, name)} exceeds "
                                   f"its bound {most}")
-        if not self.mesh_edge_mm > 0:
-            raise ConfigError("mesh_edge_mm must be positive")
+        if not self.mesh_edge_mm >= MIN_MESH_EDGE_MM:
+            raise ConfigError(f"mesh_edge_mm {self.mesh_edge_mm} is below "
+                              f"its bound {MIN_MESH_EDGE_MM}")
         if not self.saline_ms_per_m > 0:
             raise ConfigError("saline_ms_per_m must be positive")
         if self.contact_impedance_ohm_mm == 0:
@@ -135,7 +146,8 @@ class RunConfig:
         try:
             self.rbf()
         except ConfigError as exc:
-            raise ConfigError(f"rbf_centers, rbf_width_mm: {exc}") from exc
+            raise ConfigError(
+                f"noise_rel_std, rbf_centers, rbf_width_mm: {exc}") from exc
         self.train_config()
         try:
             datapipe.split_counts(self.n_phantoms, self.split)
@@ -164,12 +176,12 @@ class RunConfig:
                 f"unknown tissue model {self.model!r}; "
                 f"choose from {sorted(phm.TISSUE_MODELS)}"
             )
-        base = phm.TISSUE_MODELS[self.model]
-        return replace(base, noise_rel_std=self.noise_rel_std)
+        return phm.TISSUE_MODELS[self.model]
 
     def rbf(self) -> phm.RbfNoiseConfig:
         return phm.RbfNoiseConfig(n_centers=self.rbf_centers,
-                                  kernel_width=self.rbf_width_mm)
+                                  kernel_width=self.rbf_width_mm,
+                                  noise_rel_std=self.noise_rel_std)
 
     def integration(self) -> afua.IntegrationConfig:
         return afua.IntegrationConfig()
@@ -331,6 +343,7 @@ def _heldout(split: datapipe.DatasetSplit):
 
 def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
     """Evaluate, write confusion.csv and print the accuracy and confusion."""
+    out.mkdir(parents=True, exist_ok=True)
     acc, confusion = trainer.evaluate(params, seqs, icfg)
     _clear_outputs(out, "eval")
     trainer.save_confusion_csv(acc, confusion, out / "confusion.csv")

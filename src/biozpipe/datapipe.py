@@ -45,8 +45,8 @@ class DatasetSplit:
     test: list[InputSequence]
 
 
-def normalize(meas: Frame, ref: Frame, gain: float = 1.0,
-              label: int = 0) -> InputSequence:
+def normalize(meas: Frame, ref: Frame, gain: float,
+              label: int) -> InputSequence:
     """Apply the tanh magnitude-difference preprocessing to one frame."""
     x = np.tanh(gain * (np.abs(meas.voltages) - np.abs(ref.voltages)))
     x = np.clip(x.astype(np.float32), -_ONE_MINUS, _ONE_MINUS)
@@ -185,6 +185,8 @@ def load_labels(path) -> dict[str, int]:
                 if row.get("id") is None or label not in ("0", "1"):
                     raise FormatError(f"{path}: row {row} needs an id and a "
                                       "label of 0 or 1")
+                if row["id"] in labels:
+                    raise FormatError(f"{path}: id {row['id']!r} listed twice")
                 labels[row["id"]] = int(label)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII: {exc}") from exc

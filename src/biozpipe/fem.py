@@ -50,7 +50,6 @@ from .geometry import (N_INNER, N_PATTERNS, CurrentPattern, Mesh, ProbeLayout,
 from .phantom import Inclusion, Phantom
 
 SLICE_THICKNESS_MM = 5.0
-DEFAULT_CONTACT_IMPEDANCE_OHM_MM = 10.0
 
 # mS/m * mm slice -> sheet conductance in S
 _SHEET_SCALE = 1e-6
@@ -239,8 +238,7 @@ def cem_operator(mesh: Mesh) -> CemOperator:
 
 
 def assemble(mesh: Mesh, element_sigma: np.ndarray,
-             contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM
-             ) -> AssembledSystem:
+             contact_impedance) -> AssembledSystem:
     """Fill the mesh's CEM operator for one phantom and factorize it.
 
     ``contact_impedance`` is per unit arc length (ohm * mm), a scalar or one
@@ -352,11 +350,8 @@ def electrode_currents(system: AssembledSystem, solution: np.ndarray) -> np.ndar
 
 
 def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
-                   contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM,
-                   phantom_id: str | None = None) -> Frame:
+                   contact_impedance, phantom_id: str) -> Frame:
     """One assembly, then the 28 patterns from its 8 unit responses."""
-    if phantom_id is None:
-        phantom_id = f"seed{phantom.seed}"
     try:
         system = assemble(mesh, phantom.element_sigma, contact_impedance)
         patterns = tuple(enumerate_current_patterns(layout))
@@ -371,7 +366,7 @@ def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
 
 
 def reference_frame(mesh: Mesh, layout: ProbeLayout, sigma_saline: complex,
-                    contact_impedance=DEFAULT_CONTACT_IMPEDANCE_OHM_MM) -> Frame:
+                    contact_impedance) -> Frame:
     """Frame of a uniform saline bath."""
     if complex(sigma_saline).real <= 0:
         raise SolverError("saline conductivity real part must be positive")

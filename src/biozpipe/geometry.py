@@ -91,6 +91,11 @@ def validate_layout(layout: ProbeLayout) -> None:
             f"expected {N_OUTER} outer electrodes, got {len(layout.outer_electrodes)}"
         )
     ring = layout.outer_electrodes[0].radius
+    if any(arc.radius != ring for arc in layout.outer_electrodes):
+        raise ConfigError("outer electrode arcs must share one radius")
+    if not ring <= layout.domain_radius:
+        raise ConfigError(f"outer ring radius {ring} exceeds domain_radius "
+                          f"{layout.domain_radius}")
     radii = np.hypot(inner[:, 0], inner[:, 1])
     if np.any(radii >= ring):
         raise ConfigError("inner electrodes must lie strictly inside the outer ring")

@@ -4,7 +4,8 @@ Two tissue models are bundled: prostate (normal background vs. cancerous
 inclusion) and bovine (muscle background vs. adipose inclusion), with complex
 conductivities in mS/m at the 10 kHz operating point.  Background texture is
 a random radial-basis-function field rescaled so the relative standard
-deviation of the real part hits the configured target exactly.
+deviation of the real part hits ``RbfNoiseConfig.noise_rel_std`` exactly.
+No run setting has a default here: ``cli.RunConfig`` holds them all.
 """
 
 from __future__ import annotations
@@ -41,18 +42,15 @@ _KERNEL_EXP_CAP = 46.0
 
 @dataclass(frozen=True)
 class TissueModel:
-    """Background/inclusion conductivity pair (mS/m) and noise target."""
+    """Background/inclusion conductivity pair (mS/m)."""
 
     name: str
     sigma_background: complex
     sigma_inclusion: complex
-    noise_rel_std: float = 0.10
 
     def __post_init__(self):
         if self.sigma_background.real <= 0 or self.sigma_inclusion.real <= 0:
             raise ConfigError("conductivity real parts must be positive")
-        if not 0 <= self.noise_rel_std < 1:
-            raise ConfigError("noise_rel_std must be in [0, 1)")
 
 
 PROSTATE = TissueModel("prostate", 126.0 + 12.76j, 106.0 + 14.9j)
@@ -65,17 +63,20 @@ TISSUE_MODELS = {m.name: m for m in (PROSTATE, BOVINE)}
 class RbfNoiseConfig:
     """Gaussian-bump random field: centers uniform in the domain disk.
 
-    The default correlation length sits at the mesh-element scale, modeling
-    fine-grained tissue heterogeneity; longer kernels produce blobs that
-    mimic inclusions and destroy class separability.
+    A correlation length at the mesh-element scale models fine-grained
+    tissue heterogeneity; longer kernels produce blobs that mimic
+    inclusions and destroy class separability.
     """
 
-    n_centers: int = 1300
-    kernel_width: float = 0.15  # mm
+    n_centers: int
+    kernel_width: float  # mm
+    noise_rel_std: float  # std of the real part / |sigma_background|
 
     def __post_init__(self):
         if self.n_centers < 1:
             raise ConfigError("n_centers must be >= 1")
+        if not 0 <= self.noise_rel_std < 1:
+            raise ConfigError("noise_rel_std must be in [0, 1)")
         # the kernel is exp(-d^2 / (2 w^2)): inside this range 1/(2 w^2) is
         # finite and nonzero
         if not 1e-150 < self.kernel_width < 1e150:
@@ -165,15 +166,14 @@ def background_layout(mesh: Mesh) -> BackgroundLayout:
     return mesh.derived(_build_layout)
 
 
-def synth_background(mesh: Mesh, model: TissueModel,
-                     rbf: RbfNoiseConfig = RbfNoiseConfig(), *,
-                     seed: int) -> np.ndarray:
+def synth_background(mesh: Mesh, model: TissueModel, rbf: RbfNoiseConfig,
+                     *, seed: int) -> np.ndarray:
     """Background conductivity with RBF texture at element centroids.
 
     The raw field (Gaussian bumps, standard-normal complex weights scaled by
     ``_WEIGHT_SCALE``) is rescaled by a single real factor so the empirical
     relative standard deviation of the real part equals
-    ``model.noise_rel_std`` exactly; a raw real part flat to rounding
+    ``rbf.noise_rel_std`` exactly; a raw real part flat to rounding
     raises NumericalError.  Deterministic given the seed.
 
     The kernel exponent is capped at 46, so every center farther than the
@@ -209,7 +209,7 @@ def synth_background(mesh: Mesh, model: TissueModel,
     once near passed a few hundred to a few thousand centers.
     """
     rng = np.random.default_rng(seed)
-    if model.noise_rel_std == 0.0:
+    if rbf.noise_rel_std == 0.0:
         return np.full(mesh.n_triangles, complex(model.sigma_background),
                        dtype=complex)
     layout = background_layout(mesh)
@@ -264,7 +264,7 @@ def synth_background(mesh: Mesh, model: TissueModel,
     raw_std = float(np.std(raw[0]))
     if raw_std <= 1e-9 * float(np.abs(raw[0]).max()):
         raise NumericalError("RBF field is flat to rounding; cannot rescale")
-    scale = model.noise_rel_std * abs(model.sigma_background) / raw_std
+    scale = rbf.noise_rel_std * abs(model.sigma_background) / raw_std
     field = np.empty(mesh.n_triangles, dtype=complex)
     field[layout.order] = (model.sigma_background
                            + (raw[0] + 1j * raw[1]) * scale)
@@ -318,7 +318,7 @@ def phantom_seed(master_seed: int, index: int) -> int:
 
 
 def make_phantom(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
-                 seed: int, rbf: RbfNoiseConfig = RbfNoiseConfig()) -> Phantom:
+                 seed: int, rbf: RbfNoiseConfig) -> Phantom:
     """One phantom from its own seed: inclusion draw, then background synth."""
     ss = np.random.SeedSequence(seed)
     inc_seed, bg_seed = ss.spawn(2)
@@ -342,8 +342,7 @@ def phantom_id(index: int) -> str:
 
 
 def generate_phantom_set(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
-                         n: int, seed: int,
-                         rbf: RbfNoiseConfig = RbfNoiseConfig(),
+                         n: int, seed: int, rbf: RbfNoiseConfig,
                          map=map) -> list[Phantom]:
     """n labeled phantoms with per-phantom seeds derived from (seed, index).
 

@@ -36,10 +36,10 @@ _ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 100
-    epochs: int = 500
-    learning_rate: float = 1e-3
-    seed: int = 0
+    batch_size: int
+    epochs: int
+    learning_rate: float
+    seed: int
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:

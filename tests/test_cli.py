@@ -1,18 +1,21 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biozpipe
-from biozpipe import cli, fem
+from biozpipe import cli, datapipe, fem, trainer
+from biozpipe import phantom as phm
 from biozpipe.errors import ConfigError, FormatError, MeshError, NumericalError
 
 
@@ -156,6 +159,45 @@ class TestSizeBounds:
         assert f"error [pipeline]: {name} {most + 1} exceeds" in \
             capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_mesh_edge_bound_passes_and_below_exits_2(self, tmp_path,
+                                                      capsys):
+        least = cli.MIN_MESH_EDGE_MM
+        assert cli.RunConfig(mesh_edge_mm=least).mesh_edge_mm == least
+        below = float(np.nextafter(least, 0.0))
+        (tmp_path / "c.json").write_text(json.dumps({"mesh_edge_mm": below}))
+        assert run_cli(["pipeline", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / "run")]) == 2
+        assert f"error [pipeline]: mesh_edge_mm {below} is below" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+# the run settings that library signatures and dataclasses take
+RUN_SETTINGS = {
+    trainer.TrainConfig: ("batch_size", "epochs", "learning_rate", "seed"),
+    phm.RbfNoiseConfig: ("n_centers", "kernel_width", "noise_rel_std"),
+    phm.synth_background: ("rbf",),
+    phm.make_phantom: ("rbf",),
+    phm.generate_phantom_set: ("rbf",),
+    fem.assemble: ("contact_impedance",),
+    fem.simulate_frame: ("contact_impedance", "phantom_id"),
+    fem.reference_frame: ("contact_impedance",),
+    datapipe.normalize: ("gain", "label"),
+}
+
+
+def test_run_settings_default_only_in_run_config():
+    # a library default would let a caller that leaves one out run a
+    # different experiment from pipeline's, with no error
+    defaulted = [f"{obj.__qualname__}.{name}"
+                 for obj, names in RUN_SETTINGS.items()
+                 for name in names
+                 if inspect.signature(obj).parameters[name].default
+                 is not inspect.Parameter.empty]
+    assert not defaulted
+    assert not hasattr(fem, "DEFAULT_CONTACT_IMPEDANCE_OHM_MM")
+    assert "noise_rel_std" not in {f.name for f in fields(phm.TissueModel)}
 
 
 class TestResolveConfig:
@@ -476,6 +518,14 @@ class TestEvalCommand:
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_creates_out_dir(self, tiny_run, tmp_path):
+        out = tmp_path / "new" / "eval"
+        assert run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
+                        "--data", str(tiny_run / "dataset.bzds"),
+                        "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["confusion.csv",
+                                                         "manifest.json"]
+
     def test_eval_on_frames_with_labels(self, tiny_run, tmp_path, capsys):
         # externally measured frames path: reuse four simulated frames
         from biozpipe import fem
@@ -673,7 +723,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("content", [
         b"id,label\np00000,x\n", b"id,label\np00000,2\n",
         b"id,label\np00000,\n", b"name,label\np00000,1\n",
-        b"id,label\np\xe900000,1\n"])
+        b"id,label\np\xe900000,1\n", b"id,label\np00000,0\np00000,1\n"])
     def test_labels_file(self, tiny_run, tmp_path, capsys, content):
         labels = tmp_path / "labels.csv"
         labels.write_bytes(content)
@@ -732,7 +782,12 @@ class TestGeometryOverride:
                     # a misnamed key in place of domain_radius
                     b"\n".join([lines[0], b"bogus_key 3.0"] + lines[2:]),
                     # a line after the last section
-                    good + b"garbage 1\n"):
+                    good + b"garbage 1\n",
+                    # the ring at 2.5 mm lies past a 2.0 mm domain
+                    b"\n".join([lines[0], b"domain_radius 2.0"] + lines[2:]),
+                    # the last arc off the ring, at 2.0 mm
+                    b"\n".join(lines[:-2] + [lines[-2].rsplit(b" ", 1)[0]
+                                             + b" 2.0", b""])):
             gfile.write_bytes(bad)
             code = run_cli(["generate", "--n", "2", "--geometry", str(gfile),
                             "--out", str(tmp_path / "run")])

@@ -5,7 +5,7 @@ import pytest
 
 from biozpipe import datapipe as dp
 from biozpipe import fem
-from biozpipe.errors import ConfigError, SolverError
+from biozpipe.errors import ConfigError, FormatError, SolverError
 
 
 def make_frame(values, pid="x"):
@@ -21,7 +21,7 @@ def seq_of(arr, label=0, pid="s"):
 class TestNormalize:
     def test_identity_frames_zero(self):
         f = make_frame(np.full((28, 25), 3 + 4j))
-        out = dp.normalize(f, f, gain=2.0)
+        out = dp.normalize(f, f, gain=2.0, label=0)
         assert np.all(out.steps == 0.0)
 
     def test_scalar_tanh_value(self):
@@ -29,7 +29,8 @@ class TestNormalize:
         meas = np.zeros((28, 25), dtype=complex)
         ref = np.zeros((28, 25), dtype=complex)
         meas[4, 7] = 3.0
-        out = dp.normalize(make_frame(meas), make_frame(ref), gain=1.0)
+        out = dp.normalize(make_frame(meas), make_frame(ref), gain=1.0,
+                           label=0)
         assert out.steps[4, 7] == pytest.approx(0.995054753687, abs=1e-9)
 
     def test_open_interval(self):
@@ -37,15 +38,15 @@ class TestNormalize:
         meas = make_frame(rng.uniform(-500, 500, (28, 25))
                           + 1j * rng.uniform(-10, 10, (28, 25)))
         ref = make_frame(np.zeros((28, 25)))
-        out = dp.normalize(meas, ref, gain=1.0)
+        out = dp.normalize(meas, ref, gain=1.0, label=0)
         assert np.all(out.steps > -1.0)
         assert np.all(out.steps < 1.0)
 
     def test_monotone_in_magnitude(self):
         base = np.full((28, 25), 10.0 + 0j)
         ref = make_frame(np.full((28, 25), 8.0 + 0j))
-        lo = dp.normalize(make_frame(base), ref, gain=0.3)
-        hi = dp.normalize(make_frame(base + 1.0), ref, gain=0.3)
+        lo = dp.normalize(make_frame(base), ref, gain=0.3, label=0)
+        hi = dp.normalize(make_frame(base + 1.0), ref, gain=0.3, label=0)
         assert np.all(hi.steps >= lo.steps)
 
     def test_shape_mismatch_raises(self):
@@ -125,6 +126,12 @@ class TestPersistence:
         dp.save_sequences(seqs, p1)
         dp.save_sequences(dp.load_sequences(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_labels_with_a_repeated_id_raise(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\np00000,0\np00001,1\np00000,1\n")
+        with pytest.raises(FormatError, match="'p00000' listed twice"):
+            dp.load_labels(path)
 
     def test_manifest(self, tmp_path):
         seqs = [seq_of(np.zeros((28, 25)), label=i % 2, pid=f"p{i}")

@@ -2,6 +2,7 @@ import struct
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,11 @@ from biozpipe import geometry as geo
 from biozpipe import phantom as phm
 from biozpipe.errors import FormatError, SolverError
 from biozpipe.phantom import Inclusion, Phantom
+
+# a run's contact impedance (ohm mm) and kernel, at a 10% noise target
+Z = 10.0
+TEXTURE = phm.RbfNoiseConfig(n_centers=1300, kernel_width=0.15,
+                             noise_rel_std=0.10)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +35,7 @@ def mesh(layout):
 @pytest.fixture(scope="module")
 def uniform_system(mesh):
     sigma = np.full(mesh.n_triangles, 126.0 + 12.76j)
-    return fem.assemble(mesh, sigma)
+    return fem.assemble(mesh, sigma, contact_impedance=Z)
 
 
 def hand_mesh():
@@ -90,7 +96,7 @@ class TestAssembly:
 
     def test_interior_block_is_galerkin(self, mesh):
         sigma = np.full(mesh.n_triangles, 126.0 + 12.76j)
-        system = fem.assemble(mesh, sigma)
+        system = fem.assemble(mesh, sigma, contact_impedance=Z)
         K = galerkin_stiffness(mesh, sigma)
         nv = mesh.n_vertices
         interior = system.stiffness[:nv, :nv]
@@ -112,11 +118,11 @@ class TestAssembly:
         sigma = np.full(mesh.n_triangles, 100.0 + 0j)
         sigma[3] = -1.0
         with pytest.raises(SolverError):
-            fem.assemble(mesh, sigma)
+            fem.assemble(mesh, sigma, contact_impedance=Z)
 
     def test_rejects_wrong_length(self, mesh):
         with pytest.raises(SolverError):
-            fem.assemble(mesh, np.ones(5, dtype=complex))
+            fem.assemble(mesh, np.ones(5, dtype=complex), contact_impedance=Z)
 
     @pytest.mark.parametrize("z, fault", [
         (np.full(3, 10.0), "shape"),
@@ -173,6 +179,12 @@ class TestSolve:
         assert abs(m_forward - m_reverse) / abs(m_forward) <= 1e-8
 
 
+def simulate(phantom, mesh, layout, z=Z):
+    """``fem.simulate_frame`` named after the phantom's seed."""
+    return fem.simulate_frame(phantom, mesh, layout, contact_impedance=z,
+                              phantom_id=f"seed{phantom.seed}")
+
+
 def single_solve_frame(system, layout, lu=None):
     """28 x 25 frame from one solve per pattern, through ``lu`` (the
     system's own factorization by default)."""
@@ -191,9 +203,9 @@ def single_solve_frame(system, layout, lu=None):
 class TestSuperposition:
     def test_frame_matches_single_pattern_solves(self, mesh, layout):
         ph = phm.make_phantom(mesh, layout, phm.PROSTATE,
-                              seed=phm.phantom_seed(4, 0))
-        frame = fem.simulate_frame(ph, mesh, layout).voltages
-        system = fem.assemble(mesh, ph.element_sigma)
+                              seed=phm.phantom_seed(4, 0), rbf=TEXTURE)
+        frame = simulate(ph, mesh, layout).voltages
+        system = fem.assemble(mesh, ph.element_sigma, contact_impedance=Z)
         want = single_solve_frame(system, layout)
         assert np.abs(frame - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -202,7 +214,7 @@ class TestSuperposition:
         # contact impedance: the symmetric-mode LU takes diagonal pivots
         # without row interchanges, and must still conserve current and
         # agree with SuperLU's default partial pivoting
-        bg = phm.synth_background(mesh, phm.BOVINE, seed=9)
+        bg = phm.synth_background(mesh, phm.BOVINE, TEXTURE, seed=9)
         inc = Inclusion((0.4, -0.3), 2.5)
         sigma = phm.place_inclusion(bg, mesh, inc,
                                     phm.BOVINE.sigma_inclusion)
@@ -225,8 +237,7 @@ class TestSuperposition:
                             shape=system.stiffness.shape)
         pivoting = splu((system.stiffness + ground).tocsc())
         want = single_solve_frame(system, layout, pivoting)
-        frame = fem.simulate_frame(Phantom(sigma, inc, 1, 0), mesh, layout,
-                                   contact_impedance=z).voltages
+        frame = simulate(Phantom(sigma, inc, 1, 0), mesh, layout, z).voltages
         assert np.abs(frame - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -286,7 +297,7 @@ def fine_mesh(layout):
 
 
 def bovine_sigma(mesh):
-    bg = phm.synth_background(mesh, phm.BOVINE, seed=9)
+    bg = phm.synth_background(mesh, phm.BOVINE, TEXTURE, seed=9)
     return phm.place_inclusion(bg, mesh, Inclusion((0.4, -0.3), 2.5),
                                phm.BOVINE.sigma_inclusion)
 
@@ -303,7 +314,8 @@ class TestOperatorAssembly:
         mesh = request.getfixturevalue(mesh_name)
         if case == "prostate":
             sigma = phm.make_phantom(mesh, layout, phm.PROSTATE,
-                                     seed=phm.phantom_seed(4, 1)).element_sigma
+                                     seed=phm.phantom_seed(4, 1),
+                                     rbf=TEXTURE).element_sigma
             z = 10.0
         else:
             sigma = bovine_sigma(mesh)
@@ -324,7 +336,8 @@ class TestOperatorAssembly:
                 == want.lu.L.nnz + want.lu.U.nnz)
 
     def test_fill_at_default_mesh_edge(self, fine_mesh):
-        factor = fem.assemble(fine_mesh, bovine_sigma(fine_mesh)).lu.factor
+        factor = fem.assemble(fine_mesh, bovine_sigma(fine_mesh),
+                              contact_impedance=Z).lu.factor
         assert factor.L.nnz + factor.U.nnz == 72556
 
 
@@ -341,13 +354,12 @@ class TestOperatorMemo:
     @staticmethod
     def phantoms(mesh, layout):
         return [phm.make_phantom(mesh, layout, phm.PROSTATE,
-                                 seed=phm.phantom_seed(6, i))
+                                 seed=phm.phantom_seed(6, i), rbf=TEXTURE)
                 for i in range(2)]
 
     @staticmethod
-    def frame_bytes(phantom, mesh, layout, z=10.0):
-        return fem.simulate_frame(phantom, mesh, layout,
-                                  contact_impedance=z).voltages.tobytes()
+    def frame_bytes(phantom, mesh, layout, z=Z):
+        return simulate(phantom, mesh, layout, z).voltages.tobytes()
 
     def test_loaded_mesh_copy(self, mesh, layout, tmp_path):
         ph = self.phantoms(mesh, layout)[0]
@@ -390,21 +402,21 @@ class TestOperatorMemo:
 class TestFrames:
     def test_frame_shape(self, mesh, layout):
         ph = phm.make_phantom(mesh, layout, phm.PROSTATE,
-                              seed=phm.phantom_seed(1, 0))
-        frame = fem.simulate_frame(ph, mesh, layout)
+                              seed=phm.phantom_seed(1, 0), rbf=TEXTURE)
+        frame = simulate(ph, mesh, layout)
         assert frame.voltages.shape == (28, 25)
 
     def test_zero_inclusion_equals_background(self, mesh, layout):
-        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j,
-                                noise_rel_std=0.0)
-        bg = phm.synth_background(mesh, model, seed=0)
+        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j)
+        bg = phm.synth_background(mesh, model,
+                                  replace(TEXTURE, noise_rel_std=0.0), seed=0)
         ph_zero = Phantom(element_sigma=phm.place_inclusion(
             bg, mesh, Inclusion((0, 0), 0.0), model.sigma_inclusion),
             inclusion=Inclusion((0, 0), 0.0), label=0, seed=0)
         ph_bg = Phantom(element_sigma=bg, inclusion=Inclusion((0, 0), 0.0),
                         label=0, seed=0)
-        f1 = fem.simulate_frame(ph_zero, mesh, layout)
-        f2 = fem.simulate_frame(ph_bg, mesh, layout)
+        f1 = simulate(ph_zero, mesh, layout)
+        f2 = simulate(ph_bg, mesh, layout)
         assert np.array_equal(f1.voltages, f2.voltages)
 
     def test_inclusion_signature_localized(self, mesh, layout):
@@ -412,8 +424,8 @@ class TestFrames:
         bg = np.full(mesh.n_triangles, 126.0 + 12.76j)
         inc = Inclusion((0.0, 0.0), 2.0)
         bumped = phm.place_inclusion(bg, mesh, inc, 2 * 126.0 + 12.76j)
-        f0 = fem.simulate_frame(Phantom(bg, inc, 0, 0), mesh, layout)
-        f1 = fem.simulate_frame(Phantom(bumped, inc, 1, 0), mesh, layout)
+        f0 = simulate(Phantom(bg, inc, 0, 0), mesh, layout)
+        f1 = simulate(Phantom(bumped, inc, 1, 0), mesh, layout)
         dv = np.abs(f1.voltages - f0.voltages)
         _, j = np.unravel_index(np.argmax(dv), dv.shape)
         pos = layout.inner_electrodes[j]
@@ -422,7 +434,8 @@ class TestFrames:
     def test_reference_frame_symmetry(self, mesh, layout):
         # rotating the pattern pair by two ring positions (90 degrees)
         # permutes inner voltages by the spatial rotation
-        ref = fem.reference_frame(mesh, layout, sigma_saline=200.0)
+        ref = fem.reference_frame(mesh, layout, sigma_saline=200.0,
+                                  contact_impedance=Z)
         pats = geo.enumerate_current_patterns(layout)
         index = {(p.source, p.sink): i for i, p in enumerate(pats)}
         pos = layout.inner_electrodes
@@ -460,7 +473,7 @@ class TestFrames:
             m = geo.build_mesh(layout, h)
             ph = Phantom(np.full(m.n_triangles, sigma_val),
                          Inclusion((0, 0), 0.0), 0, 0)
-            frames[h] = fem.simulate_frame(ph, m, layout).voltages
+            frames[h] = simulate(ph, m, layout).voltages
         scale = np.abs(frames[0.3]).max()
         coarse = np.abs(frames[0.3] - frames[0.6]).max() / scale
         fine = np.abs(frames[0.15] - frames[0.3]).max() / scale
@@ -471,8 +484,10 @@ class TestFrames:
 class TestFrameIO:
     def test_roundtrip_multi(self, mesh, layout, tmp_path):
         phs = [phm.make_phantom(mesh, layout, phm.PROSTATE,
-                                seed=phm.phantom_seed(2, i)) for i in range(3)]
-        frames = [fem.simulate_frame(p, mesh, layout, phantom_id=f"p{i}")
+                                seed=phm.phantom_seed(2, i), rbf=TEXTURE)
+               for i in range(3)]
+        frames = [fem.simulate_frame(p, mesh, layout, contact_impedance=Z,
+                                     phantom_id=f"p{i}")
                   for i, p in enumerate(phs)]
         path = tmp_path / "all.frames"
         fem.save_frames(frames, path)

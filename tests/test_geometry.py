@@ -58,6 +58,22 @@ class TestProbeLayout:
         with pytest.raises(ConfigError, match="inside the outer ring"):
             geo.validate_layout(wide)
 
+    def test_arc_off_the_ring_rejected(self, layout):
+        arcs = layout.outer_electrodes
+        off = replace(layout, outer_electrodes=(
+            *arcs[:-1], replace(arcs[-1], radius=2.0)))
+        with pytest.raises(ConfigError, match="share one radius"):
+            geo.validate_layout(off)
+
+    def test_ring_past_domain_rejected(self, layout):
+        with pytest.raises(ConfigError, match="exceeds domain_radius"):
+            geo.validate_layout(replace(layout, domain_radius=2.0))
+
+    def test_ring_on_domain_edge_meshes(self, layout):
+        edge = replace(layout, domain_radius=geo.RING_RADIUS_MM)
+        geo.validate_layout(edge)
+        assert geo.build_mesh(edge, 0.3).n_triangles == 596
+
     @pytest.mark.parametrize("pitch", [geo.GRID_PITCH_MM])
     def test_nearest_pair_separation_equals_pitch(self, layout, pitch):
         # exhaustive pairwise check over the 25 points

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,10 @@ import biozpipe
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
 from biozpipe.errors import ConfigError, NumericalError
+
+# a run's kernel (1300 centers, 0.15 mm) at a 10% noise target
+TEXTURE = phm.RbfNoiseConfig(n_centers=1300, kernel_width=0.15,
+                             noise_rel_std=0.10)
 
 
 @pytest.fixture(scope="module")
@@ -33,29 +38,37 @@ class TestRbfNoiseConfig:
     def test_width_outside_the_kernels_range_raises(self, width):
         # 1/(2 w^2) would be infinite at 1e-200 and zero at 1e200
         with pytest.raises(ConfigError, match="kernel_width"):
-            phm.RbfNoiseConfig(kernel_width=width)
+            replace(TEXTURE, kernel_width=width)
+
+    @pytest.mark.parametrize("noise", [1.0, -0.1, float("nan")])
+    def test_noise_outside_unit_interval_raises(self, noise):
+        with pytest.raises(ConfigError, match="noise_rel_std"):
+            replace(TEXTURE, noise_rel_std=noise)
 
 
 class TestBackground:
     def test_zero_noise_uniform(self, mesh):
-        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j, noise_rel_std=0.0)
-        field = phm.synth_background(mesh, model, seed=1)
+        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j)
+        rbf = replace(TEXTURE, noise_rel_std=0.0)
+        field = phm.synth_background(mesh, model, rbf, seed=1)
         assert np.all(field == 126 + 12.76j)
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
     def test_relative_std_hits_target(self, mesh, seed):
-        field = phm.synth_background(mesh, phm.PROSTATE, seed=seed)
+        field = phm.synth_background(mesh, phm.PROSTATE, TEXTURE,
+                                     seed=seed)
         rel = np.std(field.real) / abs(phm.PROSTATE.sigma_background)
         assert 0.09 <= rel <= 0.11
 
     def test_deterministic(self, mesh):
-        a = phm.synth_background(mesh, phm.PROSTATE, seed=5)
-        b = phm.synth_background(mesh, phm.PROSTATE, seed=5)
+        a = phm.synth_background(mesh, phm.PROSTATE, TEXTURE, seed=5)
+        b = phm.synth_background(mesh, phm.PROSTATE, TEXTURE, seed=5)
         assert np.array_equal(a, b)
 
     def test_real_parts_positive(self, mesh):
         for seed in range(5):
-            field = phm.synth_background(mesh, phm.BOVINE, seed=seed)
+            field = phm.synth_background(mesh, phm.BOVINE, TEXTURE,
+                                         seed=seed)
             assert np.all(field.real > 0)
 
     def test_all_zero_raw_field_raises(self, mesh):
@@ -63,12 +76,13 @@ class TestBackground:
         # field its weight everywhere: flat, as an all-zero field is, but
         # to rounding only, so its std (about 1e-16 of its magnitude) is
         # rounding noise that the rescale would blow up to the target
-        rbf = phm.RbfNoiseConfig(n_centers=1, kernel_width=1e10)
+        rbf = phm.RbfNoiseConfig(n_centers=1, kernel_width=1e10,
+                                 noise_rel_std=0.10)
         with pytest.raises(NumericalError, match="flat"):
             phm.synth_background(mesh, phm.PROSTATE, rbf, seed=3)
 
 
-def dense_raw(mesh, rbf=phm.RbfNoiseConfig(), seed=0, expanded=True):
+def dense_raw(mesh, rbf, seed=0, expanded=True):
     """The raw RBF field from one dense element x center kernel, and the
     kernel's largest entry.
 
@@ -102,11 +116,10 @@ def dense_raw(mesh, rbf=phm.RbfNoiseConfig(), seed=0, expanded=True):
     return kernel @ weights, kernel.max()
 
 
-def dense_background(mesh, model, rbf=phm.RbfNoiseConfig(), seed=0,
-                     expanded=True):
+def dense_background(mesh, model, rbf, seed=0, expanded=True):
     """The background from ``dense_raw``, rescaled to the noise target."""
     raw, _ = dense_raw(mesh, rbf, seed, expanded)
-    target = model.noise_rel_std * abs(model.sigma_background)
+    target = rbf.noise_rel_std * abs(model.sigma_background)
     return model.sigma_background + raw * (target / float(np.std(raw.real)))
 
 
@@ -115,8 +128,8 @@ class TestBackgroundReference:
     @pytest.mark.parametrize("seed", [0, 5, 2024])
     def test_matches_dense_kernel(self, layout, edge, seed):
         mesh = geo.build_mesh(layout, edge)
-        got = phm.synth_background(mesh, phm.PROSTATE, seed=seed)
-        want = dense_background(mesh, phm.PROSTATE, seed=seed)
+        got = phm.synth_background(mesh, phm.PROSTATE, TEXTURE, seed=seed)
+        want = dense_background(mesh, phm.PROSTATE, TEXTURE, seed=seed)
         # the texture, not the 126 mS/m offset, sets the scale
         texture = want - phm.PROSTATE.sigma_background
         assert np.abs(got - want).max() <= 1e-12 * np.abs(texture).max()
@@ -125,7 +138,8 @@ class TestBackgroundReference:
         # 840 elements: six full blocks and one of 72 rows
         mesh = geo.build_mesh(layout, 0.3)
         assert mesh.n_triangles % phm._KERNEL_BLOCK_ROWS != 0
-        rbf = phm.RbfNoiseConfig(n_centers=37, kernel_width=0.4)
+        rbf = phm.RbfNoiseConfig(n_centers=37, kernel_width=0.4,
+                                 noise_rel_std=0.10)
         got = phm.synth_background(mesh, phm.BOVINE, rbf, seed=11)
         want = dense_background(mesh, phm.BOVINE, rbf, seed=11)
         texture = want - phm.BOVINE.sigma_background
@@ -144,7 +158,8 @@ class TestBackgroundReference:
         # element spacing, to beyond the 6 mm domain, where every block
         # selects every center.  Coordinate differences keep the reference
         # exact for narrow kernels (see dense_raw).
-        rbf = phm.RbfNoiseConfig(n_centers=n_centers, kernel_width=width)
+        rbf = phm.RbfNoiseConfig(n_centers=n_centers, kernel_width=width,
+                                 noise_rel_std=0.10)
         _, peak = dense_raw(mesh, rbf, seed, expanded=False)
         # a kernel that never rises far above its exp(-46) floor makes a
         # texture of rounding noise, which no two summation orders share
@@ -173,7 +188,8 @@ class TestLayoutMemo:
 
     @staticmethod
     def field_bytes(mesh, seed):
-        return phm.synth_background(mesh, phm.PROSTATE, seed=seed).tobytes()
+        return phm.synth_background(mesh, phm.PROSTATE, TEXTURE,
+                                    seed=seed).tobytes()
 
     def test_loaded_mesh_copy(self, mesh, tmp_path):
         want = [self.field_bytes(fresh_copy(mesh), s) for s in self.SEEDS]
@@ -210,7 +226,8 @@ from biozpipe import geometry as geo, phantom as phm
 mesh = geo.build_mesh(geo.build_probe_layout(), 0.3)
 h = hashlib.sha256()
 for width, n_centers in ((0.15, 1300), (0.5, 1300), (3.0, 5000)):
-    rbf = phm.RbfNoiseConfig(n_centers=n_centers, kernel_width=width)
+    rbf = phm.RbfNoiseConfig(n_centers=n_centers, kernel_width=width,
+                             noise_rel_std=0.10)
     h.update(phm.synth_background(mesh, phm.BOVINE, rbf, seed=4).tobytes())
 print(h.hexdigest())
 """
@@ -310,7 +327,8 @@ class TestLabel:
 
 class TestGeneration:
     def test_counts(self, mesh, layout):
-        phs = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 12, seed=1)
+        phs = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 12,
+                                       seed=1, rbf=TEXTURE)
         assert len(phs) == 12
         for p in phs:
             assert p.element_sigma.shape == (mesh.n_triangles,)
@@ -318,35 +336,42 @@ class TestGeneration:
             assert p.label == phm.label_phantom(p.inclusion, layout)
 
     def test_deterministic(self, mesh, layout):
-        a = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6, seed=9)
-        b = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6, seed=9)
+        a = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6,
+                                     seed=9, rbf=TEXTURE)
+        b = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6,
+                                     seed=9, rbf=TEXTURE)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.element_sigma, pb.element_sigma)
             assert pa.inclusion == pb.inclusion
 
     def test_pool_map_matches_serial(self, mesh, layout):
-        serial = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6, seed=3)
+        serial = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6,
+                                          seed=3, rbf=TEXTURE)
         with ThreadPoolExecutor(max_workers=3) as pool:
             pooled = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 6,
-                                              seed=3, map=pool.map)
+                                              seed=3, rbf=TEXTURE,
+                                              map=pool.map)
         for a, b in zip(serial, pooled, strict=True):
             assert a.seed == b.seed
             assert np.array_equal(a.element_sigma, b.element_sigma)
 
     def test_synthesis_failure_names_phantom(self, mesh, layout):
         # 90% noise drives some element's conductivity non-positive
-        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j,
-                                noise_rel_std=0.9)
+        model = phm.TissueModel("t", 126 + 12.76j, 106 + 14.9j)
+        rbf = replace(TEXTURE, noise_rel_std=0.9)
         seed = phm.phantom_seed(4, 0)
         with pytest.raises(NumericalError,
                            match=f"phantom p00000 \\(seed {seed}\\): "
                                  "background noise"):
-            phm.generate_phantom_set(mesh, layout, model, 2, seed=4)
+            phm.generate_phantom_set(mesh, layout, model, 2, seed=4,
+                                     rbf=rbf)
 
     def test_per_phantom_seeds_independent_of_batching(self, mesh, layout):
         # generating a prefix yields the same phantoms as the full set
-        full = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 8, seed=4)
-        prefix = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3, seed=4)
+        full = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 8,
+                                        seed=4, rbf=TEXTURE)
+        prefix = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3,
+                                          seed=4, rbf=TEXTURE)
         for pa, pb in zip(prefix, full[:3]):
             assert pa.seed == pb.seed
             assert np.array_equal(pa.element_sigma, pb.element_sigma)
@@ -369,7 +394,8 @@ class TestGeneration:
         p_oracle = hits / n_mc
         assert 0.35 <= p_oracle <= 0.65  # near-balance under the default probe
 
-        phs = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 1000, seed=7)
+        phs = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 1000,
+                                       seed=7, rbf=TEXTURE)
         frac = np.mean([p.label for p in phs])
         # 3-sigma binomial band around the oracle estimate
         band = 3 * math.sqrt(p_oracle * (1 - p_oracle) / 1000)
@@ -378,7 +404,8 @@ class TestGeneration:
 
 class TestPersistence:
     def test_metadata_roundtrip(self, mesh, layout, tmp_path):
-        phs = phm.generate_phantom_set(mesh, layout, phm.BOVINE, 5, seed=2)
+        phs = phm.generate_phantom_set(mesh, layout, phm.BOVINE, 5,
+                                       seed=2, rbf=TEXTURE)
         path = tmp_path / "meta.csv"
         phm.save_phantom_metadata(phs, path)
         with open(path, newline="") as f:
@@ -393,7 +420,9 @@ class TestPersistence:
                     float(row["center_y"])) == p.inclusion.center
 
     def test_byte_identical_files(self, mesh, layout):
-        phs1 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3, seed=6)
-        phs2 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3, seed=6)
+        phs1 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3,
+                                        seed=6, rbf=TEXTURE)
+        phs2 = phm.generate_phantom_set(mesh, layout, phm.PROSTATE, 3,
+                                        seed=6, rbf=TEXTURE)
         assert (phs1[0].element_sigma.tobytes()
                 == phs2[0].element_sigma.tobytes())

@@ -278,7 +278,8 @@ class TestTrain:
         # 50 phantoms, 200 epochs: the training accuracy must reach 0.95
         seqs = toy_phantom_dataset
         splits = dp.DatasetSplit(train=seqs, validation=seqs[:10], test=[])
-        cfg = trainer.TrainConfig(batch_size=10, epochs=200, seed=1)
+        cfg = trainer.TrainConfig(batch_size=10, epochs=200,
+                                  learning_rate=1e-3, seed=1)
         params, report = trainer.train(splits, cfg)
         assert max(report.train_acc) >= 0.95
         assert len(report.train_loss) == 200
@@ -292,7 +293,8 @@ class TestTrain:
         seqs = make_dataset(30, seed=6)
         splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=8, epochs=3, seed=9)
+        cfg = trainer.TrainConfig(batch_size=8, epochs=3,
+                                  learning_rate=1e-3, seed=9)
         with pytest.raises(NumericalError,
                            match="epoch 0: .* all 3 batches .*dead ReLU"):
             trainer.train(splits, cfg)
@@ -301,7 +303,8 @@ class TestTrain:
         seqs = make_dataset(30, seed=6)
         splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=10, epochs=5, seed=9)
+        cfg = trainer.TrainConfig(batch_size=10, epochs=5,
+                                  learning_rate=1e-3, seed=9)
         p1, r1 = trainer.train(splits, cfg)
         p2, r2 = trainer.train(splits, cfg)
         for name in p1.matrices():
@@ -315,7 +318,8 @@ class TestTrain:
         # report because train() provenance-sorts before shuffling
         seqs = make_dataset(24, seed=7)
         rev = list(reversed(seqs))
-        cfg = trainer.TrainConfig(batch_size=8, epochs=4, seed=2)
+        cfg = trainer.TrainConfig(batch_size=8, epochs=4,
+                                  learning_rate=1e-3, seed=2)
         _, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], []), cfg)
         _, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], []), cfg)
         assert r1.train_loss == r2.train_loss
@@ -324,7 +328,8 @@ class TestTrain:
         seqs = make_dataset(60, seed=8)
         splits = dp.DatasetSplit(train=seqs[:40], validation=seqs[40:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=20, epochs=60, seed=3)
+        cfg = trainer.TrainConfig(batch_size=20, epochs=60,
+                                  learning_rate=1e-3, seed=3)
         params, report = trainer.train(splits, cfg)
         acc, _ = trainer.evaluate(params, splits.validation)
         assert acc >= report.val_acc[0]
@@ -346,7 +351,7 @@ class TestEvaluate:
         seqs = make_dataset(40, seed=10, separation=3.0)
         splits = dp.DatasetSplit(train=seqs, validation=seqs[:8], test=[])
         params, _ = trainer.train(splits, trainer.TrainConfig(
-            batch_size=10, epochs=150, seed=5))
+            batch_size=10, epochs=150, learning_rate=1e-3, seed=5))
         acc, cm = trainer.evaluate(params, seqs)
         assert cm.shape == (2, 2)
         assert cm.sum() == 40
@@ -397,7 +402,7 @@ class TestReports:
         splits = dp.DatasetSplit(train=seqs[:15], validation=seqs[15:],
                                  test=[])
         _, report = trainer.train(splits, trainer.TrainConfig(
-            batch_size=5, epochs=3, seed=6))
+            batch_size=5, epochs=3, learning_rate=1e-3, seed=6))
         path = tmp_path / "curve.csv"
         trainer.save_training_curve(report, path)
         lines = path.read_text().strip().split("\n")
