@@ -27,14 +27,16 @@ exact in binary, so its gates equal ``sigmoid`` of the full pre-activation
 bit for bit.
 
 ``unroll`` allocates its work arrays once per call and writes them in
-place.  With ``keep_records`` it returns them as the records of the whole
-unroll, four arrays ``(H, gates, Ht, G)`` for T held inputs of S substeps
-each: row ``k`` is substep ``k``, which holds input ``k // S``.  ``H[k]``
-(T*S, B, n) is the state substep ``k`` started from; ``gates[k]``
-(T*S, B, 2n) stacks the gate ``Z[k]`` in its first n columns and the raw
-candidate ``C[k]`` in its last n; ``Ht[k]`` (T*S, B, n) is the candidate
-after the epsilon floor and ``G[k] = 1 - H[k] / Ht[k]`` (T*S, B, n).
-Backpropagation (``trainer.gradients``) walks these rows in reverse, and
+place, through views of each row that it also builds once per call: at
+batch 1, as in current mode, slicing a row on every substep would cost
+more than the substep's arithmetic.  With ``keep_records`` it returns the
+arrays as the records of the whole unroll, four arrays ``(H, gates, Ht,
+G)`` for T held inputs of S substeps each: row ``k`` is substep ``k``,
+which holds input ``k // S``.  ``H[k]`` (T*S, B, n) is the state substep
+``k`` started from; ``gates[k]`` (T*S, B, 2n) stacks the gate ``Z[k]`` in
+its first n columns and the raw candidate ``C[k]`` in its last n;
+``Ht[k]`` (T*S, B, n) is the candidate after the epsilon floor and
+``G[k] = 1 - H[k] / Ht[k]`` (T*S, B, n).  Backpropagation (``trainer.gradients``) walks these rows in reverse, and
 current mode (``analog``) reads them at B = 1.
 
 A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
@@ -214,34 +216,44 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
     L = T * S if keep_records else S
     Hs = np.empty((L + 1, B, n))  # Hs[k]: the state substep k starts from
     gates = np.empty((L, B, 2 * n))
-    Z, C = gates[:, :, :n], gates[:, :, n:]
     Ht = np.empty((L, B, n))
     G = np.empty((L, B, n))
     x_in = np.empty((B, 2 * n))
     free = np.empty((S, B, n))  # one held input's updates before the clamp
     moved = np.empty((S, B, n), dtype=bool)
+    # each row's views built once and the ufuncs bound to locals: at batch
+    # 1 a slice or lookup costs more than a substep's arithmetic.  maximum
+    # and minimum keep out=: NumPy 2.4 deprecates a positional third argument
+    rows = list(zip(list(Hs[:-1]), list(Hs[1:]), list(gates),
+                    list(gates[:, :, :n]), list(gates[:, :, n:]), list(Ht),
+                    list(G), list(free) * (L // S)))
+    matmul, add, subtract, multiply, divide, tanh, maximum, minimum = (
+        np.matmul, np.add, np.subtract, np.multiply, np.divide, np.tanh,
+        np.maximum, np.minimum)
     Hs[0] = H0
     clamped = last = 0
     for t in range(T):
         k0 = t * S if keep_records else 0
         if not keep_records and t:
             Hs[0] = Hs[S]
-        np.matmul(X[:, t, :], W_in, out=x_in)
-        for j in range(S):
-            k = k0 + j
-            h, hn, g, ht, gg = Hs[k], Hs[k + 1], gates[k], Ht[k], G[k]
-            u = free[j]
-            np.matmul(h, U_rec, out=g)
-            np.add(x_in, g, out=g)
-            _gate_of_half(g, g)
-            np.maximum(C[k], eps, out=ht)
-            np.divide(h, ht, out=gg)
-            np.subtract(_ONE, gg, out=gg)
-            np.multiply(dt_tau, Z[k], out=u)
-            np.multiply(u, gg, out=u)
-            np.add(h, u, out=u)
-            np.maximum(u, eps, out=hn)
-            np.minimum(hn, top, out=hn)
+        matmul(X[:, t, :], W_in, x_in)
+        for h, hn, g, z, c, ht, gg, u in rows[k0:k0 + S]:
+            matmul(h, U_rec, g)
+            add(x_in, g, g)
+            # the gate of the halved pre-activation, as in _gate_of_half
+            tanh(g, g)
+            multiply(g, _HALF, g)
+            add(g, _HALF, g)
+            maximum(g, _SIG_FLOOR, out=g)
+            minimum(g, _SIG_CEIL, out=g)
+            maximum(c, eps, out=ht)
+            divide(h, ht, gg)
+            subtract(_ONE, gg, gg)
+            multiply(dt_tau, z, u)
+            multiply(u, gg, u)
+            add(h, u, u)
+            maximum(u, eps, out=hn)
+            minimum(hn, top, out=hn)
         last = k0 + S
         np.not_equal(free, Hs[k0 + 1:last + 1], out=moved)
         clamped += int(np.count_nonzero(moved))

@@ -46,8 +46,8 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     voltage-domain computation; currents falling outside
     [I_unit * epsilon, I_unit * (1 - epsilon)] are clamped and counted.
     """
-    if I_unit <= 0:
-        raise ConfigError("I_unit must be positive")
+    if not 0 < I_unit < np.inf:
+        raise ConfigError(f"I_unit must be positive and finite, got {I_unit!r}")
     steps = np.asarray(getattr(x_sequence, "steps", x_sequence), dtype=float)
     H, clamped, (H_rec, gates, Ht, _) = unroll(steps[None], params, cfg,
                                                keep_records=True)

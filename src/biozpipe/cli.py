@@ -37,9 +37,13 @@ run input and are left in place.
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 I/O or file-format failure, which covers any malformed model, quantized
 model, dataset, frames or layout file, and a layout whose ring lies off
-its domain.  The error message names the stage that failed (``error
-[train]: ...``), also inside pipeline; a configuration fault, found before
-any stage runs, names the command.
+its domain.  generate exits 3 when every normalized step of the run is
+equal, so the frames carry no signal against the reference (a vanishing
+``saline_ms_per_m`` does this); it leaves geometry.txt through frames.frame
+and writes no dataset.bzds or dataset_manifest.csv.  The error message
+names the stage that failed (``error [train]: ...``), also inside
+pipeline; a configuration fault, found before any stage runs, names the
+command.
 """
 
 from __future__ import annotations
@@ -138,8 +142,8 @@ class RunConfig:
                               f"its bound {MIN_MESH_EDGE_MM}")
         if not self.saline_ms_per_m > 0:
             raise ConfigError("saline_ms_per_m must be positive")
-        if self.contact_impedance_ohm_mm == 0:
-            raise ConfigError("contact_impedance_ohm_mm must be nonzero")
+        if not self.contact_impedance_ohm_mm > 0:
+            raise ConfigError("contact_impedance_ohm_mm must be positive")
         if not self.gain_per_mv > 0:
             raise ConfigError("gain_per_mv must be positive")
         self.tissue_model()
@@ -271,7 +275,8 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
 
     The mesh, its CEM operator and the reference frame are built before
     anything is deleted, so a mesh the probe rejects leaves the run as it
-    was."""
+    was.  Raises NumericalError before it writes the dataset when every
+    normalized step of the run is equal."""
     mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
                               contact_impedance=cfg.contact_impedance_ohm_mm)
@@ -309,6 +314,12 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
             frames_keeping_seqs(pool.map(one, enumerate(phantoms))),
             out / "frames.frame")
 
+    first = seqs[0].steps.flat[0]
+    if all((s.steps == first).all() for s in seqs):
+        raise NumericalError(
+            f"every normalized step is {float(first):.8g}: the frames carry "
+            "no signal against the reference in saline of "
+            f"{cfg.saline_ms_per_m!r} mS/m")
     datapipe.save_sequences(seqs, out / "dataset.bzds")
     split = datapipe.make_splits(seqs, cfg.split, seed=cfg.seed)
     datapipe.save_split_manifest(split, out / "dataset_manifest.csv")

@@ -242,8 +242,8 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
     """Fill the mesh's CEM operator for one phantom and factorize it.
 
     ``contact_impedance`` is per unit arc length (ohm * mm), a scalar or one
-    value per outer electrode, each finite and nonzero; complex values are
-    allowed.
+    value per outer electrode, each finite with a positive real part;
+    complex values are allowed.
     """
     sigma = np.asarray(element_sigma, dtype=complex)
     if sigma.shape != (mesh.n_triangles,):
@@ -264,8 +264,9 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
             f"one value per outer electrode, ({n_el},)")
     if not np.all(np.isfinite(z)):
         raise SolverError("contact impedance must be finite")
-    if np.any(z == 0):
-        raise SolverError("contact impedance must be nonzero")
+    if np.any(z.real <= 0):
+        # Re(1/z) > 0 keeps the real part positive definite (module docstring)
+        raise SolverError("contact impedance real parts must be positive")
     if n_el == 0:
         raise SolverError(
             "grounding constraint needs at least one electrode: the "

@@ -4,7 +4,9 @@ Adam updates, and accuracy/confusion reporting.
 The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``.
 The backward pass has the same form: it walks the records of ``unroll``
 in reverse, one substep (row) at a time over the whole batch, writing
-preallocated (B, n) and (B, 2n) workspaces in place.  Each substep takes
+preallocated (B, n) and (B, 2n) workspaces in place.  Like ``unroll`` it
+builds the views of each record row once per call, a list it walks
+backwards, and binds its ufuncs to local names.  Each substep takes
 one stacked gate derivative ``d * g * (1 - g)`` over the (B, 2n) gate row
 and one product with the stacked recurrent weights ``[U_z; U]``.  The
 stacked derivatives of one held input's S substeps fill an (S, B, 2n)
@@ -135,24 +137,32 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
             dgate = np.empty((B, 2 * n))
             # one held input's stacked pre-activation derivatives
             D = np.empty((S, B, 2 * n))
+            # each row's views built once, as in unroll: at small batches
+            # slicing a row costs more than a substep's arithmetic
+            rows = list(zip(list(Hs), list(gates), list(Z), list(Ht),
+                            list(G)))
+            d_rows = list(zip(list(D), list(D[:, :, :n]),
+                              list(D[:, :, n:])))[::-1]
+            matmul, add, subtract, multiply, divide = (
+                np.matmul, np.add, np.subtract, np.multiply, np.divide)
             for t in reversed(range(T)):
                 k0 = t * S
-                for j in reversed(range(S)):
-                    k, d = k0 + j, D[j]
-                    np.multiply(dH, dt_tau, out=a)
-                    np.multiply(a, G[k], out=d[:, :n])  # dZ
-                    np.multiply(a, Z[k], out=a)  # dG
-                    np.divide(a, Ht[k], out=a)
-                    np.subtract(dH, a, out=dH)
+                for (h, g, z, ht, gg), (d, dz, dc) in zip(
+                        reversed(rows[k0:k0 + S]), d_rows):
+                    multiply(dH, dt_tau, a)
+                    multiply(a, gg, dz)
+                    multiply(a, z, a)  # dG
+                    divide(a, ht, a)
+                    subtract(dH, a, dH)
                     # dC = dG * H / Ht^2, straight-through at the epsilon floor
-                    np.multiply(a, Hs[k], out=d[:, n:])
-                    np.divide(d[:, n:], Ht[k], out=d[:, n:])
+                    multiply(a, h, dc)
+                    divide(dc, ht, dc)
                     # the stacked gate derivative d * g * (1 - g)
-                    np.multiply(d, gates[k], out=d)
-                    np.subtract(1.0, gates[k], out=dgate)
-                    np.multiply(d, dgate, out=d)
-                    np.matmul(d, U_stack, out=a)
-                    np.add(dH, a, out=dH)
+                    multiply(d, g, d)
+                    subtract(1.0, g, dgate)
+                    multiply(d, dgate, d)
+                    matmul(d, U_stack, a)
+                    add(dH, a, dH)
                 _add_gram(g_in, D.sum(axis=0), X[:, t, :])
                 _add_gram(g_rec, D.reshape(S * B, 2 * n),
                           Hs[k0:k0 + S].reshape(S * B, n))

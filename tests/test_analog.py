@@ -80,10 +80,11 @@ class TestCurrentMode:
         assert traj.clamped_substeps > 0
         assert traj.I_h.min() >= floor
 
-    def test_requires_positive_unit(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("I_unit", [0.0, -1.0, np.nan, np.inf])
+    def test_requires_positive_unit(self, I_unit):
+        with pytest.raises(ConfigError, match="positive and finite"):
             analog.simulate_current_mode(np.zeros((2, 25)), zero_params(),
-                                         I_unit=0.0)
+                                         I_unit=I_unit)
 
 
 class TestBudget:

@@ -118,6 +118,22 @@ class TestUsageErrors:
         assert "p00000" in err
         assert "non-positive" in err
 
+    def test_signal_free_dataset_exit_3_writes_no_dataset(self, tmp_path,
+                                                           capsys):
+        # against a reference in near-vacuum saline every step saturates
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"saline_ms_per_m": 1e-300}')
+        out = tmp_path / "run"
+        code = run_cli(["generate", "--config", str(cfg), "--n", "4",
+                        "--mesh-edge", "0.3", "--seed", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error [generate]: every normalized step is" in err
+        assert "saline of 1e-300 mS/m" in err
+        assert (out / "frames.frame").exists()
+        assert not (out / "dataset.bzds").exists()
+        assert not (out / "dataset_manifest.csv").exists()
+
     def test_unknown_subcommand_exit_2(self):
         assert run_cli(["frobnicate"]) == 2
 
@@ -444,15 +460,17 @@ class TestReruns:
 
     @pytest.mark.parametrize("config", [
         '{"saline_ms_per_m": NaN}', '{"contact_impedance_ohm_mm": 0}',
-        '{"contact_impedance_ohm_mm": Infinity}', '{"learning_rate": NaN}',
+        '{"contact_impedance_ohm_mm": Infinity}',
+        '{"contact_impedance_ohm_mm": -10.0}', '{"learning_rate": NaN}',
         # Adam's constants are not configurable: unknown keys
         '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}',
         '{"rbf_width_mm": NaN}', '{"rbf_width_mm": Infinity}',
         '{"rbf_width_mm": 1e-200}',
         '{"saline_ms_per_m": 1%s}' % ("0" * 400)],
-        ids=["saline-nan", "contact-zero", "contact-inf", "lr-nan",
-             "beta1-one", "beta2-above-one", "eps-negative", "rbf-width-nan",
-             "rbf-width-inf", "rbf-width-underflow", "saline-int-overflow"])
+        ids=["saline-nan", "contact-zero", "contact-inf", "contact-negative",
+             "lr-nan", "beta1-one", "beta2-above-one", "eps-negative",
+             "rbf-width-nan", "rbf-width-inf", "rbf-width-underflow",
+             "saline-int-overflow"])
     def test_config_file_value_fault_leaves_finished_run_untouched(
             self, tiny_run, tmp_path, capsys, config):
         run = self.finished_copy(tiny_run, tmp_path)

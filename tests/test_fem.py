@@ -130,6 +130,9 @@ class TestAssembly:
         (float("nan"), "finite"),
         (float("inf"), "finite"),
         (np.array([10.0] * 7 + [complex(10.0, float("inf"))]), "finite"),
+        # a real part that is not positive breaks LU without pivoting
+        (-10.0, "real part"),
+        (np.array([10.0] * 7 + [-10.0 + 5j]), "real part"),
     ])
     def test_rejects_malformed_contact_impedance(self, mesh, z, fault):
         # named before any arithmetic: no broadcasting error, no warning
