@@ -15,16 +15,17 @@ probabilities.  The state update multiplies no two state vectors together
 (no Hadamard products); each unit couples to the others only through the
 four matrix-vector products.
 
-``unroll`` and ``head_batch`` are the batched kernel that classify,
-training, the quantized sweep and current mode all run, and ``predict`` is
-the one label rule.  ``afua_step`` and ``run_sequence`` step one sequence at
-a time: the reference for the tests.
+``unroll`` and ``head_batch`` are the batched kernel that training and
+current mode run.  ``forward_probabilities`` is the one inference forward
+through them: ``classify``, evaluation and the quantized sweep all call it,
+and ``predict`` is the one label rule.  ``afua_step`` and ``run_sequence``
+step one sequence at a time: the reference for the tests.
 
 Every logistic gate is ``sigmoid``, in its tanh form
 ``0.5 + 0.5 * tanh(v / 2)`` clamped into the open range (0, 1).  ``unroll``
-folds the 1/2 into its stacked input and recurrent weights; halving is
-exact in binary, so its gates equal ``sigmoid`` of the full pre-activation
-bit for bit.
+repeats its steps inline, for speed, and folds the 1/2 into its stacked
+input and recurrent weights; halving is exact in binary, so its gates equal
+``sigmoid`` of the full pre-activation bit for bit.
 
 ``unroll`` allocates its work arrays once per call and writes them in
 place, through views of each row that it also builds once per call: at
@@ -129,28 +130,22 @@ _HALF = np.array(0.5)
 _ONE = np.array(1.0)
 
 
-def _gate_of_half(u, out):
-    """``sigmoid(2 u)`` written into ``out``: the gate of a pre-activation
-    that is already halved."""
-    np.tanh(u, out=out)
-    np.multiply(out, _HALF, out=out)
-    np.add(out, _HALF, out=out)
-    np.maximum(out, _SIG_FLOOR, out=out)
-    return np.minimum(out, _SIG_CEIL, out=out)
-
-
-def sigmoid(v, out=None):
+def sigmoid(v):
     """Logistic function ``0.5 + 0.5 * tanh(v / 2)``, with open range (0, 1).
 
     Accurate to 1.2e-16 in absolute terms, not in relative ones: near 0
     the result moves in steps of 2^-54 (5.6e-17), so from v = -38 on,
-    where the true value is below 3.2e-17, it is the floor.  Writes into
-    ``out`` when it is given, which may be ``v`` itself.  A scalar ``v``
-    gives a float.
+    where the true value is below 3.2e-17, it is the floor.  A scalar
+    ``v`` gives a float.
     """
     v = np.asarray(v, dtype=float)
-    e = np.multiply(v, _HALF, out=np.empty_like(v) if out is None else out)
-    _gate_of_half(e, e)
+    # out= keeps a 0-d v an array, which the in-place calls below need
+    e = np.multiply(v, _HALF, out=np.empty_like(v))
+    np.tanh(e, out=e)
+    np.multiply(e, _HALF, out=e)
+    np.add(e, _HALF, out=e)
+    np.maximum(e, _SIG_FLOOR, out=e)
+    np.minimum(e, _SIG_CEIL, out=e)
     return float(e) if e.ndim == 0 else e
 
 
@@ -208,7 +203,7 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
         )
     B, T, _ = X.shape
     n, S = params.n_hidden, cfg.substeps_per_pattern
-    # the gates' 1/2, folded in: sigmoid(v) = _gate_of_half(v / 2)
+    # the gates' 1/2, folded in: each substep runs sigmoid's later steps
     W_in = _HALF * np.vstack([params.W_z, params.W]).T
     U_rec = _HALF * np.vstack([params.U_z, params.U]).T
     dt_tau = np.array(cfg.dt / TAU_H)
@@ -240,7 +235,7 @@ def unroll(X: np.ndarray, params: NetworkParams, cfg: IntegrationConfig,
         for h, hn, g, z, c, ht, gg, u in rows[k0:k0 + S]:
             matmul(h, U_rec, g)
             add(x_in, g, g)
-            # the gate of the halved pre-activation, as in _gate_of_half
+            # sigmoid's steps on the halved pre-activation
             tanh(g, g)
             multiply(g, _HALF, g)
             add(g, _HALF, g)
@@ -277,12 +272,28 @@ def predict(P: np.ndarray) -> np.ndarray:
     return np.where(P[..., 1] > P[..., 0], LABEL_LESION, LABEL_BENIGN)
 
 
+def _stack_steps(batch) -> np.ndarray:
+    """A (B, T, D) float array of InputSequences or plain (T, D) arrays."""
+    return np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
+                     for s in batch])
+
+
+_EVAL_BATCH = 256
+
+
+def forward_probabilities(batch, params: NetworkParams,
+                          cfg: IntegrationConfig) -> np.ndarray:
+    """Class probabilities for a list of sequences, 256 at a time."""
+    return np.concatenate([
+        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH]),
+                          params, cfg)[0], params)[0]
+        for lo in range(0, len(batch), _EVAL_BATCH)])
+
+
 def classify(seq, params: NetworkParams,
              cfg: IntegrationConfig = IntegrationConfig()):
     """Label one sequence; return the label and the class probabilities."""
-    steps = np.asarray(getattr(seq, "steps", seq), dtype=float)
-    H, _, _ = unroll(steps[None], params, cfg)
-    p = head_batch(H, params)[0][0]
+    p = forward_probabilities([seq], params, cfg)[0]
     return int(predict(p)), p
 
 
@@ -363,10 +374,6 @@ def read_model_file(path, build, quantized: bool = False):
     except (ValueError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
     return model, cfg
-
-
-def save_model(params: NetworkParams, cfg: IntegrationConfig, path) -> None:
-    write_model_file(path, cfg, params)
 
 
 def load_model(path) -> tuple[NetworkParams, IntegrationConfig]:

@@ -32,7 +32,8 @@ as it was.
 Before it writes, each stage deletes the files that it and every later
 stage of that list write (``STAGE_OUTPUTS``), so a run directory never
 mixes the outputs of two configurations.  The budget files depend on no
-run input and are left in place.
+run input and are left in place.  The stage deletes manifest.json too, so
+a command that fails after it began writing leaves no manifest.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 I/O or file-format failure, which covers any malformed model, quantized
@@ -262,7 +263,9 @@ STAGE_OUTPUTS = {
 
 
 def _clear_outputs(out: Path, stage: str) -> None:
-    """Delete the files of ``stage`` and of every stage after it."""
+    """Delete the files of ``stage`` and of every stage after it, and the
+    manifest, which names them."""
+    (out / "manifest.json").unlink(missing_ok=True)
     stages = list(STAGE_OUTPUTS)
     for later in stages[stages.index(stage):]:
         for pattern in STAGE_OUTPUTS[later]:
@@ -333,17 +336,12 @@ def _load_split(out: Path) -> datapipe.DatasetSplit:
     seqs = datapipe.load_sequences(out / "dataset.bzds")
     manifest = out / "dataset_manifest.csv"
     assignment = datapipe.load_split_assignment(manifest)
-    buckets = {"train": [], "validation": [], "test": []}
+    buckets = {name: [] for name in datapipe.SPLITS}
     for s in seqs:
         if s.provenance not in assignment:
             raise FormatError(f"{manifest}: no split for id {s.provenance!r}")
-        if assignment[s.provenance] not in buckets:
-            raise FormatError(f"{manifest}: id {s.provenance!r} has unknown "
-                              f"split {assignment[s.provenance]!r}")
         buckets[assignment[s.provenance]].append(s)
-    return datapipe.DatasetSplit(train=buckets["train"],
-                                 validation=buckets["validation"],
-                                 test=buckets["test"])
+    return datapipe.DatasetSplit(**buckets)
 
 
 def _heldout(split: datapipe.DatasetSplit):
@@ -366,7 +364,7 @@ def stage_train(cfg: RunConfig, out: Path):
     params, report = trainer.train(_load_split(out), cfg.train_config(),
                                    cfg.integration())
     _clear_outputs(out, "train")
-    afua.save_model(params, cfg.integration(), out / "model.afua")
+    afua.write_model_file(out / "model.afua", cfg.integration(), params)
     trainer.save_training_curve(report, out / "training_curve.csv")
     print(f"trained {cfg.epochs} epochs; best epoch {report.best_epoch} "
           f"(validation accuracy {max(report.val_acc):.4f})")
@@ -380,7 +378,7 @@ def stage_quantize(cfg: RunConfig, out: Path):
     quantizer.save_sweep_csv(rows, out / "sweep.csv")
     for bits in cfg.bits:
         q = quantizer.quantize(params, bits)
-        quantizer.save_quantized_model(q, icfg, out / f"model_q{bits}.afuaq")
+        afua.write_model_file(out / f"model_q{bits}.afuaq", icfg, q)
     for label, acc in rows:
         print(f"bits {label:>2}: accuracy {acc:.4f}")
 

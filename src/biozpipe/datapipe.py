@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class DatasetSplit:
     train: list[InputSequence]
     validation: list[InputSequence]
     test: list[InputSequence]
+
+
+# the split names, in manifest order
+SPLITS = tuple(f.name for f in fields(DatasetSplit))
 
 
 def normalize(meas: Frame, ref: Frame, gain: float,
@@ -152,14 +156,13 @@ def save_split_manifest(split: DatasetSplit, path) -> None:
     with open(path, "w", newline="", encoding="ascii") as f:
         w = csv.writer(f)
         w.writerow(["id", "split", "label"])
-        for name, seqs in (("train", split.train),
-                           ("validation", split.validation),
-                           ("test", split.test)):
-            for seq in seqs:
+        for name in SPLITS:
+            for seq in getattr(split, name):
                 w.writerow([seq.provenance, name, seq.label])
 
 
 def load_split_assignment(path) -> dict[str, str]:
+    """The split name of each id in a ``save_split_manifest`` file."""
     out = {}
     try:
         with open(path, "r", newline="", encoding="ascii") as f:
@@ -169,6 +172,9 @@ def load_split_assignment(path) -> dict[str, str]:
             for row in reader:
                 if row["id"] in out:
                     raise FormatError(f"{path}: id {row['id']!r} listed twice")
+                if row["split"] not in SPLITS:
+                    raise FormatError(f"{path}: id {row['id']!r} has unknown "
+                                      f"split {row['split']!r}")
                 out[row["id"]] = row["split"]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII: {exc}") from exc

@@ -31,13 +31,14 @@ solves it once for each of the 8 unit-electrode currents, as one 8-column
 right-hand side, and keeps those responses at the electrodes and at the
 inner-electrode vertices.  Each of the 28 current patterns of a frame is
 then the difference of two responses times its amplitude (superposition,
-as in Geselowitz's lead theory); no pattern needs a solve of its own.
+as in Geselowitz's lead theory); no pattern needs a solve of its own, and
+``solve_pattern`` takes a frame's patterns together.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,6 @@ class AssembledSystem:
     n_vertices: int
     electrode_order: tuple[int, ...]
     contact_impedance: np.ndarray
-    inner_vertices: np.ndarray
     electrode_response: np.ndarray  # (8, 8) complex, row per unit source
     inner_response: np.ndarray  # (8, 25) complex, row per unit source
 
@@ -251,6 +251,8 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
             f"conductivity length {sigma.shape} does not match "
             f"{mesh.n_triangles} mesh elements"
         )
+    if not np.all(np.isfinite(sigma)):
+        raise SolverError("element conductivities must be finite")
     if np.any(sigma.real <= 0):
         raise SolverError("element conductivity real parts must be positive")
 
@@ -308,15 +310,17 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
     return AssembledSystem(
         operator=op, data=data, lu=PermutedLU(factor, op.perm),
         n_vertices=nv, electrode_order=op.electrode_order,
-        contact_impedance=z, inner_vertices=op.inner_vertices,
+        contact_impedance=z,
         electrode_response=np.ascontiguousarray(response[op.perm[nv:]].T),
         inner_response=np.ascontiguousarray(
             response[op.perm[op.inner_vertices]].T),
     )
 
 
-def solve_pattern(system: AssembledSystem, pattern: CurrentPattern):
-    """Drive one source/sink pair; return (8 electrode potentials, 25 inner).
+def solve_pattern(system: AssembledSystem,
+                  patterns: Sequence[CurrentPattern]):
+    """Drive each source/sink pair of ``patterns``; return the (P, 8)
+    electrode and (P, 25) inner potentials, row k for pattern k.
 
     +amplitude enters at the source electrode and leaves at the sink; by
     superposition the potentials are amplitude times the difference of the
@@ -324,13 +328,13 @@ def solve_pattern(system: AssembledSystem, pattern: CurrentPattern):
     potential.
     """
     try:
-        i_src = system.electrode_order.index(pattern.source)
-        i_snk = system.electrode_order.index(pattern.sink)
+        src = [system.electrode_order.index(p.source) for p in patterns]
+        snk = [system.electrode_order.index(p.sink) for p in patterns]
     except ValueError as exc:
         raise SolverError(f"pattern references unknown electrode: {exc}") from exc
+    amp = np.array([p.amplitude for p in patterns])[:, None]
     el, inner = system.electrode_response, system.inner_response
-    return (pattern.amplitude * (el[i_src] - el[i_snk]),
-            pattern.amplitude * (inner[i_src] - inner[i_snk]))
+    return amp * (el[src] - el[snk]), amp * (inner[src] - inner[snk])
 
 
 def electrode_currents(system: AssembledSystem, solution: np.ndarray) -> np.ndarray:
@@ -355,12 +359,7 @@ def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
     """One assembly, then the 28 patterns from its 8 unit responses."""
     try:
         system = assemble(mesh, phantom.element_sigma, contact_impedance)
-        patterns = tuple(enumerate_current_patterns(layout))
-        voltages = np.empty((len(patterns), len(system.inner_vertices)),
-                            dtype=complex)
-        for i, pat in enumerate(patterns):
-            _, inner = solve_pattern(system, pat)
-            voltages[i] = inner
+        _, voltages = solve_pattern(system, enumerate_current_patterns(layout))
     except SolverError as exc:
         raise SolverError(f"phantom {phantom_id}: {exc}") from exc
     return Frame(voltages=voltages, phantom_id=phantom_id)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .afua import (PARAM_NAMES, IntegrationConfig, NetworkParams, classify,
-                   read_model_file, write_model_file)
+                   read_model_file)
 from .errors import ConfigError
 from .trainer import evaluate
 
@@ -117,13 +117,9 @@ def save_sweep_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quantized model file: the model-file layout with codes and scales
+# Quantized model file: the model-file layout with codes and scales, written
+# by ``afua.write_model_file``
 # ---------------------------------------------------------------------------
-
-
-def save_quantized_model(qparams: QuantizedParams, cfg: IntegrationConfig,
-                         path) -> None:
-    write_model_file(path, cfg, qparams)
 
 
 def load_quantized_model(path) -> tuple[QuantizedParams, IntegrationConfig]:

@@ -1,8 +1,10 @@
 """Full-precision training: cross-entropy, BPTT through the Euler unroll,
 Adam updates, and accuracy/confusion reporting.
 
-The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``.
-The backward pass has the same form: it walks the records of ``unroll``
+The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``;
+the passes that need no gradient (the validation loss, ``evaluate``) run
+``afua.forward_probabilities``, the one inference forward.  The backward
+pass has the form of ``unroll``: it walks the records of ``unroll``
 in reverse, one substep (row) at a time over the whole batch, writing
 preallocated (B, n) and (B, 2n) workspaces in place.  Like ``unroll`` it
 builds the views of each record row once per call, a list it walks
@@ -25,11 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .afua import (N_HIDDEN, PARAM_NAMES, TAU_H, IntegrationConfig,
-                   NetworkParams, head_batch, predict, unroll)
+                   NetworkParams, _stack_steps, forward_probabilities,
+                   head_batch, predict, unroll)
 from .datapipe import N_INPUTS, DatasetSplit, InputSequence
 from .errors import ConfigError, NumericalError
 
-_EVAL_BATCH = 256
 # Adam's moment decay rates and denominator guard
 _BETA1 = 0.9
 _BETA2 = 0.999
@@ -61,11 +63,6 @@ class TrainReport:
     best_epoch: int = -1
 
 
-def _stack_steps(batch) -> np.ndarray:
-    return np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
-                     for s in batch])  # (B, T, D)
-
-
 def _labels(batch) -> np.ndarray:
     return np.array([s.label for s in batch], dtype=np.int64)
 
@@ -74,15 +71,6 @@ def _loss_and_hits(P: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and the number of correct labels of a batch."""
     p_true = np.clip(P[np.arange(len(y)), y], 1e-12, None)
     return float(-np.log(p_true).mean()), int((predict(P) == y).sum())
-
-
-def forward_probabilities(batch, params: NetworkParams,
-                          cfg: IntegrationConfig) -> np.ndarray:
-    """Class probabilities for a list of sequences, 256 at a time."""
-    return np.concatenate([
-        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH]),
-                          params, cfg)[0], params)[0]
-        for lo in range(0, len(batch), _EVAL_BATCH)])
 
 
 # OpenBLAS runs a product on one thread while m * n * k <= 2^18; past that

@@ -134,6 +134,20 @@ class TestUsageErrors:
         assert not (out / "dataset.bzds").exists()
         assert not (out / "dataset_manifest.csv").exists()
 
+    def test_failed_stage_leaves_no_manifest(self, tmp_path):
+        # the second generate deletes the dataset the first one's
+        # manifest.json lists, then fails
+        out = tmp_path / "run"
+        args = ["generate", "--n", "4", "--mesh-edge", "0.3", "--seed", "1",
+                "--out", str(out)]
+        assert run_cli(args) == 0
+        assert (out / "manifest.json").exists()
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"saline_ms_per_m": 1e-300}')
+        assert run_cli([*args, "--config", str(cfg)]) == 3
+        assert not (out / "dataset.bzds").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_subcommand_exit_2(self):
         assert run_cli(["frobnicate"]) == 2
 
@@ -298,6 +312,18 @@ class TestPipelineOutputs:
         assert "model.afua" in manifest
         assert "dataset.bzds" in manifest
         assert all(len(h) == 64 for h in manifest.values())
+
+    # SHA-256 of the tiny run's manifest.json, the same at every BLAS thread
+    # count.  A change meant to move no byte passes with this value as it
+    # is; a change that moves bytes updates it and says why in CHANGES.md.
+    TINY_MANIFEST_SHA256 = ("e57bf79733485daf2834f343d4d30f6c"
+                            "9b34ce43e574d5b2553e973ca2061832")
+
+    def test_tiny_run_manifest_pinned(self, tmp_path):
+        # a run of its own: later tests evaluate into tiny_run's directory
+        assert run_cli([*TINY_PIPELINE, "--out", str(tmp_path)]) == 0
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == self.TINY_MANIFEST_SHA256
 
     def test_label_balance_printed(self, tiny_run):
         with open(tiny_run / "phantoms.csv") as f:
@@ -752,7 +778,8 @@ class TestMalformedInputs:
         assert f"error [eval]: {labels}" in err
 
     @pytest.mark.parametrize("case", ["missing-id", "no-split-column",
-                                      "non-ascii", "repeated-id"])
+                                      "non-ascii", "repeated-id",
+                                      "unknown-split"])
     def test_split_manifest(self, tiny_run, tmp_path, capsys, case):
         run = tmp_path / "run"
         shutil.copytree(tiny_run, run)
@@ -763,12 +790,14 @@ class TestMalformedInputs:
                "no-split-column": [b"id,part,label\n"] + lines[1:],
                "non-ascii": lines[:2] + [b"p\xe9" + lines[2]] + lines[3:],
                # an id listed again under another split
-               "repeated-id": lines + [dropped.encode("ascii") + b",test,1\n"]}
+               "repeated-id": lines + [dropped.encode("ascii") + b",test,1\n"],
+               "unknown-split": lines[:2]
+               + [dropped.encode("ascii") + b",holdout,1\n"] + lines[3:]}
         manifest.write_bytes(b"".join(bad[case]))
         assert run_cli(["quantize", "--out", str(run)]) == 4
         err = capsys.readouterr().err
         assert f"error [quantize]: {manifest}" in err
-        if case in ("missing-id", "repeated-id"):
+        if case in ("missing-id", "repeated-id", "unknown-split"):
             assert repr(dropped) in err
 
 

@@ -115,10 +115,14 @@ class TestAssembly:
         assert diff < 1e-12
 
     def test_rejects_nonpositive_conductivity(self, mesh):
-        sigma = np.full(mesh.n_triangles, 100.0 + 0j)
-        sigma[3] = -1.0
-        with pytest.raises(SolverError):
-            fem.assemble(mesh, sigma, contact_impedance=Z)
+        # a non-finite one is named before the factorization
+        for bad, fault in ((-1.0, "positive"), (np.nan, "finite"),
+                           (np.inf, "finite"),
+                           (complex(100.0, np.inf), "finite")):
+            sigma = np.full(mesh.n_triangles, 100.0 + 0j)
+            sigma[3] = bad
+            with pytest.raises(SolverError, match=fault):
+                fem.assemble(mesh, sigma, contact_impedance=Z)
 
     def test_rejects_wrong_length(self, mesh):
         with pytest.raises(SolverError):
@@ -146,7 +150,7 @@ class TestSolve:
     def test_grounded_mean_and_conservation(self, uniform_system, layout):
         pats = geo.enumerate_current_patterns(layout)
         for pat in pats[::7]:
-            U, inner = fem.solve_pattern(uniform_system, pat)
+            (U,), (inner,) = fem.solve_pattern(uniform_system, [pat])
             assert abs(U.sum()) < 1e-9
             rhs = np.zeros(uniform_system.n_vertices + 8, dtype=complex)
             rhs[uniform_system.n_vertices + (pat.source - 26)] = pat.amplitude
@@ -163,13 +167,13 @@ class TestSolve:
         s1 = fem.assemble(mesh, sigma, contact_impedance=10.0)
         s2 = fem.assemble(mesh, 2 * sigma, contact_impedance=5.0)
         pat = geo.enumerate_current_patterns(layout)[4]
-        _, v1 = fem.solve_pattern(s1, pat)
-        _, v2 = fem.solve_pattern(s2, pat)
+        _, (v1,) = fem.solve_pattern(s1, [pat])
+        _, (v2,) = fem.solve_pattern(s2, [pat])
         assert np.max(np.abs(v2 - 0.5 * v1) / np.abs(0.5 * v1)) <= 1e-10
 
     def test_reciprocity(self, uniform_system, mesh, layout):
         pat = geo.enumerate_current_patterns(layout)[0]  # (26, 27)
-        _, inner = fem.solve_pattern(uniform_system, pat)
+        _, (inner,) = fem.solve_pattern(uniform_system, [pat])
         m_forward = inner[0] - inner[1]  # potential across electrodes 1, 2
         # reverse experiment: the same current between the two inner
         # electrodes' vertices, read across outer electrodes 26 and 27
@@ -199,7 +203,7 @@ def single_solve_frame(system, layout, lu=None):
         rhs = np.zeros(nv + 8, dtype=complex)
         rhs[nv + system.electrode_order.index(pat.source)] = pat.amplitude
         rhs[nv + system.electrode_order.index(pat.sink)] = -pat.amplitude
-        frame[i] = lu.solve(rhs)[system.inner_vertices]
+        frame[i] = lu.solve(rhs)[system.operator.inner_vertices]
     return frame
 
 

@@ -42,9 +42,9 @@ def valid_files(tmp_path_factory):
         fc1_w=rng.normal(size=(2, n)), fc1_b=rng.normal(size=2),
         fc2_w=rng.normal(size=(2, 2)), fc2_b=rng.normal(size=2))
     cfg = IntegrationConfig()
-    afua.save_model(params, cfg, root / "model.afua")
-    quantizer.save_quantized_model(quantizer.quantize(params, 5), cfg,
-                                   root / "model.afuaq")
+    afua.write_model_file(root / "model.afua", cfg, params)
+    afua.write_model_file(root / "model.afuaq", cfg,
+                          quantizer.quantize(params, 5))
     seqs = [datapipe.InputSequence(
         steps=rng.uniform(-1, 1, (28, 25)).astype(np.float32), label=k % 2,
         provenance=f"p{k:05d}") for k in range(2)]

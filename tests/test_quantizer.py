@@ -182,9 +182,9 @@ class TestQuantizedModelFile:
         q = quantizer.quantize(rand_params(15), 6)
         cfg = IntegrationConfig(substeps_per_pattern=7, dt=0.05, epsilon=1e-5)
         p1, p2 = tmp_path / "a.afuaq", tmp_path / "b.afuaq"
-        quantizer.save_quantized_model(q, cfg, p1)
+        afua.write_model_file(p1, cfg, q)
         back, cfg2 = quantizer.load_quantized_model(p1)
-        quantizer.save_quantized_model(back, cfg2, p2)
+        afua.write_model_file(p2, cfg2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_roundtrip(self, tmp_path):
@@ -197,7 +197,7 @@ class TestQuantizedModelFile:
         cfg = IntegrationConfig()
         for k, qp in enumerate((q, q_np)):
             path = tmp_path / f"m{k}.afuaq"
-            quantizer.save_quantized_model(qp, cfg, path)
+            afua.write_model_file(path, cfg, qp)
             back, cfg2 = quantizer.load_quantized_model(path)
             assert back.total_bits == 5
             assert cfg2 == cfg
