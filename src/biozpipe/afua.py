@@ -290,8 +290,7 @@ def forward_probabilities(batch, params: NetworkParams,
         for lo in range(0, len(batch), _EVAL_BATCH)])
 
 
-def classify(seq, params: NetworkParams,
-             cfg: IntegrationConfig = IntegrationConfig()):
+def classify(seq, params: NetworkParams, cfg: IntegrationConfig):
     """Label one sequence; return the label and the class probabilities."""
     p = forward_probabilities([seq], params, cfg)[0]
     return int(predict(p)), p

@@ -38,7 +38,7 @@ class CurrentTrajectory:
 
 
 def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
-                          cfg: IntegrationConfig = IntegrationConfig()
+                          cfg: IntegrationConfig
                           ) -> CurrentTrajectory:
     """Integrate the current-mode update over a held-input sequence.
 

@@ -35,16 +35,16 @@ mixes the outputs of two configurations.  The budget files depend on no
 run input and are left in place.  The stage deletes manifest.json too, so
 a command that fails after it began writing leaves no manifest.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
-4 I/O or file-format failure, which covers any malformed model, quantized
-model, dataset, frames or layout file, and a layout whose ring lies off
-its domain.  generate exits 3 when every normalized step of the run is
-equal, so the frames carry no signal against the reference (a vanishing
-``saline_ms_per_m`` does this); it leaves geometry.txt through frames.frame
-and writes no dataset.bzds or dataset_manifest.csv.  The error message
-names the stage that failed (``error [train]: ...``), also inside
-pipeline; a configuration fault, found before any stage runs, names the
-command.
+Exit codes: 0 success, else the ``exit_code`` that ``errors`` gives the
+class of the error raised, and 4 for an OSError.  Exit 4 covers any
+malformed model, quantized model, dataset, frames or layout file, and a
+layout whose ring lies off its domain.  generate exits 3 when every
+normalized step of the run is equal, so the frames carry no signal
+against the reference (a vanishing ``saline_ms_per_m`` does this); it
+leaves geometry.txt through frames.frame and writes no dataset.bzds or
+dataset_manifest.csv.  The error message names the stage that failed
+(``error [train]: ...``), also inside pipeline; a configuration fault,
+found before any stage runs, names the command.
 """
 
 from __future__ import annotations
@@ -60,13 +60,7 @@ from pathlib import Path
 from . import afua, analog, datapipe, fem, quantizer, trainer
 from . import geometry as geo
 from . import phantom as phm
-from .errors import (BiozError, ConfigError, FormatError, MeshError,
-                     NumericalError, SolverError)
-
-EXIT_USAGE = 2
-EXIT_NUMERICAL = 3
-EXIT_IO = 4
-
+from .errors import BiozError, ConfigError, FormatError, NumericalError
 
 # upper bounds on the sizes a run commits, sized at the defaults (h = 0.14
 # mm, 3200 triangles; batch 100).  epochs needs none: an epoch commits only
@@ -373,12 +367,12 @@ def stage_train(cfg: RunConfig, out: Path):
 def stage_quantize(cfg: RunConfig, out: Path):
     params, icfg = afua.load_model(out / "model.afua")
     _, eval_set = _heldout(_load_split(out))
-    rows = quantizer.sweep(params, eval_set, cfg.bits, icfg)
+    models = [quantizer.quantize(params, b) for b in cfg.bits]
+    rows = quantizer.sweep(params, models, eval_set, icfg)
     _clear_outputs(out, "quantize")
     quantizer.save_sweep_csv(rows, out / "sweep.csv")
-    for bits in cfg.bits:
-        q = quantizer.quantize(params, bits)
-        afua.write_model_file(out / f"model_q{bits}.afuaq", icfg, q)
+    for q in models:
+        afua.write_model_file(out / f"model_q{q.total_bits}.afuaq", icfg, q)
     for label, acc in rows:
         print(f"bits {label:>2}: accuracy {acc:.4f}")
 
@@ -567,18 +561,9 @@ def main(argv=None) -> int:
         if out is not None:
             write_manifest(out)
         return 0
-    except ConfigError as exc:
+    except (BiozError, OSError) as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericalError, SolverError, MeshError) as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FormatError, OSError) as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BiozError as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", FormatError.exit_code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ Preprocessing squashes the magnitude difference against the reference frame
 through tanh: x = tanh(gain * (|V_meas| - |V_ref|)), magnitudes in mV.
 Sequences are stored as float32 (the on-disk precision) with values clamped
 strictly inside (-1, 1) at the float32 boundary.
+
+The split manifest and the labels file are read by one id-column CSV
+reader.  All three readers (dataset, split manifest, labels) reject an id
+listed twice with a FormatError naming the file and the id.
 """
 
 from __future__ import annotations
@@ -131,11 +135,15 @@ def load_sequences(path) -> list[InputSequence]:
             raise FormatError(f"{path}: unexpected record width {width}")
         pos = 16
         out = []
+        seen = set()
         for _ in range(count):
             id_len, label = struct.unpack_from("<HB", data, pos)
             pos += 3
             pid = data[pos:pos + id_len].decode("utf-8")
             pos += id_len
+            if pid in seen:
+                raise FormatError(f"{path}: id {pid!r} listed twice")
+            seen.add(pid)
             steps = np.frombuffer(data, dtype="<f4", count=width,
                                   offset=pos).reshape(N_STEPS, N_INPUTS).copy()
             pos += 4 * width
@@ -161,39 +169,36 @@ def save_split_manifest(split: DatasetSplit, path) -> None:
                 w.writerow([seq.provenance, name, seq.label])
 
 
-def load_split_assignment(path) -> dict[str, str]:
-    """The split name of each id in a ``save_split_manifest`` file."""
+def _read_id_column(path, column: str, allowed) -> dict[str, str]:
+    """The ``column`` value of each id in an ASCII CSV file with the columns
+    id and ``column``: each id listed once, each value, stripped of
+    surrounding whitespace, one of ``allowed``."""
     out = {}
     try:
         with open(path, "r", newline="", encoding="ascii") as f:
             reader = csv.DictReader(f)
-            if not {"id", "split"} <= set(reader.fieldnames or ()):
-                raise FormatError(f"{path}: needs the columns id and split")
+            if not {"id", column} <= set(reader.fieldnames or ()):
+                raise FormatError(f"{path}: needs the columns id and {column}")
             for row in reader:
+                value = (row[column] or "").strip()
                 if row["id"] in out:
                     raise FormatError(f"{path}: id {row['id']!r} listed twice")
-                if row["split"] not in SPLITS:
-                    raise FormatError(f"{path}: id {row['id']!r} has unknown "
-                                      f"split {row['split']!r}")
-                out[row["id"]] = row["split"]
+                if value not in allowed:
+                    raise FormatError(
+                        f"{path}: id {row['id']!r} has {column} {value!r}, "
+                        f"not one of {', '.join(allowed)}")
+                out[row["id"]] = value
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII: {exc}") from exc
     return out
 
 
+def load_split_assignment(path) -> dict[str, str]:
+    """The split name of each id in a ``save_split_manifest`` file."""
+    return _read_id_column(path, "split", SPLITS)
+
+
 def load_labels(path) -> dict[str, int]:
     """Labels of externally measured frames: CSV with columns id and label."""
-    labels = {}
-    try:
-        with open(path, "r", newline="", encoding="ascii") as f:
-            for row in csv.DictReader(f):
-                label = (row.get("label") or "").strip()
-                if row.get("id") is None or label not in ("0", "1"):
-                    raise FormatError(f"{path}: row {row} needs an id and a "
-                                      "label of 0 or 1")
-                if row["id"] in labels:
-                    raise FormatError(f"{path}: id {row['id']!r} listed twice")
-                labels[row["id"]] = int(label)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not ASCII: {exc}") from exc
-    return labels
+    labels = _read_id_column(path, "label", ("0", "1"))
+    return {k: int(v) for k, v in labels.items()}

@@ -294,11 +294,15 @@ def disk_overlap_area(r1: float, r2: float, dist: float) -> float:
     if dist <= abs(r1 - r2):
         r = min(r1, r2)
         return math.pi * r * r
-    a1 = math.acos((dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist * r1))
-    a2 = math.acos((dist * dist + r2 * r2 - r1 * r1) / (2.0 * dist * r2))
+    # near tangency rounding can push the cosines past +-1 and the area
+    # past its bounds; clamp both
+    def angle(ra, rb):
+        cos = (dist * dist + ra * ra - rb * rb) / (2.0 * dist * ra)
+        return math.acos(min(1.0, max(-1.0, cos)))
     tri = 0.5 * math.sqrt(max(0.0, (-dist + r1 + r2) * (dist + r1 - r2)
                               * (dist - r1 + r2) * (dist + r1 + r2)))
-    return r1 * r1 * a1 + r2 * r2 * a2 - tri
+    area = r1 * r1 * angle(r1, r2) + r2 * r2 * angle(r2, r1) - tri
+    return min(max(area, 0.0), math.pi * min(r1, r2) ** 2)
 
 
 def label_phantom(inclusion: Inclusion, layout: ProbeLayout) -> int:

@@ -4,6 +4,9 @@ N total bits means one sign bit plus N-1 magnitude bits: codes live in
 [-(2^(N-1)-1), +(2^(N-1)-1)] with a symmetric per-matrix scale equal to the
 largest absolute weight, and ties round half away from zero.  Only weights
 are quantized; activations and state stay full precision.
+
+The sweep scores the quantized models it is given: ``cli.stage_quantize``
+quantizes each bit width once and passes the very models it writes.
 """
 
 from __future__ import annotations
@@ -84,25 +87,21 @@ def quantize(params: NetworkParams, total_bits: int) -> QuantizedParams:
     return QuantizedParams(codes=codes, total_bits=total_bits, scales=scales)
 
 
-def quantized_forward(qparams: QuantizedParams, seq,
-                      cfg: IntegrationConfig = IntegrationConfig()):
+def quantized_forward(qparams: QuantizedParams, seq, cfg: IntegrationConfig):
     """Classify with dequantized weights; full-precision state/activations."""
     return classify(seq, qparams.dequantize(), cfg)
 
 
-def sweep(params: NetworkParams, test_set, bit_list,
-          cfg: IntegrationConfig = IntegrationConfig()):
-    """Accuracy at each bit width plus full precision.
+def sweep(params: NetworkParams, models: list[QuantizedParams], test_set,
+          cfg: IntegrationConfig):
+    """Accuracy of each quantized model, in order, plus full precision.
 
-    Returns rows of (label, accuracy) where label is the bit count or the
-    literal "FP".
+    Returns rows of (label, accuracy) where label is the model's bit count
+    or the literal "FP".
     """
     if not test_set:
         raise ConfigError("sweep needs a non-empty evaluation set")
-    rows = []
-    for bits in bit_list:
-        acc, _ = evaluate(quantize(params, int(bits)), test_set, cfg)
-        rows.append((str(int(bits)), acc))
+    rows = [(str(q.total_bits), evaluate(q, test_set, cfg)[0]) for q in models]
     acc_fp, _ = evaluate(params, test_set, cfg)
     rows.append(("FP", acc_fp))
     return rows

@@ -201,8 +201,7 @@ def init_params(seed: int) -> NetworkParams:
     )
 
 
-def train(splits: DatasetSplit, config: TrainConfig,
-          cfg: IntegrationConfig = IntegrationConfig()):
+def train(splits: DatasetSplit, config: TrainConfig, cfg: IntegrationConfig):
     """Adam over mini-batches; returns best-validation-epoch params + report.
 
     The training list is sorted by provenance before the seeded shuffle, so
@@ -275,8 +274,7 @@ def train(splits: DatasetSplit, config: TrainConfig,
     return best_params, report
 
 
-def evaluate(params, sequences: list[InputSequence],
-             cfg: IntegrationConfig = IntegrationConfig()):
+def evaluate(params, sequences: list[InputSequence], cfg: IntegrationConfig):
     """Accuracy and 2x2 confusion matrix (rows true, columns predicted).
 
     Accepts full-precision NetworkParams or QuantizedParams (dequantized on

@@ -329,7 +329,7 @@ class TestClassify:
     def test_argmax_and_tiebreak(self):
         p = zero_params()
         seq = np.zeros((28, 25))
-        label, probs = afua.classify(seq, p)
+        label, probs = afua.classify(seq, p, IntegrationConfig())
         assert np.allclose(probs, [0.5, 0.5])
         assert label == 0  # tie resolves to the benign class
 
@@ -337,17 +337,17 @@ class TestClassify:
         # scaling relu outputs leaves the argmax unchanged
         p = rand_params(seed=20)
         seq = np.random.default_rng(9).uniform(-1, 1, (28, 25))
-        label1, _ = afua.classify(seq, p)
+        label1, _ = afua.classify(seq, p, IntegrationConfig())
         p2 = NetworkParams(W_z=p.W_z, U_z=p.U_z, W=p.W, U=p.U,
                            fc1_w=p.fc1_w, fc1_b=p.fc1_b,
                            fc2_w=3.0 * p.fc2_w, fc2_b=3.0 * p.fc2_b)
-        label2, _ = afua.classify(seq, p2)
+        label2, _ = afua.classify(seq, p2, IntegrationConfig())
         assert label1 == label2
 
     def test_rejects_width_mismatch_and_dt_above_tau(self):
         p = zero_params()
         with pytest.raises(ConfigError):
-            afua.classify(np.zeros((28, 24)), p)
+            afua.classify(np.zeros((28, 24)), p, IntegrationConfig())
         with pytest.raises(ConfigError):
             IntegrationConfig(substeps_per_pattern=1, dt=1.5)
 

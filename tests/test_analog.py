@@ -36,7 +36,8 @@ class TestCurrentMode:
     def test_fixed_point_scales_with_unit_current(self):
         p = zero_params()
         x = np.zeros((5, 25))
-        traj = analog.simulate_current_mode(x, p, I_unit=10.0)
+        traj = analog.simulate_current_mode(x, p, I_unit=10.0,
+                                            cfg=IntegrationConfig())
         assert traj.I_h.shape == (5 * IntegrationConfig().substeps_per_pattern,
                                   16)
         assert np.allclose(traj.I_h, 5.0)  # 0.5 * I_unit, constant
@@ -65,8 +66,10 @@ class TestCurrentMode:
     def test_doubling_unit_current_doubles_currents(self):
         p = rand_params(4)
         seq = np.random.default_rng(2).uniform(-1, 1, (6, 25))
-        t1 = analog.simulate_current_mode(seq, p, I_unit=5.0)
-        t2 = analog.simulate_current_mode(seq, p, I_unit=10.0)
+        t1 = analog.simulate_current_mode(seq, p, I_unit=5.0,
+                                          cfg=IntegrationConfig())
+        t2 = analog.simulate_current_mode(seq, p, I_unit=10.0,
+                                          cfg=IntegrationConfig())
         for name in ("I_h", "I_z", "I_htilde"):
             assert np.allclose(getattr(t2, name), 2 * getattr(t1, name),
                                rtol=1e-12)
@@ -84,7 +87,8 @@ class TestCurrentMode:
     def test_requires_positive_unit(self, I_unit):
         with pytest.raises(ConfigError, match="positive and finite"):
             analog.simulate_current_mode(np.zeros((2, 25)), zero_params(),
-                                         I_unit=I_unit)
+                                         I_unit=I_unit,
+                                         cfg=IntegrationConfig())
 
 
 class TestBudget:

@@ -1,4 +1,5 @@
-"""Every biozpipe name the benchmark harness uses still exists.
+"""Every biozpipe name the benchmark harness uses still exists, and every
+call it makes into biozpipe still binds to the callee's signature.
 
 ``bench/tracer.py`` wraps the functions of its ``TARGETS``,
 ``bench/selftest.py`` requires those of its ``CALLED``, and every bench
@@ -10,6 +11,7 @@ modules with its ``run`` and ``stream``.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 from biozpipe import cli
@@ -30,9 +32,9 @@ def literal(file, name):
     raise AssertionError(f"bench/{file} assigns no {name}")
 
 
-def module_reads(tree):
-    """``(module, name)`` for every ``alias.name`` read in ``tree``, where
-    ``alias`` is bound by ``import biozpipe`` or ``from biozpipe import``."""
+def module_aliases(tree):
+    """Module name of every alias bound in ``tree`` by ``import biozpipe``
+    or ``from biozpipe import``."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "biozpipe":
@@ -42,10 +44,25 @@ def module_reads(tree):
             for a in node.names:
                 if a.name == "biozpipe":
                     aliases[a.asname or a.name] = "biozpipe"
+    return aliases
+
+
+def module_reads(tree):
+    """``(module, name)`` for every ``alias.name`` read in ``tree``."""
+    aliases = module_aliases(tree)
     return {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in aliases}
+
+
+def module_calls(tree):
+    """Every call ``alias.name(...)`` in ``tree``."""
+    aliases = module_aliases(tree)
+    return [(aliases[f.value.id], f.attr, node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(f := node.func, ast.Attribute)
+            and isinstance(f.value, ast.Name) and f.value.id in aliases]
 
 
 def config_reads(tree):
@@ -83,6 +100,26 @@ def test_module_reads_resolve():
     missing = [f"{file}: {mod}.{name}" for file, mod, name in sorted(reads)
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing
+
+
+def test_module_calls_bind():
+    # a renamed or removed parameter, or one that lost its default, breaks
+    # a bench call as surely as a removed name
+    calls = [(file.name, mod, name, node)
+             for file in sorted(BENCH.glob("*.py"))
+             for mod, name, node in module_calls(parse(file.name))]
+    assert len(calls) >= 27
+    unbound = []
+    for file, mod, name, node in calls:
+        assert not any(isinstance(a, ast.Starred) for a in node.args)
+        assert all(k.arg is not None for k in node.keywords)
+        fn = getattr(importlib.import_module(mod), name)
+        try:
+            inspect.signature(fn).bind(*node.args,
+                                       **{k.arg: k for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{file}:{node.lineno}: {mod}.{name}: {exc}")
+    assert not unbound
 
 
 def test_run_config_reads_resolve():

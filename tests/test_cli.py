@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import biozpipe
-from biozpipe import cli, datapipe, fem, trainer
+from biozpipe import afua, analog, cli, datapipe, fem, quantizer, trainer
 from biozpipe import phantom as phm
-from biozpipe.errors import ConfigError, FormatError, MeshError, NumericalError
+from biozpipe.errors import (BiozError, ConfigError, FormatError, MeshError,
+                             NumericalError, SolverError)
 
 
 def run_cli(args):
@@ -214,6 +215,12 @@ RUN_SETTINGS = {
     fem.simulate_frame: ("contact_impedance", "phantom_id"),
     fem.reference_frame: ("contact_impedance",),
     datapipe.normalize: ("gain", "label"),
+    afua.classify: ("cfg",),
+    trainer.train: ("cfg",),
+    trainer.evaluate: ("cfg",),
+    quantizer.quantized_forward: ("cfg",),
+    quantizer.sweep: ("cfg",),
+    analog.simulate_current_mode: ("cfg",),
 }
 
 
@@ -319,10 +326,8 @@ class TestPipelineOutputs:
     TINY_MANIFEST_SHA256 = ("e57bf79733485daf2834f343d4d30f6c"
                             "9b34ce43e574d5b2553e973ca2061832")
 
-    def test_tiny_run_manifest_pinned(self, tmp_path):
-        # a run of its own: later tests evaluate into tiny_run's directory
-        assert run_cli([*TINY_PIPELINE, "--out", str(tmp_path)]) == 0
-        manifest = (tmp_path / "manifest.json").read_bytes()
+    def test_tiny_run_manifest_pinned(self, tiny_run):
+        manifest = (tiny_run / "manifest.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == self.TINY_MANIFEST_SHA256
 
     def test_label_balance_printed(self, tiny_run):
@@ -330,6 +335,29 @@ class TestPipelineOutputs:
             rows = list(csv.DictReader(f))
         labels = [int(r["label"]) for r in rows]
         assert 0 < sum(labels) < len(labels)
+
+
+def error_classes(cls=BiozError):
+    """``cls`` and every class below it."""
+    return [cls, *(c for sub in cls.__subclasses__()
+                   for c in error_classes(sub))]
+
+
+# the documented exit codes: 2 usage, 3 numerical, 4 file format and I/O
+EXIT_CODES = {BiozError: 2, ConfigError: 2, MeshError: 3, SolverError: 3,
+              NumericalError: 3, FormatError: 4, OSError: 4}
+
+
+@pytest.mark.parametrize("error", [*error_classes(), OSError],
+                         ids=lambda e: e.__name__)
+def test_exit_code_comes_from_the_error_class(monkeypatch, capsys, error):
+    def fake(out, as_json):
+        raise error("injected")
+    monkeypatch.setattr(cli, "stage_budget", fake)
+    assert run_cli(["budget"]) == EXIT_CODES[error]
+    assert capsys.readouterr().err == "error [budget]: injected\n"
+    if error is not OSError:
+        assert error.exit_code == EXIT_CODES[error]
 
 
 class TestPipelineStages:
@@ -555,10 +583,10 @@ class TestReruns:
 
 
 class TestEvalCommand:
-    def test_eval_on_dataset(self, tiny_run, capsys):
+    def test_eval_on_dataset(self, tiny_run, tmp_path, capsys):
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
                         "--data", str(tiny_run / "dataset.bzds"),
-                        "--out", str(tiny_run)])
+                        "--out", str(tmp_path)])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
@@ -585,9 +613,12 @@ class TestEvalCommand:
             w.writerow(["id", "label"])
             for fr in frames:
                 w.writerow([fr.phantom_id, meta[fr.phantom_id]])
+        out = tmp_path / "eval"
+        out.mkdir()
+        shutil.copy(tiny_run / "reference.frame", out)
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
                         "--data", str(bundle), "--labels", str(labels),
-                        "--out", str(tiny_run)])
+                        "--out", str(out)])
         assert code == 0
         out = capsys.readouterr().out
         assert "evaluated 4 sequences" in out
@@ -597,8 +628,11 @@ class TestEvalCommand:
         bundle = tmp_path / "m.frames"
         fem.save_frames(fem.load_frames(tiny_run / "frames.frame")[:1],
                         bundle)
+        out = tmp_path / "eval"
+        out.mkdir()
+        shutil.copy(tiny_run / "reference.frame", out)
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
-                        "--data", str(bundle), "--out", str(tiny_run)])
+                        "--data", str(bundle), "--out", str(out)])
         assert code == 2
 
     def test_eval_on_frames_matches_dataset(self, tiny_run, tmp_path):
@@ -634,7 +668,7 @@ class TestEvalCommand:
         labels.write_text("id,label\np00000,0\n")
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
                         "--data", str(bundle), "--labels", str(labels),
-                        "--out", str(tiny_run)])
+                        "--out", str(tmp_path)])
         assert code == 4
         assert "29 patterns" in capsys.readouterr().err
 
@@ -707,7 +741,8 @@ MALFORMED_DATASETS = {
 
 
 class TestMalformedInputs:
-    """Every malformed input file of ``eval`` exits 4 naming the file."""
+    """Every malformed input file of ``eval`` or ``train`` exits 4 naming
+    the file."""
 
     def eval_exit(self, capsys, model, data, out, labels=None):
         args = ["eval", "--model-file", str(model), "--data", str(data),
@@ -737,6 +772,21 @@ class TestMalformedInputs:
                                    tmp_path)
         assert code == 4
         assert f"error [eval]: {bad}" in err
+
+    def test_dataset_with_a_repeated_id(self, tiny_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        path = run / "dataset.bzds"
+        data = path.read_bytes()
+        version, count, width = struct.unpack_from("<III", data, 4)
+        (id_len,) = struct.unpack_from("<H", data, 16)
+        first = data[16:16 + 3 + id_len + 4 * width]
+        path.write_bytes(data[:4] + struct.pack("<III", version, count + 1,
+                                                width) + data[16:] + first)
+        assert run_cli(["train", "--epochs", "2", "--out", str(run)]) == 4
+        pid = first[3:3 + id_len].decode("ascii")
+        assert (f"error [train]: {path}: id {pid!r} listed twice"
+                in capsys.readouterr().err)
 
     def test_frames_with_24_electrodes(self, tiny_run, tmp_path, capsys):
         bundle = tmp_path / "m.frames"

@@ -133,6 +133,26 @@ class TestPersistence:
         with pytest.raises(FormatError, match="'p00000' listed twice"):
             dp.load_labels(path)
 
+    def test_dataset_with_a_repeated_id_raises(self, tmp_path):
+        seqs = [seq_of(np.zeros((28, 25)), pid=pid)
+                for pid in ("p0", "p1", "p0")]
+        path = tmp_path / "data.bzds"
+        dp.save_sequences(seqs, path)
+        with pytest.raises(FormatError, match="id 'p0' listed twice"):
+            dp.load_sequences(path)
+
+    @pytest.mark.parametrize("load, column, value, want", [
+        (dp.load_split_assignment, "split", " test ", "test"),
+        (dp.load_labels, "label", " 1 ", 1)])
+    def test_id_column_readers(self, tmp_path, load, column, value, want):
+        # both strip the value and need both columns in the header
+        path = tmp_path / "ids.csv"
+        path.write_text(f"id,{column}\np0,{value}\n")
+        assert load(path) == {"p0": want}
+        path.write_text(f"id,other\np0,{value}\n")
+        with pytest.raises(FormatError, match=f"columns id and {column}"):
+            load(path)
+
     def test_manifest(self, tmp_path):
         seqs = [seq_of(np.zeros((28, 25)), label=i % 2, pid=f"p{i}")
                 for i in range(10)]

@@ -314,6 +314,21 @@ class TestLabel:
                 area += 2.0 * min(half1, half2) * dx
             assert exact == pytest.approx(area, abs=2e-3)
 
+    @pytest.mark.parametrize("r1, r2, dist, limit", [
+        # internally tangent: the cosine rounds past 1
+        (0.01, 1.875, 1.8650000000000002, math.pi * 0.01 ** 2),
+        # externally tangent: the lens rounds below 0
+        (0.5, 1.875, 2.3749999999999996, 0.0),
+        # internally tangent: the lens rounds above the small disk
+        (1.0, 1.875, 0.8750000000000001, math.pi),
+    ])
+    def test_overlap_area_at_tangency(self, layout, r1, r2, dist, limit):
+        area = phm.disk_overlap_area(r1, r2, dist)
+        assert 0.0 <= area <= math.pi * min(r1, r2) ** 2
+        assert area == pytest.approx(limit, rel=1e-4, abs=1e-12)
+        # label_phantom reaches the same arithmetic from an inclusion
+        phm.label_phantom(phm.Inclusion((dist, 0.0), 2 * r1), layout)
+
     def test_monotone_in_diameter(self, layout):
         rng = np.random.default_rng(3)
         for _ in range(50):

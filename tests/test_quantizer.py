@@ -151,17 +151,20 @@ class TestSweep:
     def test_table_shape_and_fp_row(self):
         seqs = make_labeled_set(30, 3)
         p = trainer.init_params(1)
-        rows = quantizer.sweep(p, seqs, [3, 4, 5, 6, 7, 8])
+        cfg = IntegrationConfig()
+        rows = quantizer.sweep(
+            p, [quantizer.quantize(p, b) for b in [3, 4, 5, 6, 7, 8]], seqs,
+            cfg)
         assert len(rows) == 7
         assert rows[-1][0] == "FP"
-        acc_fp, _ = trainer.evaluate(p, seqs)
+        acc_fp, _ = trainer.evaluate(p, seqs, cfg)
         assert rows[-1][1] == acc_fp
 
     def test_sweep_matches_quantized_forward(self):
         seqs = make_labeled_set(20, 4)
         p = rand_params(13)
         cfg = IntegrationConfig()
-        rows = quantizer.sweep(p, seqs, [4], cfg)
+        rows = quantizer.sweep(p, [quantizer.quantize(p, 4)], seqs, cfg)
         acc4 = rows[0][1]
         hits = sum(quantizer.quantized_forward(
             quantizer.quantize(p, 4), s, cfg)[0] == s.label for s in seqs)

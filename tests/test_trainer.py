@@ -280,7 +280,7 @@ class TestTrain:
         splits = dp.DatasetSplit(train=seqs, validation=seqs[:10], test=[])
         cfg = trainer.TrainConfig(batch_size=10, epochs=200,
                                   learning_rate=1e-3, seed=1)
-        params, report = trainer.train(splits, cfg)
+        params, report = trainer.train(splits, cfg, IntegrationConfig())
         assert max(report.train_acc) >= 0.95
         assert len(report.train_loss) == 200
 
@@ -297,7 +297,7 @@ class TestTrain:
                                   learning_rate=1e-3, seed=9)
         with pytest.raises(NumericalError,
                            match="epoch 0: .* all 3 batches .*dead ReLU"):
-            trainer.train(splits, cfg)
+            trainer.train(splits, cfg, IntegrationConfig())
 
     def test_deterministic(self):
         seqs = make_dataset(30, seed=6)
@@ -305,8 +305,8 @@ class TestTrain:
                                  test=[])
         cfg = trainer.TrainConfig(batch_size=10, epochs=5,
                                   learning_rate=1e-3, seed=9)
-        p1, r1 = trainer.train(splits, cfg)
-        p2, r2 = trainer.train(splits, cfg)
+        p1, r1 = trainer.train(splits, cfg, IntegrationConfig())
+        p2, r2 = trainer.train(splits, cfg, IntegrationConfig())
         for name in p1.matrices():
             assert np.array_equal(getattr(p1, name), getattr(p2, name))
         assert r1.train_loss == r2.train_loss
@@ -320,8 +320,10 @@ class TestTrain:
         rev = list(reversed(seqs))
         cfg = trainer.TrainConfig(batch_size=8, epochs=4,
                                   learning_rate=1e-3, seed=2)
-        _, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], []), cfg)
-        _, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], []), cfg)
+        _, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], []), cfg,
+                              IntegrationConfig())
+        _, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], []), cfg,
+                              IntegrationConfig())
         assert r1.train_loss == r2.train_loss
 
     def test_returned_params_beat_first_epoch(self):
@@ -330,8 +332,9 @@ class TestTrain:
                                  test=[])
         cfg = trainer.TrainConfig(batch_size=20, epochs=60,
                                   learning_rate=1e-3, seed=3)
-        params, report = trainer.train(splits, cfg)
-        acc, _ = trainer.evaluate(params, splits.validation)
+        params, report = trainer.train(splits, cfg, IntegrationConfig())
+        acc, _ = trainer.evaluate(params, splits.validation,
+                                  IntegrationConfig())
         assert acc >= report.val_acc[0]
 
     # the backward pass stops at the first overflow, before NumPy warns
@@ -343,7 +346,7 @@ class TestTrain:
         cfg = trainer.TrainConfig(batch_size=5, epochs=10, seed=4,
                                   learning_rate=1e9)
         with pytest.raises(NumericalError, match="epoch"):
-            trainer.train(splits, cfg)
+            trainer.train(splits, cfg, IntegrationConfig())
 
 
 class TestEvaluate:
@@ -351,8 +354,9 @@ class TestEvaluate:
         seqs = make_dataset(40, seed=10, separation=3.0)
         splits = dp.DatasetSplit(train=seqs, validation=seqs[:8], test=[])
         params, _ = trainer.train(splits, trainer.TrainConfig(
-            batch_size=10, epochs=150, learning_rate=1e-3, seed=5))
-        acc, cm = trainer.evaluate(params, seqs)
+            batch_size=10, epochs=150, learning_rate=1e-3, seed=5),
+            IntegrationConfig())
+        acc, cm = trainer.evaluate(params, seqs, IntegrationConfig())
         assert cm.shape == (2, 2)
         assert cm.sum() == 40
         if acc == 1.0:
@@ -366,7 +370,7 @@ class TestEvaluate:
             fc1_w=np.zeros((2, 16)), fc1_b=np.zeros(2),
             fc2_w=np.zeros((2, 2)), fc2_b=np.zeros(2))
         seqs = make_dataset(30, seed=11)
-        acc, cm = trainer.evaluate(params, seqs)
+        acc, cm = trainer.evaluate(params, seqs, IntegrationConfig())
         labels = np.array([s.label for s in seqs])
         assert acc == pytest.approx(np.mean(labels == 0))
         assert cm[:, 1].sum() == 0
@@ -374,7 +378,7 @@ class TestEvaluate:
     def test_confusion_orientation(self):
         seqs = make_dataset(10, seed=12)
         params = trainer.init_params(0)
-        acc, cm = trainer.evaluate(params, seqs)
+        acc, cm = trainer.evaluate(params, seqs, IntegrationConfig())
         # rows are true classes: row sums equal class counts
         labels = np.array([s.label for s in seqs])
         assert cm[0].sum() == np.sum(labels == 0)
@@ -402,7 +406,8 @@ class TestReports:
         splits = dp.DatasetSplit(train=seqs[:15], validation=seqs[15:],
                                  test=[])
         _, report = trainer.train(splits, trainer.TrainConfig(
-            batch_size=5, epochs=3, learning_rate=1e-3, seed=6))
+            batch_size=5, epochs=3, learning_rate=1e-3, seed=6),
+            IntegrationConfig())
         path = tmp_path / "curve.csv"
         trainer.save_training_curve(report, path)
         lines = path.read_text().strip().split("\n")
