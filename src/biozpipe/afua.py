@@ -20,6 +20,7 @@ current mode run.  ``forward_probabilities`` is the one inference forward
 through them: ``classify``, evaluation and the quantized sweep all call it,
 and ``predict`` is the one label rule.  ``afua_step`` and ``run_sequence``
 step one sequence at a time: the reference for the tests.
+``forward_probabilities`` and ``run_sequence`` take any array-like.
 
 Every logistic gate is ``sigmoid``, in its tanh form
 ``0.5 + 0.5 * tanh(v / 2)`` clamped into the open range (0, 1).  ``unroll``
@@ -169,10 +170,10 @@ def run_sequence(seq, params: NetworkParams,
                  cfg: IntegrationConfig) -> np.ndarray:
     """Integrate through all input steps; return the final hidden vector.
 
-    ``seq`` is an InputSequence or a plain (steps, inputs) array.  Each row
-    is held constant for S substeps.
+    ``seq`` is any array-like of shape (steps, inputs), an InputSequence
+    included.  Each row is held constant for S substeps.
     """
-    steps = np.asarray(getattr(seq, "steps", seq), dtype=float)
+    steps = np.asarray(seq, dtype=float)
     if steps.ndim != 2 or steps.shape[1] != params.n_inputs:
         raise ConfigError(
             f"sequence width {steps.shape} does not match {params.n_inputs} inputs"
@@ -272,21 +273,16 @@ def predict(P: np.ndarray) -> np.ndarray:
     return np.where(P[..., 1] > P[..., 0], LABEL_LESION, LABEL_BENIGN)
 
 
-def _stack_steps(batch) -> np.ndarray:
-    """A (B, T, D) float array of InputSequences or plain (T, D) arrays."""
-    return np.stack([np.asarray(getattr(s, "steps", s), dtype=float)
-                     for s in batch])
-
-
 _EVAL_BATCH = 256
 
 
 def forward_probabilities(batch, params: NetworkParams,
                           cfg: IntegrationConfig) -> np.ndarray:
-    """Class probabilities for a list of sequences, 256 at a time."""
+    """Class probabilities for a list of (T, D) array-likes, InputSequences
+    included, or a (B, T, D) array, 256 at a time."""
     return np.concatenate([
-        head_batch(unroll(_stack_steps(batch[lo:lo + _EVAL_BATCH]),
-                          params, cfg)[0], params)[0]
+        head_batch(unroll(batch[lo:lo + _EVAL_BATCH], params, cfg)[0],
+                   params)[0]
         for lo in range(0, len(batch), _EVAL_BATCH)])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afua import IntegrationConfig, NetworkParams, _stack_steps, unroll
+from .afua import IntegrationConfig, NetworkParams, unroll
 from .errors import ConfigError
 
 
@@ -49,7 +49,7 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     if not 0 < I_unit < np.inf:
         raise ConfigError(f"I_unit must be positive and finite, got {I_unit!r}")
     H, clamped, (H_rec, gates, Ht, _) = unroll(
-        _stack_steps([x_sequence]), params, cfg, keep_records=True)
+        [x_sequence], params, cfg, keep_records=True)
     # H_rec[k] is the state substep k started from; the trajectory is the
     # state after each substep
     h_after = np.concatenate((H_rec, H[None]))[1:, 0]

@@ -306,7 +306,7 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
         phantoms = phm.generate_phantom_set(
             mesh, layout, model, cfg.n_phantoms, seed=cfg.seed,
             rbf=cfg.rbf(), map=pool.map)
-        phm.save_phantom_metadata(phantoms, out / "phantoms.csv")
+        datapipe.save_phantom_metadata(phantoms, out / "phantoms.csv")
         fem.save_frames(
             frames_keeping_seqs(pool.map(one, enumerate(phantoms))),
             out / "frames.frame")
@@ -335,6 +335,13 @@ def _load_split(out: Path) -> datapipe.DatasetSplit:
         if s.provenance not in assignment:
             raise FormatError(f"{manifest}: no split for id {s.provenance!r}")
         buckets[assignment[s.provenance]].append(s)
+    # every record has a split, so a longer manifest names an id that the
+    # dataset lacks
+    if len(assignment) > len(seqs):
+        ids = {s.provenance for s in seqs}
+        missing = next(i for i in assignment if i not in ids)
+        raise FormatError(f"{manifest}: id {missing!r} is not in "
+                          f"{out / 'dataset.bzds'}")
     return datapipe.DatasetSplit(**buckets)
 
 
@@ -380,13 +387,14 @@ def stage_quantize(cfg: RunConfig, out: Path):
 def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
                labels_path=None):
     """Evaluate a (quantized) model on a dataset or a frames file."""
-    model_path = Path(model_path)
+    model_path, data_path = Path(model_path), Path(data_path)
+    if data_path.suffix != ".bzds" and labels_path is None:
+        raise ConfigError("frames input requires --labels <csv>")
     if model_path.suffix == ".afuaq":
         params, icfg = quantizer.load_quantized_model(model_path)
     else:
         params, icfg = afua.load_model(model_path)
 
-    data_path = Path(data_path)
     if data_path.suffix == ".bzds":
         seqs = datapipe.load_sequences(data_path)
     else:
@@ -396,8 +404,6 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
         if not refs:
             raise FormatError(f"{out / 'reference.frame'}: holds no frame")
         ref = refs[0]
-        if labels_path is None:
-            raise ConfigError("frames input requires --labels <csv>")
         labels = datapipe.load_labels(labels_path)
         try:
             seqs = [datapipe.normalize(fr, ref, gain=cfg.gain_per_mv,

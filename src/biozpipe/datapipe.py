@@ -5,9 +5,12 @@ through tanh: x = tanh(gain * (|V_meas| - |V_ref|)), magnitudes in mV.
 Sequences are stored as float32 (the on-disk precision) with values clamped
 strictly inside (-1, 1) at the float32 boundary.
 
-The split manifest and the labels file are read by one id-column CSV
-reader.  All three readers (dataset, split manifest, labels) reject an id
-listed twice with a FormatError naming the file and the id.
+An ``InputSequence`` is array-like: ``np.asarray`` of one is its steps.
+
+Every CSV file of a run, phantoms.csv included, has one writer, ``write_csv``,
+and one id-column reader reads the split manifest and the labels file.  All
+four id readers (dataset, split manifest, labels, ``fem.load_frames``) reject
+an id listed twice with a FormatError naming the file and the id.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .fem import Frame
 from .geometry import N_INNER as N_INPUTS, N_PATTERNS as N_STEPS
+from .phantom import Phantom
 
 _ONE_MINUS = np.nextafter(np.float32(1.0), np.float32(0.0))
 
@@ -40,6 +44,9 @@ class InputSequence:
             )
         if self.label not in (0, 1):
             raise ConfigError(f"label must be 0 or 1, got {self.label}")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.steps, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -159,14 +166,30 @@ def load_sequences(path) -> list[InputSequence]:
     return out
 
 
-def save_split_manifest(split: DatasetSplit, path) -> None:
-    """CSV listing (id, split, label) for every sequence."""
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as ASCII CSV in the csv module's default
+    dialect, each float, Python or NumPy, as ``repr(float(v))``."""
     with open(path, "w", newline="", encoding="ascii") as f:
         w = csv.writer(f)
-        w.writerow(["id", "split", "label"])
-        for name in SPLITS:
-            for seq in getattr(split, name):
-                w.writerow([seq.provenance, name, seq.label])
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating))
+                     else v for v in row] for row in rows)
+
+
+def save_split_manifest(split: DatasetSplit, path) -> None:
+    """CSV listing (id, split, label) for every sequence."""
+    write_csv(path, ["id", "split", "label"],
+              ([seq.provenance, name, seq.label]
+               for name in SPLITS for seq in getattr(split, name)))
+
+
+def save_phantom_metadata(phantoms: list[Phantom], path) -> None:
+    """phantoms.csv: index, seed, inclusion and label of each phantom;
+    ``phantom.make_phantom`` rebuilds its conductivities from the seed."""
+    write_csv(path, ["index", "seed", "center_x", "center_y", "diameter",
+                     "label"],
+              ([i, ph.seed, *ph.inclusion.center, ph.inclusion.diameter,
+                ph.label] for i, ph in enumerate(phantoms)))
 
 
 def _read_id_column(path, column: str, allowed) -> dict[str, str]:

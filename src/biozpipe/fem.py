@@ -410,9 +410,10 @@ def load_frames(path) -> list[Frame]:
 
     Records hold no pattern order: externally measured frames must be
     recorded in the canonical order (see ``Frame``), and a record whose
-    pattern or electrode count is not the probe's raises ``FormatError``.
+    pattern or electrode count is not the probe's, or whose id an earlier
+    record has, raises ``FormatError``.
     """
-    frames = []
+    frames, seen = [], set()
     with open(path, "rb") as f:
         data = f.read()
     pos = 0
@@ -430,6 +431,9 @@ def load_frames(path) -> list[Frame]:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: frame id is not UTF-8: {exc}") from exc
         pos += id_len
+        if pid in seen:
+            raise FormatError(f"{path}: id {pid!r} listed twice")
+        seen.add(pid)
         if n_pat != N_PATTERNS:
             raise FormatError(f"{path}: frame {pid!r} has {n_pat} patterns, "
                               f"the probe drives {N_PATTERNS}")

@@ -107,8 +107,9 @@ def validate_layout(layout: ProbeLayout) -> None:
     for a, b in combinations(layout.outer_electrodes, 2):
         if a.start_angle < b.end_angle and b.start_angle < a.end_angle:
             raise ConfigError("outer electrode arcs overlap")
-    if layout.sensing_radius > layout.domain_radius:
-        raise ConfigError("sensing_radius must not exceed domain_radius")
+    if not 0 < layout.sensing_radius <= layout.domain_radius:
+        raise ConfigError(f"sensing_radius {layout.sensing_radius} is not in "
+                          f"(0, domain_radius {layout.domain_radius}]")
 
 
 def build_probe_layout() -> ProbeLayout:
@@ -444,13 +445,25 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
 _LAYOUT_HEADER = "biozpipe-layout v1"
 _MESH_HEADER = "biozpipe-mesh v2"
 
+# one section table per text file: ``(key, kind, width)`` is a ``<key> <n>``
+# line and n rows of ``width`` values of type ``kind``, or with width 0 one
+# ``<key> <value>`` line
+_LAYOUT_SECTIONS = (("domain_radius", float, 0), ("sensing_radius", float, 0),
+                    ("inner", float, 2), ("outer", float, 3))
+_MESH_SECTIONS = (("vertices", float, 2), ("triangles", int, 3),
+                  ("electrode_edges", int, 3), ("inner_vertices", int, 2))
 
-def _read_sections(lines, sections) -> dict:
-    """Parse the lines after the header as ``sections``, in order, each a
-    ``(key, kind, width)``: a ``<key> <n>`` line and n rows of ``width``
-    values of type ``kind``, or with width 0 one ``<key> <value>`` line.
-    Returns the value or the rows by key.  A misnamed key, a row of the
-    wrong width or a line left over is a ValueError."""
+
+def _read_sections(path, header, sections) -> dict:
+    """The value or the rows by key of an ASCII file of a ``header`` line
+    and ``sections``, in order.  Another header is a FormatError; a misnamed
+    key, a row of the wrong width or a line left over is a ValueError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    lines = [ln.strip() for ln in data.decode("ascii").splitlines()
+             if ln.strip()]
+    if not lines or lines[0] != header:
+        raise FormatError(f"{path}: not a {header} file")
     found, idx = {}, 1
     for key, kind, width in sections:
         words = lines[idx].split() if idx < len(lines) else []
@@ -471,32 +484,33 @@ def _read_sections(lines, sections) -> dict:
     return found
 
 
-def save_layout(layout: ProbeLayout, path) -> None:
-    lines = [_LAYOUT_HEADER,
-             f"domain_radius {float(layout.domain_radius)!r}",
-             f"sensing_radius {float(layout.sensing_radius)!r}",
-             f"inner {len(layout.inner_electrodes)}"]
-    for x, y in layout.inner_electrodes:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    lines.append(f"outer {len(layout.outer_electrodes)}")
-    for arc in layout.outer_electrodes:
-        lines.append(f"{float(arc.start_angle)!r} {float(arc.end_angle)!r} "
-                     f"{float(arc.radius)!r}")
+def _write_sections(path, header, sections, found) -> None:
+    """Write ``found``, by key, as ``_read_sections`` parses it, each value
+    as ``repr(kind(v))``."""
+    lines = [header]
+    for key, kind, width in sections:
+        if not width:
+            lines.append(f"{key} {kind(found[key])!r}")
+            continue
+        lines.append(f"{key} {len(found[key])}")
+        lines.extend(" ".join(repr(kind(v)) for v in row)
+                     for row in found[key])
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 
 
+def save_layout(layout: ProbeLayout, path) -> None:
+    _write_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS, {
+        "domain_radius": layout.domain_radius,
+        "sensing_radius": layout.sensing_radius,
+        "inner": layout.inner_electrodes,
+        "outer": [(a.start_angle, a.end_angle, a.radius)
+                  for a in layout.outer_electrodes]})
+
+
 def load_layout(path) -> ProbeLayout:
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        lines = [ln.strip() for ln in data.decode("ascii").splitlines()
-                 if ln.strip()]
-        if not lines or lines[0] != _LAYOUT_HEADER:
-            raise FormatError(f"{path}: not a biozpipe layout file")
-        sec = _read_sections(lines, (
-            ("domain_radius", float, 0), ("sensing_radius", float, 0),
-            ("inner", float, 2), ("outer", float, 3)))
+        sec = _read_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS)
         arcs = tuple(Arc(*row) for row in sec["outer"])
         layout = ProbeLayout(inner_electrodes=np.array(sec["inner"]),
                              outer_electrodes=arcs,
@@ -509,36 +523,17 @@ def load_layout(path) -> ProbeLayout:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    lines = [_MESH_HEADER, f"vertices {mesh.n_vertices}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    lines.append(f"triangles {mesh.n_triangles}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    n_edges = sum(len(v) for v in mesh.electrode_edges.values())
-    lines.append(f"electrode_edges {n_edges}")
-    for e in sorted(mesh.electrode_edges):
-        for a, b in mesh.electrode_edges[e]:
-            lines.append(f"{e} {a} {b}")
-    lines.append(f"inner_vertices {len(mesh.inner_vertex)}")
-    for e in sorted(mesh.inner_vertex):
-        lines.append(f"{e} {mesh.inner_vertex[e]}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_sections(path, _MESH_HEADER, _MESH_SECTIONS, {
+        "vertices": mesh.vertices, "triangles": mesh.triangles,
+        "electrode_edges": [(e, a, b) for e in sorted(mesh.electrode_edges)
+                            for a, b in mesh.electrode_edges[e]],
+        "inner_vertices": sorted(mesh.inner_vertex.items())})
 
 
 def load_mesh(path) -> Mesh:
     """Read a mesh file; a malformed or non-conforming mesh is a FormatError."""
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        lines = [ln.strip() for ln in data.decode("ascii").splitlines()
-                 if ln.strip()]
-        if not lines or lines[0] != _MESH_HEADER:
-            raise FormatError(f"{path}: not a biozpipe mesh file")
-        sec = _read_sections(lines, (
-            ("vertices", float, 2), ("triangles", int, 3),
-            ("electrode_edges", int, 3), ("inner_vertices", int, 2)))
+        sec = _read_sections(path, _MESH_HEADER, _MESH_SECTIONS)
         nv = len(sec["vertices"])
         vertices = np.array(sec["vertices"], dtype=float).reshape(nv, 2)
         triangles = np.array(sec["triangles"], dtype=np.int32).reshape(-1, 3)

@@ -6,11 +6,12 @@ conductivities in mS/m at the 10 kHz operating point.  Background texture is
 a random radial-basis-function field rescaled so the relative standard
 deviation of the real part hits ``RbfNoiseConfig.noise_rel_std`` exactly.
 No run setting has a default here: ``cli.RunConfig`` holds them all.
+Nothing here touches a file: ``datapipe.save_phantom_metadata`` writes a
+run's phantoms.csv, and ``make_phantom`` rebuilds a phantom from its seed.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -368,21 +369,4 @@ def generate_phantom_set(mesh: Mesh, layout: ProbeLayout, model: TissueModel,
                 f"phantom {phantom_id(i)} (seed {ph_seed}): {exc}") from exc
 
     return list(map(one, range(n)))
-
-
-# ---------------------------------------------------------------------------
-# Persistence: the metadata CSV.  Conductivities are not stored; each
-# phantom is rebuilt from its seed with make_phantom.
-# ---------------------------------------------------------------------------
-
-
-def save_phantom_metadata(phantoms: list[Phantom], path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "seed", "center_x", "center_y", "diameter", "label"])
-        for i, ph in enumerate(phantoms):
-            w.writerow([i, ph.seed,
-                        repr(float(ph.inclusion.center[0])),
-                        repr(float(ph.inclusion.center[1])),
-                        repr(float(ph.inclusion.diameter)), ph.label])
 

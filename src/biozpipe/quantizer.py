@@ -11,13 +11,13 @@ quantizes each bit width once and passes the very models it writes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .afua import (PARAM_NAMES, IntegrationConfig, NetworkParams, classify,
                    read_model_file)
+from .datapipe import write_csv
 from .errors import ConfigError
 from .trainer import evaluate
 
@@ -108,11 +108,7 @@ def sweep(params: NetworkParams, models: list[QuantizedParams], test_set,
 
 
 def save_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["bits", "accuracy"])
-        for label, acc in rows:
-            w.writerow([label, repr(float(acc))])
+    write_csv(path, ["bits", "accuracy"], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ gradients are the exact reverse-mode derivatives of the unclamped recursion.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .afua import (N_HIDDEN, PARAM_NAMES, TAU_H, IntegrationConfig,
-                   NetworkParams, _stack_steps, forward_probabilities,
+                   NetworkParams, forward_probabilities,
                    head_batch, predict, unroll)
-from .datapipe import N_INPUTS, DatasetSplit, InputSequence
+from .datapipe import N_INPUTS, DatasetSplit, InputSequence, write_csv
 from .errors import ConfigError, NumericalError
 
 # Adam's moment decay rates and denominator guard
@@ -92,7 +91,7 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     and hits as ``batch_loss_and_hits`` gives them."""
     if not batch:
         raise ConfigError("gradient batch must be non-empty")
-    X, y = _stack_steps(batch), _labels(batch)
+    X, y = np.asarray(batch, dtype=float), _labels(batch)
     B, T, _ = X.shape
     n, S = params.n_hidden, cfg.substeps_per_pattern
     H_final, _, (Hs, gates, Ht, G) = unroll(X, params, cfg, keep_records=True)
@@ -293,18 +292,14 @@ def evaluate(params, sequences: list[InputSequence], cfg: IntegrationConfig):
 
 def save_training_curve(report: TrainReport, path) -> None:
     """CSV: epoch, train_loss, train_acc, val_loss, val_acc."""
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-        for i in range(len(report.train_loss)):
-            w.writerow([i, repr(report.train_loss[i]), repr(report.train_acc[i]),
-                        repr(report.val_loss[i]), repr(report.val_acc[i])])
+    write_csv(path, ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
+              ([i, *row] for i, row in enumerate(zip(
+                  report.train_loss, report.train_acc, report.val_loss,
+                  report.val_acc))))
 
 
 def save_confusion_csv(accuracy: float, confusion: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["", "pred_negative", "pred_positive"])
-        w.writerow(["true_negative", int(confusion[0, 0]), int(confusion[0, 1])])
-        w.writerow(["true_positive", int(confusion[1, 0]), int(confusion[1, 1])])
-        w.writerow(["accuracy", repr(accuracy), ""])
+    write_csv(path, ["", "pred_negative", "pred_positive"],
+              [["true_negative", *map(int, confusion[0])],
+               ["true_positive", *map(int, confusion[1])],
+               ["accuracy", accuracy, ""]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biozpipe import afua
+from biozpipe import afua, datapipe
 from biozpipe.afua import IntegrationConfig, NetworkParams
 from biozpipe.errors import ConfigError, NumericalError
 
@@ -350,6 +350,20 @@ class TestClassify:
             afua.classify(np.zeros((28, 24)), p, IntegrationConfig())
         with pytest.raises(ConfigError):
             IntegrationConfig(substeps_per_pattern=1, dt=1.5)
+
+    def test_records_and_stacked_array_agree(self):
+        # 300 records cross the 256-row evaluation batch
+        rng = np.random.default_rng(11)
+        seqs = [datapipe.InputSequence(
+            steps=rng.uniform(-1, 1, (28, 25)).astype(np.float32),
+            label=0, provenance=f"p{i}") for i in range(300)]
+        p, cfg = rand_params(seed=21), IntegrationConfig()
+        from_records = afua.forward_probabilities(seqs, p, cfg)
+        stacked = np.stack([s.steps for s in seqs]).astype(float)
+        assert np.array_equal(from_records,
+                              afua.forward_probabilities(stacked, p, cfg))
+        assert np.array_equal(afua.run_sequence(seqs[0], p, cfg),
+                              afua.run_sequence(stacked[0], p, cfg))
 
 
 class TestParams:

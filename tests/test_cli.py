@@ -630,7 +630,6 @@ class TestEvalCommand:
                         bundle)
         out = tmp_path / "eval"
         out.mkdir()
-        shutil.copy(tiny_run / "reference.frame", out)
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
                         "--data", str(bundle), "--out", str(out)])
         assert code == 2
@@ -788,6 +787,19 @@ class TestMalformedInputs:
         assert (f"error [train]: {path}: id {pid!r} listed twice"
                 in capsys.readouterr().err)
 
+    def test_frames_with_a_repeated_id(self, tiny_run, tmp_path, capsys):
+        frames = fem.load_frames(tiny_run / "frames.frame")[:3]
+        bundle = tmp_path / "m.frames"
+        fem.save_frames(frames + frames[:1], bundle)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n" + "".join(
+            f"{fr.phantom_id},0\n" for fr in frames))
+        code, err = self.eval_exit(capsys, tiny_run / "model.afua", bundle,
+                                   tiny_run, labels)
+        assert code == 4
+        assert (f"error [eval]: {bundle}: id {frames[0].phantom_id!r} "
+                "listed twice" in err)
+
     def test_frames_with_24_electrodes(self, tiny_run, tmp_path, capsys):
         bundle = tmp_path / "m.frames"
         pid = b"p00000"
@@ -827,16 +839,17 @@ class TestMalformedInputs:
         assert code == 4
         assert f"error [eval]: {labels}" in err
 
-    @pytest.mark.parametrize("case", ["missing-id", "no-split-column",
-                                      "non-ascii", "repeated-id",
-                                      "unknown-split"])
+    @pytest.mark.parametrize("case", ["id-not-in-dataset", "missing-id",
+                                      "no-split-column", "non-ascii",
+                                      "repeated-id", "unknown-split"])
     def test_split_manifest(self, tiny_run, tmp_path, capsys, case):
         run = tmp_path / "run"
         shutil.copytree(tiny_run, run)
         manifest = run / "dataset_manifest.csv"
         lines = manifest.read_bytes().splitlines(keepends=True)
         dropped = lines[2].split(b",")[0].decode("ascii")
-        bad = {"missing-id": lines[:2] + lines[3:],
+        bad = {"id-not-in-dataset": lines + [b"p99999,test,1\n"],
+               "missing-id": lines[:2] + lines[3:],
                "no-split-column": [b"id,part,label\n"] + lines[1:],
                "non-ascii": lines[:2] + [b"p\xe9" + lines[2]] + lines[3:],
                # an id listed again under another split
@@ -849,6 +862,8 @@ class TestMalformedInputs:
         assert f"error [quantize]: {manifest}" in err
         if case in ("missing-id", "repeated-id", "unknown-split"):
             assert repr(dropped) in err
+        if case == "id-not-in-dataset":
+            assert f"id 'p99999' is not in {run / 'dataset.bzds'}" in err
 
 
 class TestGeometryOverride:
@@ -884,7 +899,11 @@ class TestGeometryOverride:
                     b"\n".join([lines[0], b"domain_radius 2.0"] + lines[2:]),
                     # the last arc off the ring, at 2.0 mm
                     b"\n".join(lines[:-2] + [lines[-2].rsplit(b" ", 1)[0]
-                                             + b" 2.0", b""])):
+                                             + b" 2.0", b""]),
+                    # a sensing radius outside (0, domain_radius]
+                    *(b"\n".join(lines[:2] + [b"sensing_radius " + r]
+                                 + lines[3:])
+                      for r in (b"0.0", b"nan", b"-1.0"))):
             gfile.write_bytes(bad)
             code = run_cli(["generate", "--n", "2", "--geometry", str(gfile),
                             "--out", str(tmp_path / "run")])

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,28 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"columns id and {column}"):
             load(path)
 
+    def test_write_csv_floats_and_ints(self, tmp_path):
+        # NumPy >= 2 reprs scalars as "np.float64(...)"; the file must hold
+        # plain numbers, each float exactly as repr(float(v))
+        path = tmp_path / "t.csv"
+        dp.write_csv(path, ["a", "b", "c", "d", "e"],
+                     [[0.1, np.float64(0.1), np.float32(0.1), 7,
+                       np.int64(8)], ["x", 1e-300, -0.0, 0, ""]])
+        assert path.read_bytes() == (
+            b"a,b,c,d,e\r\n"
+            b"0.1,0.1," + repr(float(np.float32(0.1))).encode() + b",7,8\r\n"
+            b"x,1e-300,-0.0,0,\r\n")
+
+    def test_sequences_are_array_like(self):
+        rng = np.random.default_rng(4)
+        s1, s2 = (seq_of(rng.uniform(-1, 1, (28, 25))) for _ in range(2))
+        got = np.asarray([s1, s2], dtype=float)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.stack([s1.steps, s2.steps]))
+        # np.array copies, as the protocol's copy=True asks
+        assert np.array(s1) is not s1.steps
+        assert np.array_equal(np.array(s1), s1.steps)
+
     def test_manifest(self, tmp_path):
         seqs = [seq_of(np.zeros((28, 25)), label=i % 2, pid=f"p{i}")
                 for i in range(10)]
@@ -164,3 +188,20 @@ class TestPersistence:
         assert sorted(set(assign.values())) == ["test", "train", "validation"]
         for q in split.train:
             assert assign[q.provenance] == "train"
+
+
+def test_only_datapipe_imports_csv():
+    # every CSV file of a run directory goes through write_csv and
+    # _read_id_column
+    importers = set()
+    for path in Path(dp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "csv" for n in names):
+                importers.add(path.name)
+    assert importers == {"datapipe.py"}

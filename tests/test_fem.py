@@ -513,6 +513,8 @@ class TestFrameIO:
         (frame_record(pid=b"\xff"), "UTF-8"),
         (frame_record()[:10], "truncated frame header"),
         (frame_record()[:-8], "truncated frame body"),
+        (frame_record(pid=b"p0") + frame_record(pid=b"p1")
+         + frame_record(pid=b"p0"), "id 'p0' listed twice"),
     ])
     def test_malformed_record_is_format_error(self, tmp_path, data, match):
         path = tmp_path / "bad.frames"

@@ -69,6 +69,11 @@ class TestProbeLayout:
         with pytest.raises(ConfigError, match="exceeds domain_radius"):
             geo.validate_layout(replace(layout, domain_radius=2.0))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), 3.5])
+    def test_sensing_radius_off_domain_rejected(self, layout, radius):
+        with pytest.raises(ConfigError, match="sensing_radius"):
+            geo.validate_layout(replace(layout, sensing_radius=radius))
+
     def test_ring_on_domain_edge_meshes(self, layout):
         edge = replace(layout, domain_radius=geo.RING_RADIUS_MM)
         geo.validate_layout(edge)
@@ -315,7 +320,7 @@ class TestSerialization:
         for k in range(at, at + mesh.n_triangles):
             lines[k] += " 0"
         path.write_text("\n".join(lines))
-        with pytest.raises(FormatError, match="not a biozpipe mesh file"):
+        with pytest.raises(FormatError, match="not a biozpipe-mesh v2 file"):
             geo.load_mesh(path)
         lines[0] = "biozpipe-mesh v2"
         path.write_text("\n".join(lines))

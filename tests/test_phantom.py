@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import biozpipe
+from biozpipe import datapipe as dp
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
 from biozpipe.errors import ConfigError, NumericalError
@@ -422,7 +423,7 @@ class TestPersistence:
         phs = phm.generate_phantom_set(mesh, layout, phm.BOVINE, 5,
                                        seed=2, rbf=TEXTURE)
         path = tmp_path / "meta.csv"
-        phm.save_phantom_metadata(phs, path)
+        dp.save_phantom_metadata(phs, path)
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 5

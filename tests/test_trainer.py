@@ -37,6 +37,9 @@ class Seq:
         self.label = label
         self.provenance = pid
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.steps, dtype=dtype, copy=copy)
+
 
 def toy_batch(n, rng, n_steps=2, n_inputs=3):
     return [Seq(rng.uniform(-1, 1, (n_steps, n_inputs)),
