@@ -58,6 +58,12 @@ N_HIDDEN = 16
 H0 = 0.5
 # the relaxation time constant of every unit
 TAU_H = 1.0
+# upper bound on substeps_per_pattern, 100x the default.  Without records
+# ``unroll`` keeps one held input's S substeps: per sequence and substep,
+# 96 float64 columns over five arrays and 16 bools, 784 B, so a 256-sequence
+# chunk of ``forward_probabilities`` takes 0.2 MB per substep, 200 MB at
+# 1000
+MAX_SUBSTEPS = 1000
 
 LABEL_BENIGN = 0
 LABEL_LESION = 1
@@ -112,8 +118,10 @@ class IntegrationConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.substeps_per_pattern < 1:
-            raise ConfigError("substeps_per_pattern must be >= 1")
+        if not 1 <= self.substeps_per_pattern <= MAX_SUBSTEPS:
+            raise ConfigError(f"substeps_per_pattern must be in [1, "
+                              f"{MAX_SUBSTEPS}], got "
+                              f"{self.substeps_per_pattern!r}")
         if not 0 <= self.dt <= TAU_H:
             raise ConfigError(f"dt must be in [0, tau_h = {TAU_H!r}], "
                               f"got {self.dt!r}")

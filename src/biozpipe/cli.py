@@ -37,11 +37,12 @@ a command that fails after it began writing leaves no manifest.
 
 Exit codes: 0 success, else the ``exit_code`` that ``errors`` gives the
 class of the error raised, and 4 for an OSError.  Exit 4 covers any
-malformed model, quantized model, dataset, frames or layout file, and a
-layout whose ring lies off its domain.  generate exits 3 when every
-normalized step of the run is equal, so the frames carry no signal
-against the reference (a vanishing ``saline_ms_per_m`` does this); it
-leaves geometry.txt through frames.frame and writes no dataset.bzds or
+malformed model, quantized model, dataset, frames or layout file, a
+layout whose ring lies off its domain, an eval --data file that holds no
+record and an eval --labels file that lacks a frame's id.  generate exits
+3 when every normalized step of the run is equal, so the frames carry no
+signal against the reference (a vanishing ``saline_ms_per_m`` does this);
+it leaves geometry.txt through frames.frame and writes no dataset.bzds or
 dataset_manifest.csv.  The error message names the stage that failed
 (``error [train]: ...``), also inside pipeline; a configuration fault,
 found before any stage runs, names the command.
@@ -61,6 +62,7 @@ from . import afua, analog, datapipe, fem, quantizer, trainer
 from . import geometry as geo
 from . import phantom as phm
 from .errors import BiozError, ConfigError, FormatError, NumericalError
+from .geometry import MIN_MESH_EDGE_MM
 
 # upper bounds on the sizes a run commits, sized at the defaults (h = 0.14
 # mm, 3200 triangles; batch 100).  epochs needs none: an epoch commits only
@@ -81,14 +83,6 @@ MAX_SIZES = {
     # sequence: 179 MB at 1 000, 10x the default
     "batch_size": 1_000,
 }
-# lower bound on mesh_edge_mm: the mesh and each phantom's conductivities
-# grow as 1/h^2, the LU factor slightly faster.  Measured for one phantom
-# (mesh, reference, synthesis and solve; triangles, LU fill, RSS above the
-# import): h = 0.14: 3200, 73 k, 7.8 MB; 0.1: 5948, 159 k, 13 MB; 0.07:
-# 12 276, 373 k, 28 MB.  At 0.07 the conductivities kept through generate
-# reach 2.0 GB at the n_phantoms bound, and a pool thread's 4 MB in flight
-# grows to about 14 MB, 0.46 GB at the threads bound
-MIN_MESH_EDGE_MM = 0.07
 
 
 @dataclass(frozen=True)
@@ -281,7 +275,7 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
     _clear_outputs(out, "generate")
     geo.save_layout(layout, out / "geometry.txt")
     geo.save_mesh(mesh, out / "mesh.txt")
-    fem.save_frames([ref], out / "reference.frame")
+    datapipe.save_frames([ref], out / "reference.frame")
 
     model = cfg.tissue_model()
 
@@ -307,7 +301,7 @@ def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
             mesh, layout, model, cfg.n_phantoms, seed=cfg.seed,
             rbf=cfg.rbf(), map=pool.map)
         datapipe.save_phantom_metadata(phantoms, out / "phantoms.csv")
-        fem.save_frames(
+        datapipe.save_frames(
             frames_keeping_seqs(pool.map(one, enumerate(phantoms))),
             out / "frames.frame")
 
@@ -399,8 +393,8 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
         seqs = datapipe.load_sequences(data_path)
     else:
         # externally measured frames: normalize against the run's reference
-        frames = fem.load_frames(data_path)
-        refs = fem.load_frames(out / "reference.frame")
+        frames = datapipe.load_frames(data_path)
+        refs = datapipe.load_frames(out / "reference.frame")
         if not refs:
             raise FormatError(f"{out / 'reference.frame'}: holds no frame")
         ref = refs[0]
@@ -410,7 +404,10 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
                                        label=labels[fr.phantom_id])
                     for fr in frames]
         except KeyError as exc:
-            raise ConfigError(f"no label for frame id {exc}") from exc
+            raise FormatError(
+                f"{labels_path}: no label for frame id {exc}") from exc
+    if not seqs:
+        raise FormatError(f"{data_path}: holds no record")
 
     _evaluate_and_report(params, seqs, icfg, out,
                          f"evaluated {len(seqs)} sequences:")

@@ -7,16 +7,21 @@ strictly inside (-1, 1) at the float32 boundary.
 
 An ``InputSequence`` is array-like: ``np.asarray`` of one is its steps.
 
+Both binary run files, the dataset and the frames file of ``fem.Frame``
+records, are written and read here, and both readers decode a record's id
+by one rule, ``_record_id``.
+
 Every CSV file of a run, phantoms.csv included, has one writer, ``write_csv``,
 and one id-column reader reads the split manifest and the labels file.  All
-four id readers (dataset, split manifest, labels, ``fem.load_frames``) reject
-an id listed twice with a FormatError naming the file and the id.
+four id readers (dataset, frames, split manifest, labels) reject an id listed
+twice with a FormatError naming the file and the id.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,6 +120,21 @@ def make_splits(sequences: list[InputSequence],
 
 _DS_MAGIC = b"BZDS"
 _DS_VERSION = 1
+_FRAME_MAGIC = b"BZFR"
+_FRAME_VERSION = 1
+
+
+def _record_id(path, data: bytes, pos: int, length: int, seen: set) -> str:
+    """The id in ``data[pos:pos + length]``, added to ``seen``.  An id that
+    is not UTF-8, or that ``seen`` holds already, is a FormatError."""
+    try:
+        pid = data[pos:pos + length].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: id is not UTF-8: {exc}") from exc
+    if pid in seen:
+        raise FormatError(f"{path}: id {pid!r} listed twice")
+    seen.add(pid)
+    return pid
 
 
 def save_sequences(sequences: list[InputSequence], path) -> None:
@@ -145,12 +165,8 @@ def load_sequences(path) -> list[InputSequence]:
         seen = set()
         for _ in range(count):
             id_len, label = struct.unpack_from("<HB", data, pos)
-            pos += 3
-            pid = data[pos:pos + id_len].decode("utf-8")
-            pos += id_len
-            if pid in seen:
-                raise FormatError(f"{path}: id {pid!r} listed twice")
-            seen.add(pid)
+            pid = _record_id(path, data, pos + 3, id_len, seen)
+            pos += 3 + id_len
             steps = np.frombuffer(data, dtype="<f4", count=width,
                                   offset=pos).reshape(N_STEPS, N_INPUTS).copy()
             pos += 4 * width
@@ -159,11 +175,60 @@ def load_sequences(path) -> list[InputSequence]:
             out.append(InputSequence(steps=steps, label=int(label),
                                      provenance=pid))
     except (struct.error, ValueError, ConfigError) as exc:
-        # truncated records, a non-UTF-8 id or a label other than 0 or 1
+        # truncated records or a label other than 0 or 1
         raise FormatError(f"{path}: malformed dataset: {exc}") from exc
     if pos != len(data):
         raise FormatError(f"{path}: trailing bytes after {count} records")
     return out
+
+
+def save_frames(frames: Iterable[Frame], path) -> None:
+    """Frames file, concatenable: per record, magic, version, shape,
+    length-prefixed id and the voltages as little-endian complex128."""
+    with open(path, "wb") as f:
+        for frame in frames:
+            pid = frame.phantom_id.encode("utf-8")
+            f.write(_FRAME_MAGIC + struct.pack(
+                "<IIIH", _FRAME_VERSION, *frame.voltages.shape, len(pid))
+                + pid + frame.voltages.astype("<c16").tobytes())
+
+
+def load_frames(path) -> list[Frame]:
+    """Read all frame records from a file.
+
+    Records hold no pattern order: externally measured frames must be
+    recorded in the canonical order (see ``fem.Frame``), and a record whose
+    pattern or electrode count is not the probe's raises ``FormatError``.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    frames, seen, pos = [], set(), 0
+    while pos < len(data):
+        if data[pos:pos + 4] != _FRAME_MAGIC:
+            raise FormatError(f"{path}: bad frame magic at offset {pos}")
+        if len(data) < pos + 18:
+            raise FormatError(f"{path}: truncated frame header")
+        version, n_pat, n_el, id_len = struct.unpack_from("<IIIH", data,
+                                                          pos + 4)
+        if version != _FRAME_VERSION:
+            raise FormatError(f"{path}: unsupported frame version {version}")
+        pid = _record_id(path, data, pos + 18, id_len, seen)
+        pos += 18 + id_len
+        if n_pat != N_STEPS:
+            raise FormatError(f"{path}: frame {pid!r} has {n_pat} patterns, "
+                              f"the probe drives {N_STEPS}")
+        if n_el != N_INPUTS:
+            raise FormatError(f"{path}: frame {pid!r} has {n_el} electrodes, "
+                              f"the probe has {N_INPUTS} inner electrodes")
+        if len(data) < pos + 16 * n_pat * n_el:
+            raise FormatError(f"{path}: truncated frame body")
+        voltages = np.frombuffer(data, dtype="<c16", count=n_pat * n_el,
+                                 offset=pos).reshape(n_pat, n_el)
+        if not np.all(np.isfinite(voltages)):
+            raise FormatError(f"{path}: frame {pid!r} has non-finite voltages")
+        pos += voltages.nbytes
+        frames.append(Frame(voltages=voltages, phantom_id=pid))
+    return frames
 
 
 def write_csv(path, header, rows) -> None:

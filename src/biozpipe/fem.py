@@ -2,9 +2,9 @@
 
 The 3D tissue slab is collapsed to a 2D sheet: element conductivities are
 scaled by the slice thickness, current electrodes are arcs of the ring
-handled with the complete electrode model (contact impedance per unit arc
-length), and the 25 inner electrodes are point potential probes read at
-their mesh vertices.
+handled with the complete electrode model (one contact impedance per unit
+arc length, the same at every arc), and the 25 inner electrodes are point
+potential probes read at their mesh vertices.
 
 Unit system: lengths in mm, conductivity input in mS/m (converted to sheet
 conductance in S), injected currents in mA, hence all potentials in mV.
@@ -33,22 +33,25 @@ inner-electrode vertices.  Each of the 28 current patterns of a frame is
 then the difference of two responses times its amplitude (superposition,
 as in Geselowitz's lead theory); no pattern needs a solve of its own, and
 ``solve_pattern`` takes a frame's patterns together.
+
+The module only solves and holds no file format: ``datapipe`` writes and
+reads frames files, beside the dataset file.
 """
 
 from __future__ import annotations
 
-import struct
-from collections.abc import Iterable, Sequence
+import cmath
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import FormatError, SolverError
+from .errors import SolverError
 from .geometry import (N_INNER, N_PATTERNS, CurrentPattern, Mesh, ProbeLayout,
                        enumerate_current_patterns)
-from .phantom import Inclusion, Phantom
+from .phantom import Phantom
 
 SLICE_THICKNESS_MM = 5.0
 
@@ -69,7 +72,7 @@ class Frame:
         if v.shape != (N_PATTERNS, N_INNER):
             raise SolverError(f"frame {self.phantom_id} has shape {v.shape}, "
                               f"expected {(N_PATTERNS, N_INNER)}")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.all(np.isfinite(v)):
             raise SolverError(f"non-finite voltage in frame {self.phantom_id}")
 
 
@@ -131,7 +134,7 @@ class AssembledSystem:
     lu: PermutedLU  # symmetric-mode LU of (matrix + grounding rank-one)
     n_vertices: int
     electrode_order: tuple[int, ...]
-    contact_impedance: np.ndarray
+    contact_impedance: complex  # ohm * mm, every outer electrode's
     electrode_response: np.ndarray  # (8, 8) complex, row per unit source
     inner_response: np.ndarray  # (8, 25) complex, row per unit source
 
@@ -241,9 +244,9 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
              contact_impedance) -> AssembledSystem:
     """Fill the mesh's CEM operator for one phantom and factorize it.
 
-    ``contact_impedance`` is per unit arc length (ohm * mm), a scalar or one
-    value per outer electrode, each finite with a positive real part;
-    complex values are allowed.
+    ``contact_impedance`` is one value per unit arc length (ohm * mm), the
+    same at every outer electrode: a finite number, complex allowed, with a
+    positive real part.
     """
     sigma = np.asarray(element_sigma, dtype=complex)
     if sigma.shape != (mesh.n_triangles,):
@@ -257,18 +260,12 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
         raise SolverError("element conductivity real parts must be positive")
 
     n_el = len(mesh.electrode_edges)
-    z = np.array(contact_impedance, dtype=complex)
-    if z.ndim == 0:
-        z = np.full(n_el, z)
-    elif z.shape != (n_el,):
-        raise SolverError(
-            f"contact impedance has shape {z.shape}; expected a scalar or "
-            f"one value per outer electrode, ({n_el},)")
-    if not np.all(np.isfinite(z)):
+    z = complex(contact_impedance)
+    if not cmath.isfinite(z):
         raise SolverError("contact impedance must be finite")
-    if np.any(z.real <= 0):
+    if not z.real > 0:
         # Re(1/z) > 0 keeps the real part positive definite (module docstring)
-        raise SolverError("contact impedance real parts must be positive")
+        raise SolverError("contact impedance real part must be positive")
     if n_el == 0:
         raise SolverError(
             "grounding constraint needs at least one electrode: the "
@@ -278,7 +275,8 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
     op = cem_operator(mesh)
     nv, dim = op.n_vertices, len(op.perm)
     # the real map applied to the real and imaginary parts at once
-    x = np.concatenate([sigma, 1.0 / z]).view(float).reshape(-1, 2)
+    x = np.concatenate([sigma, 1.0 / np.full(n_el, z)]
+                       ).view(float).reshape(-1, 2)
     data = (op.fill @ x).view(complex).ravel()
     # zero-mean electrode potential: since the injected currents sum to zero,
     # adding alpha * q q^T (q = electrode-block indicator) makes the system
@@ -303,8 +301,7 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
     unit = np.zeros((dim, n_el), dtype=complex)
     unit[op.perm[nv:], np.arange(n_el)] = 1.0
     response = factor.solve(unit)
-    if not np.all(np.isfinite(response.real)) or not np.all(
-            np.isfinite(response.imag)):
+    if not np.all(np.isfinite(response)):
         raise SolverError("solver produced non-finite potentials")
 
     return AssembledSystem(
@@ -340,29 +337,36 @@ def solve_pattern(system: AssembledSystem,
 def electrode_currents(system: AssembledSystem, solution: np.ndarray) -> np.ndarray:
     """Boundary current through each electrode, recomputed from the solution.
 
-    I_l = (1/z_l) * integral over the arc of (U_l - u) ds, evaluated with the
+    I_l = (1/z) * integral over the arc of (U_l - u) ds, evaluated with the
     same trapezoidal edge quadrature used in assembly, so for an exact solve
     this reproduces the injected currents to factorization precision.
     """
     nv = system.n_vertices
+    g = 1.0 / system.contact_impedance
     out = np.zeros(len(system.electrode_order), dtype=complex)
     for k in range(len(system.electrode_order)):
         va, vb, lengths = system.operator.edge_data[k]
         u_mean = 0.5 * (solution[va] + solution[vb])
-        g = 1.0 / system.contact_impedance[k]
         out[k] = np.sum(g * lengths * (solution[nv + k] - u_mean))
     return out
 
 
-def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
-                   contact_impedance, phantom_id: str) -> Frame:
+def _frame(sigma, mesh: Mesh, layout: ProbeLayout, contact_impedance,
+           phantom_id: str) -> Frame:
     """One assembly, then the 28 patterns from its 8 unit responses."""
     try:
-        system = assemble(mesh, phantom.element_sigma, contact_impedance)
+        system = assemble(mesh, sigma, contact_impedance)
         _, voltages = solve_pattern(system, enumerate_current_patterns(layout))
     except SolverError as exc:
         raise SolverError(f"phantom {phantom_id}: {exc}") from exc
     return Frame(voltages=voltages, phantom_id=phantom_id)
+
+
+def simulate_frame(phantom: Phantom, mesh: Mesh, layout: ProbeLayout,
+                   contact_impedance, phantom_id: str) -> Frame:
+    """Frame of one phantom's conductivities."""
+    return _frame(phantom.element_sigma, mesh, layout, contact_impedance,
+                  phantom_id)
 
 
 def reference_frame(mesh: Mesh, layout: ProbeLayout, sigma_saline: complex,
@@ -371,83 +375,4 @@ def reference_frame(mesh: Mesh, layout: ProbeLayout, sigma_saline: complex,
     if complex(sigma_saline).real <= 0:
         raise SolverError("saline conductivity real part must be positive")
     sigma = np.full(mesh.n_triangles, complex(sigma_saline), dtype=complex)
-    ref = Phantom(element_sigma=sigma,
-                  inclusion=Inclusion(center=(0.0, 0.0), diameter=0.0),
-                  label=0, seed=0)
-    return simulate_frame(ref, mesh, layout, contact_impedance,
-                          phantom_id="reference")
-
-
-# ---------------------------------------------------------------------------
-# Frame persistence: binary records (concatenable)
-# ---------------------------------------------------------------------------
-
-_FRAME_MAGIC = b"BZFR"
-_FRAME_VERSION = 1
-
-
-def _frame_record(frame: Frame) -> bytes:
-    n_pat, n_el = frame.voltages.shape
-    pid = frame.phantom_id.encode("utf-8")
-    body = np.empty(2 * n_pat * n_el, dtype="<f8")
-    flat = frame.voltages.reshape(-1)
-    body[0::2] = flat.real
-    body[1::2] = flat.imag
-    return (_FRAME_MAGIC
-            + struct.pack("<IIIH", _FRAME_VERSION, n_pat, n_el, len(pid))
-            + pid + body.tobytes())
-
-
-def save_frames(frames: Iterable[Frame], path) -> None:
-    """Write one or more frame records to a single file, in iteration order."""
-    with open(path, "wb") as f:
-        for frame in frames:
-            f.write(_frame_record(frame))
-
-
-def load_frames(path) -> list[Frame]:
-    """Read all frame records from a file.
-
-    Records hold no pattern order: externally measured frames must be
-    recorded in the canonical order (see ``Frame``), and a record whose
-    pattern or electrode count is not the probe's, or whose id an earlier
-    record has, raises ``FormatError``.
-    """
-    frames, seen = [], set()
-    with open(path, "rb") as f:
-        data = f.read()
-    pos = 0
-    while pos < len(data):
-        if data[pos:pos + 4] != _FRAME_MAGIC:
-            raise FormatError(f"{path}: bad frame magic at offset {pos}")
-        if len(data) < pos + 18:
-            raise FormatError(f"{path}: truncated frame header")
-        version, n_pat, n_el, id_len = struct.unpack_from("<IIIH", data, pos + 4)
-        if version != _FRAME_VERSION:
-            raise FormatError(f"{path}: unsupported frame version {version}")
-        pos += 4 + 14
-        try:
-            pid = data[pos:pos + id_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: frame id is not UTF-8: {exc}") from exc
-        pos += id_len
-        if pid in seen:
-            raise FormatError(f"{path}: id {pid!r} listed twice")
-        seen.add(pid)
-        if n_pat != N_PATTERNS:
-            raise FormatError(f"{path}: frame {pid!r} has {n_pat} patterns, "
-                              f"the probe drives {N_PATTERNS}")
-        if n_el != N_INNER:
-            raise FormatError(f"{path}: frame {pid!r} has {n_el} electrodes, "
-                              f"the probe has {N_INNER} inner electrodes")
-        count = 2 * n_pat * n_el
-        if len(data) < pos + 8 * count:
-            raise FormatError(f"{path}: truncated frame body")
-        body = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
-        if not np.all(np.isfinite(body)):
-            raise FormatError(f"{path}: frame {pid!r} has non-finite voltages")
-        pos += 8 * count
-        voltages = (body[0::2] + 1j * body[1::2]).reshape(n_pat, n_el)
-        frames.append(Frame(voltages=voltages, phantom_id=pid))
-    return frames
-
+    return _frame(sigma, mesh, layout, contact_impedance, "reference")

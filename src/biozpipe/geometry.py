@@ -45,6 +45,17 @@ GRID_PITCH_MM = 0.75
 SENSING_RADIUS_MM = 1.875
 ARC_HALFWIDTH = 0.175
 
+# lower bound on the mesh edge of the default probe: the mesh and each
+# phantom's conductivities grow as 1/h^2, the LU factor slightly faster.
+# Measured for one phantom (mesh, reference, synthesis and solve; triangles,
+# LU fill, RSS above the import): h = 0.14: 3200, 73 k, 7.8 MB; 0.1: 5948,
+# 159 k, 13 MB; 0.07: 12 276, 373 k, 28 MB.  At 0.07 the conductivities kept
+# through generate reach 2.0 GB at cli's n_phantoms bound, and a pool
+# thread's 4 MB in flight grows to about 14 MB, 0.46 GB at its threads
+# bound.  ``build_mesh`` bounds any layout's rings by this one's:
+# domain_radius / h at most DOMAIN_RADIUS_MM / MIN_MESH_EDGE_MM
+MIN_MESH_EDGE_MM = 0.07
+
 _TWO_PI = 2.0 * math.pi
 _QUARTER = 0.5 * math.pi
 
@@ -90,6 +101,18 @@ def validate_layout(layout: ProbeLayout) -> None:
         raise ConfigError(
             f"expected {N_OUTER} outer electrodes, got {len(layout.outer_electrodes)}"
         )
+    arcs = [(a.start_angle, a.end_angle, a.radius)
+            for a in layout.outer_electrodes]
+    # named as the layout file's sections
+    for name, values in (("domain_radius", layout.domain_radius),
+                         ("sensing_radius", layout.sensing_radius),
+                         ("inner", inner), ("outer", arcs)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{name} holds a value that is not finite")
+    for k, (start, end, _) in enumerate(arcs):
+        if not 0 < end - start:
+            raise ConfigError(f"outer electrode {FIRST_OUTER + k} spans "
+                              f"{start!r} to {end!r}: no positive width")
     ring = layout.outer_electrodes[0].radius
     if any(arc.radius != ring for arc in layout.outer_electrodes):
         raise ConfigError("outer electrode arcs must share one radius")
@@ -317,6 +340,11 @@ def build_mesh(layout: ProbeLayout, target_edge_length: float) -> Mesh:
     h = float(target_edge_length)
     if h <= 0:
         raise ConfigError("target_edge_length must be positive")
+    if layout.domain_radius / h > DOMAIN_RADIUS_MM / MIN_MESH_EDGE_MM:
+        raise ConfigError(
+            f"domain_radius {layout.domain_radius} mm over edge length {h} "
+            f"mm exceeds the default probe's {DOMAIN_RADIUS_MM} mm over its "
+            f"smallest edge, {MIN_MESH_EDGE_MM} mm")
     min_extent = min(a.length for a in layout.outer_electrodes)
     if h >= min_extent:
         raise ConfigError(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from biozpipe import afua, datapipe
 from biozpipe.afua import IntegrationConfig, NetworkParams
-from biozpipe.errors import ConfigError, NumericalError
+from biozpipe.errors import ConfigError, FormatError, NumericalError
 
 
 def rand_params(n_hidden=16, n_inputs=25, seed=0, scale=0.5):
@@ -388,6 +388,19 @@ class TestModelFile:
         for name, mat in p.matrices().items():
             assert np.array_equal(getattr(back, name), mat), name
         assert cfg2 == cfg
+
+    def test_substeps_bounded(self, tmp_path):
+        cfg = IntegrationConfig(substeps_per_pattern=afua.MAX_SUBSTEPS)
+        with pytest.raises(ConfigError, match="substeps_per_pattern"):
+            IntegrationConfig(substeps_per_pattern=afua.MAX_SUBSTEPS + 1)
+        # a model file past the bound fails on load, before any unroll
+        # allocates its work arrays
+        path = tmp_path / "model.afua"
+        afua.write_model_file(path, cfg, rand_params(seed=33))
+        path.write_bytes(path.read_bytes().replace(
+            b"\nsubsteps 1000\n", b"\nsubsteps 1000000000000\n"))
+        with pytest.raises(FormatError, match="substeps_per_pattern"):
+            afua.load_model(path)
 
     def test_rewrite_identical(self, tmp_path):
         p = rand_params(seed=32)

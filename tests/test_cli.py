@@ -270,7 +270,7 @@ class TestPipelineOutputs:
                      "frames.frame"):
             assert (tiny_run / name).exists(), name
         from biozpipe import fem
-        assert len(fem.load_frames(tiny_run / "frames.frame")) == 40
+        assert len(datapipe.load_frames(tiny_run / "frames.frame")) == 40
         assert not (tiny_run / "phantoms").exists()
         assert not (tiny_run / "frames").exists()
 
@@ -284,7 +284,7 @@ class TestPipelineOutputs:
         layout = geo.load_layout(tiny_run / "geometry.txt")
         with open(tiny_run / "phantoms.csv", newline="") as f:
             rows = list(csv.DictReader(f))
-        frames = fem.load_frames(tiny_run / "frames.frame")
+        frames = datapipe.load_frames(tiny_run / "frames.frame")
         for i in (0, 39):
             assert int(rows[i]["index"]) == i
             p = phm.make_phantom(mesh, layout, cfg.tissue_model(),
@@ -432,7 +432,7 @@ class TestReruns:
         assert run_cli(["generate", "--n", "12", "--seed", "5",
                         "--mesh-edge", "0.3", "--split", "0.5,0.25,0.25",
                         "--out", str(run)]) == 0
-        assert len(fem.load_frames(run / "frames.frame")) == 12
+        assert len(datapipe.load_frames(run / "frames.frame")) == 12
         manifest = json.loads((run / "manifest.json").read_text())
         assert not [name for name in manifest
                     if name.startswith(("frames/", "phantoms/"))]
@@ -578,7 +578,7 @@ class TestReruns:
             geo.load_mesh(out / "mesh.txt"),
             geo.load_layout(out / "geometry.txt"), sigma_saline=300.0,
             contact_impedance=cli.RunConfig().contact_impedance_ohm_mm)
-        got = fem.load_frames(out / "reference.frame")[0]
+        got = datapipe.load_frames(out / "reference.frame")[0]
         assert np.array_equal(got.voltages, want.voltages)
 
 
@@ -601,9 +601,9 @@ class TestEvalCommand:
     def test_eval_on_frames_with_labels(self, tiny_run, tmp_path, capsys):
         # externally measured frames path: reuse four simulated frames
         from biozpipe import fem
-        frames = fem.load_frames(tiny_run / "frames.frame")[:4]
+        frames = datapipe.load_frames(tiny_run / "frames.frame")[:4]
         bundle = tmp_path / "measured.frames"
-        fem.save_frames(frames, bundle)
+        datapipe.save_frames(frames, bundle)
         with open(tiny_run / "phantoms.csv") as f:
             meta = {f"p{int(r['index']):05d}": r["label"]
                     for r in csv.DictReader(f)}
@@ -626,8 +626,8 @@ class TestEvalCommand:
     def test_frames_without_labels_exit_2(self, tiny_run, tmp_path):
         from biozpipe import fem
         bundle = tmp_path / "m.frames"
-        fem.save_frames(fem.load_frames(tiny_run / "frames.frame")[:1],
-                        bundle)
+        datapipe.save_frames(
+            datapipe.load_frames(tiny_run / "frames.frame")[:1], bundle)
         out = tmp_path / "eval"
         out.mkdir()
         code = run_cli(["eval", "--model-file", str(tiny_run / "model.afua"),
@@ -788,9 +788,9 @@ class TestMalformedInputs:
                 in capsys.readouterr().err)
 
     def test_frames_with_a_repeated_id(self, tiny_run, tmp_path, capsys):
-        frames = fem.load_frames(tiny_run / "frames.frame")[:3]
+        frames = datapipe.load_frames(tiny_run / "frames.frame")[:3]
         bundle = tmp_path / "m.frames"
-        fem.save_frames(frames + frames[:1], bundle)
+        datapipe.save_frames(frames + frames[:1], bundle)
         labels = tmp_path / "labels.csv"
         labels.write_text("id,label\n" + "".join(
             f"{fr.phantom_id},0\n" for fr in frames))
@@ -818,13 +818,51 @@ class TestMalformedInputs:
         (run / "reference.frame").write_bytes(b"")
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         labels = tmp_path / "labels.csv"
-        ids = [f.phantom_id for f in fem.load_frames(run / "frames.frame")]
+        ids = [f.phantom_id for f in datapipe.load_frames(run / "frames.frame")]
         labels.write_text("id,label\n" + "".join(f"{i},0\n" for i in ids))
         code, err = self.eval_exit(capsys, run / "model.afua",
                                    run / "frames.frame", run, labels)
         assert code == 4
         assert f"error [eval]: {run / 'reference.frame'}" in err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_labels_lacking_a_frame_id(self, tiny_run, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\np00000,1\n")
+        shutil.copy(tiny_run / "reference.frame", tmp_path)
+        code, err = self.eval_exit(capsys, tiny_run / "model.afua",
+                                   tiny_run / "frames.frame", tmp_path, labels)
+        assert code == 4
+        assert (f"error [eval]: {labels}: no label for frame id 'p00001'"
+                in err)
+        assert not (tmp_path / "confusion.csv").exists()
+
+    @pytest.mark.parametrize("name", ["empty.bzds", "empty.frame"])
+    def test_data_without_records(self, tiny_run, tmp_path, capsys, name):
+        data = tmp_path / name
+        if name.endswith(".bzds"):
+            datapipe.save_sequences([], data)
+        else:
+            data.write_bytes(b"")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\np00000,1\n")
+        shutil.copy(tiny_run / "reference.frame", tmp_path)
+        code, err = self.eval_exit(capsys, tiny_run / "model.afua", data,
+                                   tmp_path, labels)
+        assert code == 4
+        assert f"error [eval]: {data}: holds no record" in err
+
+    def test_model_file_with_too_many_substeps(self, tiny_run, tmp_path,
+                                               capsys):
+        bad = tmp_path / "model.afua"
+        bad.write_bytes((tiny_run / "model.afua").read_bytes().replace(
+            b"\nsubsteps 10\n",
+            f"\nsubsteps {afua.MAX_SUBSTEPS + 1}\n".encode("ascii")))
+        code, err = self.eval_exit(capsys, bad, tiny_run / "dataset.bzds",
+                                   tmp_path)
+        assert code == 4
+        assert f"error [eval]: {bad}" in err
+        assert "substeps_per_pattern" in err
 
     @pytest.mark.parametrize("content", [
         b"id,label\np00000,x\n", b"id,label\np00000,2\n",
@@ -909,3 +947,41 @@ class TestGeometryOverride:
                             "--out", str(tmp_path / "run")])
             assert code == 4
             assert f"error [generate]: {gfile}" in capsys.readouterr().err
+
+    def test_layout_values_checked_exit_4(self, tmp_path, capsys):
+        from biozpipe import geometry as geo
+        gfile = tmp_path / "probe.txt"
+        geo.save_layout(geo.build_probe_layout(), gfile)
+        lines = gfile.read_bytes().split(b"\n")
+        start, end, radius = lines[-2].split()
+        last_arc = {"nan-arc": b"nan nan 2.5",
+                    "reversed-arc": b" ".join([end, start, radius]),
+                    "zero-width-arc": b" ".join([start, start, radius])}
+        for bad in (
+                # electrode 1 (the first inner row) at x = nan
+                b"\n".join(lines[:4] + [b"nan 1.5"] + lines[5:]),
+                b"\n".join([lines[0], b"domain_radius inf"] + lines[2:]),
+                *(b"\n".join(lines[:-2] + [arc, b""])
+                  for arc in last_arc.values())):
+            gfile.write_bytes(bad)
+            code = run_cli(["generate", "--n", "2", "--mesh-edge", "0.5",
+                            "--geometry", str(gfile),
+                            "--out", str(tmp_path / "run")])
+            assert code == 4
+            assert f"error [generate]: {gfile}" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
+    def test_domain_past_the_mesh_bound_exit_2(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from biozpipe import geometry as geo
+        gfile = tmp_path / "probe.txt"
+        geo.save_layout(replace(geo.build_probe_layout(), domain_radius=40.0),
+                        gfile)
+        code = run_cli(["generate", "--n", "2", "--mesh-edge", "0.5",
+                        "--geometry", str(gfile),
+                        "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert ("error [generate]: domain_radius 40.0 mm over edge length "
+                "0.5 mm exceeds" in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()

@@ -1,5 +1,6 @@
 import ast
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,38 @@ class TestPersistence:
         assert np.array(s1) is not s1.steps
         assert np.array_equal(np.array(s1), s1.steps)
 
+    def test_frame_record_bytes_pinned(self, tmp_path):
+        # the <c16 voltages are the interleaved <f8 real and imaginary parts
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(28, 25)) + 1j * rng.normal(size=(28, 25))
+        v[0, 0] = complex(-0.0, 0.0)
+        path = tmp_path / "one.frame"
+        dp.save_frames([make_frame(v, "p7")], path)
+        body = np.empty(2 * v.size)
+        body[0::2], body[1::2] = v.real.ravel(), v.imag.ravel()
+        assert path.read_bytes() == (
+            b"BZFR" + struct.pack("<IIIH", 1, 28, 25, 2) + b"p7"
+            + struct.pack(f"<{body.size}d", *body))
+        back = dp.load_frames(path)[0]
+        assert back.phantom_id == "p7"
+        assert back.voltages.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("save, load, record", [
+        (dp.save_sequences, dp.load_sequences,
+         lambda pid: seq_of(np.zeros((28, 25)), pid=pid)),
+        (dp.save_frames, dp.load_frames,
+         lambda pid: make_frame(np.ones((28, 25)), pid))])
+    def test_binary_readers_share_the_id_rule(self, tmp_path, save, load,
+                                              record):
+        path = tmp_path / "ids.bin"
+        save([record("q\u00e9"), record("r\u00e9")], path)
+        data = path.read_bytes()
+        # the second id's last byte becomes a lone UTF-8 lead byte
+        at = data.rindex("r\u00e9".encode("utf-8")) + 2
+        path.write_bytes(data[:at] + b"\xc3" + data[at + 1:])
+        with pytest.raises(FormatError, match="id is not UTF-8"):
+            load(path)
+
     def test_manifest(self, tmp_path):
         seqs = [seq_of(np.zeros((28, 25)), label=i % 2, pid=f"p{i}")
                 for i in range(10)]
@@ -192,7 +225,13 @@ class TestPersistence:
 
 def test_only_datapipe_imports_csv():
     # every CSV file of a run directory goes through write_csv and
-    # _read_id_column
+    # _read_id_column, and every binary one (dataset and frames) through
+    # the struct-packed records here
+    for module in ("csv", "struct"):
+        assert importers_of(module) == {"datapipe.py"}, module
+
+
+def importers_of(module: str) -> set[str]:
     importers = set()
     for path in Path(dp.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -202,6 +241,6 @@ def test_only_datapipe_imports_csv():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "csv" for n in names):
+            if any(n.split(".")[0] == module for n in names):
                 importers.add(path.name)
-    assert importers == {"datapipe.py"}
+    return importers

@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from biozpipe import fem
+from biozpipe import datapipe, fem
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
 from biozpipe.errors import FormatError, SolverError
@@ -129,14 +129,10 @@ class TestAssembly:
             fem.assemble(mesh, np.ones(5, dtype=complex), contact_impedance=Z)
 
     @pytest.mark.parametrize("z, fault", [
-        (np.full(3, 10.0), "shape"),
-        (np.full((1, 8), 10.0), "shape"),
         (float("nan"), "finite"),
         (float("inf"), "finite"),
-        (np.array([10.0] * 7 + [complex(10.0, float("inf"))]), "finite"),
         # a real part that is not positive breaks LU without pivoting
         (-10.0, "real part"),
-        (np.array([10.0] * 7 + [-10.0 + 5j]), "real part"),
     ])
     def test_rejects_malformed_contact_impedance(self, mesh, z, fault):
         # named before any arithmetic: no broadcasting error, no warning
@@ -314,8 +310,7 @@ class TestOperatorAssembly:
     assembly it replaced."""
 
     @pytest.mark.parametrize("mesh_name", ["mesh", "fine_mesh"])
-    @pytest.mark.parametrize("case", ["prostate", "bovine-complex-z",
-                                      "per-electrode-z"])
+    @pytest.mark.parametrize("case", ["prostate", "bovine-complex-z"])
     def test_matches_reference_assembly(self, request, layout, mesh_name,
                                         case):
         mesh = request.getfixturevalue(mesh_name)
@@ -326,9 +321,7 @@ class TestOperatorAssembly:
             z = 10.0
         else:
             sigma = bovine_sigma(mesh)
-            z = (10.0 + 3.0j if case == "bovine-complex-z"
-                 else np.array([8.0, 9.0 + 1j, 10.0, 11.0 - 2j, 12.0, 7.5,
-                                10.0 + 0.5j, 9.5]))
+            z = 10.0 + 3.0j
         system = fem.assemble(mesh, sigma, contact_impedance=z)
         want = reference_assemble(mesh, sigma, contact_impedance=z)
         for got, ref in ((system.electrode_response, want.electrode_response),
@@ -497,8 +490,8 @@ class TestFrameIO:
                                      phantom_id=f"p{i}")
                   for i, p in enumerate(phs)]
         path = tmp_path / "all.frames"
-        fem.save_frames(frames, path)
-        back = fem.load_frames(path)
+        datapipe.save_frames(frames, path)
+        back = datapipe.load_frames(path)
         assert len(back) == 3
         for a, b in zip(frames, back):
             assert np.array_equal(a.voltages, b.voltages)
@@ -520,4 +513,4 @@ class TestFrameIO:
         path = tmp_path / "bad.frames"
         path.write_bytes(data)
         with pytest.raises(FormatError, match=match):
-            fem.load_frames(path)
+            datapipe.load_frames(path)

@@ -19,7 +19,7 @@ LOADERS = {
     "model.afua": afua.load_model,
     "model.afuaq": quantizer.load_quantized_model,
     "data.bzds": datapipe.load_sequences,
-    "frames.frame": fem.load_frames,
+    "frames.frame": datapipe.load_frames,
     "layout.txt": geo.load_layout,
     "mesh.txt": geo.load_mesh,
     "dataset_manifest.csv": datapipe.load_split_assignment,
@@ -58,7 +58,7 @@ def valid_files(tmp_path_factory):
                         + 1j * rng.normal(size=(28, 25)),
                         phantom_id=f"p{k:05d}")
               for k in range(2)]
-    fem.save_frames(frames, root / "frames.frame")
+    datapipe.save_frames(frames, root / "frames.frame")
     geo.save_layout(layout, root / "layout.txt")
     geo.save_mesh(geo.build_mesh(layout, 0.5), root / "mesh.txt")
     return {name: (root / name, (root / name).read_bytes())

@@ -74,6 +74,28 @@ class TestProbeLayout:
         with pytest.raises(ConfigError, match="sensing_radius"):
             geo.validate_layout(replace(layout, sensing_radius=radius))
 
+    @pytest.mark.parametrize("field", ["inner", "outer", "domain_radius"])
+    def test_non_finite_value_rejected(self, layout, field):
+        # a NaN inner electrode used to be read at the origin's vertex
+        bad = {"inner": np.vstack([[math.nan, 1.5],
+                                   layout.inner_electrodes[1:]]),
+               "outer": (*layout.outer_electrodes[:-1],
+                         geo.Arc(math.nan, math.nan, 2.5)),
+               "domain_radius": math.inf}[field]
+        key = {"inner": "inner_electrodes",
+               "outer": "outer_electrodes"}.get(field, field)
+        with pytest.raises(ConfigError, match=f"{field} holds a value"):
+            geo.validate_layout(replace(layout, **{key: bad}))
+
+    @pytest.mark.parametrize("width", [0.0, -0.35])
+    def test_arc_without_positive_width_rejected(self, layout, width):
+        arcs = layout.outer_electrodes
+        start = arcs[-1].start_angle
+        bad = replace(layout, outer_electrodes=(
+            *arcs[:-1], replace(arcs[-1], end_angle=start + width)))
+        with pytest.raises(ConfigError, match="electrode 33 spans"):
+            geo.validate_layout(bad)
+
     def test_ring_on_domain_edge_meshes(self, layout):
         edge = replace(layout, domain_radius=geo.RING_RADIUS_MM)
         geo.validate_layout(edge)
@@ -203,6 +225,22 @@ class TestMesh:
             geo.build_mesh(layout, 0.0)
         with pytest.raises(ConfigError):
             geo.build_mesh(layout, 5.0)  # exceeds electrode extent
+
+    def test_rings_bounded_by_the_default_probe(self, layout, monkeypatch):
+        # domain_radius / h may not exceed the default probe's at
+        # MIN_MESH_EDGE_MM, and the check comes before any ring is built
+        class Rings(Exception):
+            pass
+
+        def rings(*_):
+            raise Rings
+
+        monkeypatch.setattr(geo, "_ring_radii", rings)
+        wide = replace(layout, domain_radius=40.0)
+        with pytest.raises(ConfigError, match="domain_radius 40.0 mm"):
+            geo.build_mesh(wide, 0.14)
+        with pytest.raises(Rings):
+            geo.build_mesh(layout, geo.MIN_MESH_EDGE_MM)
 
     def test_validate_mesh_catches_inversion(self, mesh):
         bad_tris = mesh.triangles.copy()
