@@ -37,15 +37,15 @@ a command that fails after it began writing leaves no manifest.
 
 Exit codes: 0 success, else the ``exit_code`` that ``errors`` gives the
 class of the error raised, and 4 for an OSError.  Exit 4 covers any
-malformed model, quantized model, dataset, frames or layout file, a
-layout whose ring lies off its domain, an eval --data file that holds no
-record and an eval --labels file that lacks a frame's id.  generate exits
-3 when every normalized step of the run is equal, so the frames carry no
-signal against the reference (a vanishing ``saline_ms_per_m`` does this);
-it leaves geometry.txt through frames.frame and writes no dataset.bzds or
-dataset_manifest.csv.  The error message names the stage that failed
-(``error [train]: ...``), also inside pipeline; a configuration fault,
-found before any stage runs, names the command.
+malformed model, quantized model, dataset or frames file, an eval --data
+file that holds no record and an eval --labels file that lacks a frame's
+id.  generate exits 3 when every normalized step of the run is equal, so
+the frames carry no signal against the reference (a vanishing
+``saline_ms_per_m`` does this); it leaves geometry.txt through
+frames.frame and writes no dataset.bzds or dataset_manifest.csv.  The
+error message names the stage that failed (``error [train]: ...``), also
+inside pipeline; a configuration fault, found before any stage runs,
+names the command.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from . import afua, analog, datapipe, fem, quantizer, trainer
 from . import geometry as geo
 from . import phantom as phm
 from .errors import BiozError, ConfigError, FormatError, NumericalError
-from .geometry import MIN_MESH_EDGE_MM
 
 # upper bounds on the sizes a run commits, sized at the defaults (h = 0.14
 # mm, 3200 triangles; batch 100).  epochs needs none: an epoch commits only
@@ -126,9 +125,7 @@ class RunConfig:
             if getattr(self, name) > most:
                 raise ConfigError(f"{name} {getattr(self, name)} exceeds "
                                   f"its bound {most}")
-        if not self.mesh_edge_mm >= MIN_MESH_EDGE_MM:
-            raise ConfigError(f"mesh_edge_mm {self.mesh_edge_mm} is below "
-                              f"its bound {MIN_MESH_EDGE_MM}")
+        geo.check_mesh_edge(self.mesh_edge_mm)
         if not self.saline_ms_per_m > 0:
             raise ConfigError("saline_ms_per_m must be positive")
         if not self.contact_impedance_ohm_mm > 0:
@@ -229,12 +226,6 @@ def resolve_config(args) -> RunConfig:
                         for k, v in raw.items()})
 
 
-def _layout(args) -> geo.ProbeLayout:
-    if args.geometry:
-        return geo.load_layout(args.geometry)
-    return geo.build_probe_layout()
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -261,13 +252,14 @@ def _clear_outputs(out: Path, stage: str) -> None:
                 path.unlink()
 
 
-def stage_generate(cfg: RunConfig, layout: geo.ProbeLayout, out: Path):
+def stage_generate(cfg: RunConfig, out: Path):
     """Geometry, mesh, reference, phantoms.csv, frames and the dataset.
 
     The mesh, its CEM operator and the reference frame are built before
     anything is deleted, so a mesh the probe rejects leaves the run as it
     was.  Raises NumericalError before it writes the dataset when every
     normalized step of the run is equal."""
+    layout = geo.build_probe_layout()
     mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
                               contact_impedance=cfg.contact_impedance_ohm_mm)
@@ -474,7 +466,6 @@ def _comma_list(kind):
 
 # stage flags: flag -> (destination, type, help); pipeline takes them all
 STAGE_FLAGS = {
-    "--geometry": ("geometry", str, "probe layout file override"),
     "--n": ("n_phantoms", int, "number of phantoms"),
     "--mesh-edge": ("mesh_edge_mm", float, "mesh edge length (mm)"),
     "--gain": ("gain_per_mv", float, "preprocessing gain per mV"),
@@ -506,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     stage("generate", "phantoms, frames, dataset",
-          ("--geometry", "--n", "--mesh-edge", "--gain", "--saline",
-           "--split"))
+          ("--n", "--mesh-edge", "--gain", "--saline", "--split"))
     stage("train", "train the full-precision model", ("--epochs",))
     stage("quantize", "bit-width accuracy sweep", ("--bits",))
     p_eval = stage("eval", "evaluate a model on data", ("--gain",))
@@ -549,7 +539,7 @@ def main(argv=None) -> int:
         # set on this module (a test's fake, a tracer) is the one called
         for stage in PIPELINE if args.command == "pipeline" else (stage,):
             if stage == "generate":
-                stage_generate(cfg, _layout(args), out)
+                stage_generate(cfg, out)
             elif stage == "train":
                 stage_train(cfg, out)
             elif stage == "quantize":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -38,7 +37,7 @@ PATTERN_AMPLITUDE_MA = 0.5
 
 # probe dimensions in mm and radians: inclusions of up to 3 mm are large
 # against the 1.875 mm sensing disk, so the 8% overlap rule yields balanced
-# labels with resolvable contrast; a layout file describes any other probe
+# labels with resolvable contrast
 DOMAIN_RADIUS_MM = 3.0
 RING_RADIUS_MM = 2.5
 GRID_PITCH_MM = 0.75
@@ -52,8 +51,7 @@ ARC_HALFWIDTH = 0.175
 # 159 k, 13 MB; 0.07: 12 276, 373 k, 28 MB.  At 0.07 the conductivities kept
 # through generate reach 2.0 GB at cli's n_phantoms bound, and a pool
 # thread's 4 MB in flight grows to about 14 MB, 0.46 GB at its threads
-# bound.  ``build_mesh`` bounds any layout's rings by this one's:
-# domain_radius / h at most DOMAIN_RADIUS_MM / MIN_MESH_EDGE_MM
+# bound
 MIN_MESH_EDGE_MM = 0.07
 
 _TWO_PI = 2.0 * math.pi
@@ -67,10 +65,6 @@ class Arc:
     start_angle: float
     end_angle: float
     radius: float
-
-    @property
-    def length(self) -> float:
-        return (self.end_angle - self.start_angle) * self.radius
 
 
 @dataclass(frozen=True)
@@ -92,47 +86,16 @@ class CurrentPattern:
     amplitude: float = PATTERN_AMPLITUDE_MA
 
 
-def validate_layout(layout: ProbeLayout) -> None:
-    """Raise ConfigError unless all ProbeLayout invariants hold."""
-    inner = np.asarray(layout.inner_electrodes, dtype=float)
-    if inner.shape != (N_INNER, 2):
-        raise ConfigError(f"expected {N_INNER} inner electrodes, got {inner.shape}")
-    if len(layout.outer_electrodes) != N_OUTER:
-        raise ConfigError(
-            f"expected {N_OUTER} outer electrodes, got {len(layout.outer_electrodes)}"
-        )
-    arcs = [(a.start_angle, a.end_angle, a.radius)
-            for a in layout.outer_electrodes]
-    # named as the layout file's sections
-    for name, values in (("domain_radius", layout.domain_radius),
-                         ("sensing_radius", layout.sensing_radius),
-                         ("inner", inner), ("outer", arcs)):
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"{name} holds a value that is not finite")
-    for k, (start, end, _) in enumerate(arcs):
-        if not 0 < end - start:
-            raise ConfigError(f"outer electrode {FIRST_OUTER + k} spans "
-                              f"{start!r} to {end!r}: no positive width")
-    ring = layout.outer_electrodes[0].radius
-    if any(arc.radius != ring for arc in layout.outer_electrodes):
-        raise ConfigError("outer electrode arcs must share one radius")
-    if not ring <= layout.domain_radius:
-        raise ConfigError(f"outer ring radius {ring} exceeds domain_radius "
-                          f"{layout.domain_radius}")
-    radii = np.hypot(inner[:, 0], inner[:, 1])
-    if np.any(radii >= ring):
-        raise ConfigError("inner electrodes must lie strictly inside the outer ring")
-    d = inner[:, None, :] - inner[None, :, :]
-    dist = np.hypot(d[..., 0], d[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() <= 1e-12:
-        raise ConfigError("two inner electrodes coincide")
-    for a, b in combinations(layout.outer_electrodes, 2):
-        if a.start_angle < b.end_angle and b.start_angle < a.end_angle:
-            raise ConfigError("outer electrode arcs overlap")
-    if not 0 < layout.sensing_radius <= layout.domain_radius:
-        raise ConfigError(f"sensing_radius {layout.sensing_radius} is not in "
-                          f"(0, domain_radius {layout.domain_radius}]")
+def check_mesh_edge(h: float) -> None:
+    """Raise ConfigError unless the probe meshes at edge length ``h`` mm:
+    from MIN_MESH_EDGE_MM up to below the arc extent."""
+    if not h >= MIN_MESH_EDGE_MM:
+        raise ConfigError(f"mesh_edge_mm {h} is below its bound "
+                          f"{MIN_MESH_EDGE_MM}")
+    extent = 2 * ARC_HALFWIDTH * RING_RADIUS_MM
+    if not h < extent:
+        raise ConfigError(f"target_edge_length {h} must be below the "
+                          f"smallest electrode extent {extent:.3f} mm")
 
 
 def build_probe_layout() -> ProbeLayout:
@@ -154,14 +117,12 @@ def build_probe_layout() -> ProbeLayout:
         )
         for k in range(N_OUTER)
     )
-    layout = ProbeLayout(
+    return ProbeLayout(
         inner_electrodes=inner,
         outer_electrodes=arcs,
         sensing_radius=SENSING_RADIUS_MM,
         domain_radius=DOMAIN_RADIUS_MM,
     )
-    validate_layout(layout)
-    return layout
 
 
 def enumerate_current_patterns(layout: ProbeLayout) -> list[CurrentPattern]:
@@ -333,24 +294,12 @@ def _merge_quarter(a_ids: list[int], a_ang: list[float],
 def build_mesh(layout: ProbeLayout, target_edge_length: float) -> Mesh:
     """Triangulate the probe disk with roughly ``target_edge_length`` edges.
 
-    Raises ConfigError for invalid edge lengths and MeshError if the
-    generated triangulation fails validation (non-conforming, inverted, or
-    electrode coverage is incomplete).
+    Raises ConfigError for an edge length ``check_mesh_edge`` refuses and
+    MeshError if the generated triangulation fails validation
+    (non-conforming, inverted, or electrode coverage is incomplete).
     """
     h = float(target_edge_length)
-    if h <= 0:
-        raise ConfigError("target_edge_length must be positive")
-    if layout.domain_radius / h > DOMAIN_RADIUS_MM / MIN_MESH_EDGE_MM:
-        raise ConfigError(
-            f"domain_radius {layout.domain_radius} mm over edge length {h} "
-            f"mm exceeds the default probe's {DOMAIN_RADIUS_MM} mm over its "
-            f"smallest edge, {MIN_MESH_EDGE_MM} mm")
-    min_extent = min(a.length for a in layout.outer_electrodes)
-    if h >= min_extent:
-        raise ConfigError(
-            f"target_edge_length {h} must be below the smallest electrode "
-            f"extent {min_extent:.3f} mm"
-        )
+    check_mesh_edge(h)
 
     radii = _ring_radii(layout, h)
     # ring 0 is the origin; ring k > 0 is 4 copies of its quarter angles,
@@ -527,27 +476,31 @@ def _write_sections(path, header, sections, found) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _layout_sections(layout: ProbeLayout) -> dict:
+    return {"domain_radius": layout.domain_radius,
+            "sensing_radius": layout.sensing_radius,
+            "inner": layout.inner_electrodes,
+            "outer": [(a.start_angle, a.end_angle, a.radius)
+                      for a in layout.outer_electrodes]}
+
+
 def save_layout(layout: ProbeLayout, path) -> None:
-    _write_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS, {
-        "domain_radius": layout.domain_radius,
-        "sensing_radius": layout.sensing_radius,
-        "inner": layout.inner_electrodes,
-        "outer": [(a.start_angle, a.end_angle, a.radius)
-                  for a in layout.outer_electrodes]})
+    _write_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS,
+                    _layout_sections(layout))
 
 
 def load_layout(path) -> ProbeLayout:
+    """The probe of a layout file, which must be ``build_probe_layout``'s,
+    value for value; a malformed file or another probe is a FormatError."""
     try:
         sec = _read_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS)
-        arcs = tuple(Arc(*row) for row in sec["outer"])
-        layout = ProbeLayout(inner_electrodes=np.array(sec["inner"]),
-                             outer_electrodes=arcs,
-                             sensing_radius=sec["sensing_radius"],
-                             domain_radius=sec["domain_radius"])
-        validate_layout(layout)
-    except (ValueError, IndexError, ConfigError) as exc:
+    except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed layout file: {exc}") from exc
-    return layout
+    probe = build_probe_layout()
+    if not all(np.array_equal(sec[key], value)
+               for key, value in _layout_sections(probe).items()):
+        raise FormatError(f"{path}: not the biozpipe probe")
+    return probe
 
 
 def save_mesh(mesh: Mesh, path) -> None:

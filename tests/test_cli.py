@@ -15,6 +15,7 @@ import pytest
 
 import biozpipe
 from biozpipe import afua, analog, cli, datapipe, fem, quantizer, trainer
+from biozpipe import geometry as geo
 from biozpipe import phantom as phm
 from biozpipe.errors import (BiozError, ConfigError, FormatError, MeshError,
                              NumericalError, SolverError)
@@ -164,9 +165,11 @@ class TestUsageErrors:
         (["generate"], '["seed"]', "not a JSON object"),
         (["generate", "--split", "nan,0.5,0.5", "--n", "2"], None, "split"),
         (["train", "--geometry", "probe.txt"], None, "--geometry"),
+        # the probe is fixed: no command takes a layout file
+        (["generate", "--geometry", "probe.txt"], None, "--geometry"),
     ], ids=["split-flag", "split-two-fractions", "bits-flag",
             "n_phantoms-str", "split-int", "threads-bool", "json-list",
-            "split-nan", "geometry-on-train"])
+            "split-nan", "geometry-on-train", "geometry-on-generate"])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
                                               config, named):
         if config is not None:
@@ -193,13 +196,26 @@ class TestSizeBounds:
 
     def test_mesh_edge_bound_passes_and_below_exits_2(self, tmp_path,
                                                       capsys):
-        least = cli.MIN_MESH_EDGE_MM
+        least = geo.MIN_MESH_EDGE_MM
         assert cli.RunConfig(mesh_edge_mm=least).mesh_edge_mm == least
         below = float(np.nextafter(least, 0.0))
         (tmp_path / "c.json").write_text(json.dumps({"mesh_edge_mm": below}))
         assert run_cli(["pipeline", "--config", str(tmp_path / "c.json"),
                         "--out", str(tmp_path / "run")]) == 2
         assert f"error [pipeline]: mesh_edge_mm {below} is below" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_mesh_edge_below_arc_passes_and_above_exits_2(self, tmp_path,
+                                                          capsys):
+        # the edge stays below the 0.875 mm arc extent, checked with the
+        # configuration rather than inside generate
+        below = float(np.nextafter(0.875, 0.0))
+        assert cli.RunConfig(mesh_edge_mm=below).mesh_edge_mm == below
+        assert run_cli(["pipeline", "--mesh-edge", "1.0",
+                        "--out", str(tmp_path / "run")]) == 2
+        assert ("error [pipeline]: target_edge_length 1.0 must be below the "
+                "smallest electrode extent 0.875 mm") in \
             capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -277,7 +293,6 @@ class TestPipelineOutputs:
     def test_phantoms_rebuild_from_seeds(self, tiny_run):
         # phantoms.csv seeds stand in for stored conductivities
         from biozpipe import fem
-        from biozpipe import geometry as geo
         from biozpipe import phantom as phm
         cfg = cli.RunConfig()
         mesh = geo.load_mesh(tiny_run / "mesh.txt")
@@ -567,7 +582,6 @@ class TestReruns:
 
     def test_generate_recomputes_reference(self, tmp_path):
         from biozpipe import fem
-        from biozpipe import geometry as geo
         out = tmp_path / "run"
         base = ["generate", "--n", "2", "--seed", "1", "--mesh-edge", "0.3",
                 "--out", str(out), "--split", "0.5,0.5,0.0"]
@@ -902,86 +916,3 @@ class TestMalformedInputs:
             assert repr(dropped) in err
         if case == "id-not-in-dataset":
             assert f"id 'p99999' is not in {run / 'dataset.bzds'}" in err
-
-
-class TestGeometryOverride:
-    def test_geometry_flag(self, tmp_path):
-        from dataclasses import replace
-
-        from biozpipe import geometry as geo
-        layout = replace(geo.build_probe_layout(), sensing_radius=2.25)
-        gfile = tmp_path / "probe.txt"
-        geo.save_layout(layout, gfile)
-        out = tmp_path / "run"
-        code = run_cli(["generate", "--n", "3", "--seed", "1",
-                        "--mesh-edge", "0.3", "--geometry", str(gfile),
-                        "--out", str(out), "--split", "0.5,0.5,0.0"])
-        assert code == 0
-        back = geo.load_layout(out / "geometry.txt")
-        assert back.sensing_radius == 2.25
-
-    def test_malformed_layout_exit_4(self, tmp_path, capsys):
-        from biozpipe import geometry as geo
-        gfile = tmp_path / "probe.txt"
-        geo.save_layout(geo.build_probe_layout(), gfile)
-        good = gfile.read_bytes()
-        lines = good.split(b"\n")
-        for bad in (middle_byte_ff(good),
-                    # 24 inner electrodes: rows and count agree, count wrong
-                    b"\n".join(lines[:3] + [b"inner 24"] + lines[5:]),
-                    # a misnamed key in place of domain_radius
-                    b"\n".join([lines[0], b"bogus_key 3.0"] + lines[2:]),
-                    # a line after the last section
-                    good + b"garbage 1\n",
-                    # the ring at 2.5 mm lies past a 2.0 mm domain
-                    b"\n".join([lines[0], b"domain_radius 2.0"] + lines[2:]),
-                    # the last arc off the ring, at 2.0 mm
-                    b"\n".join(lines[:-2] + [lines[-2].rsplit(b" ", 1)[0]
-                                             + b" 2.0", b""]),
-                    # a sensing radius outside (0, domain_radius]
-                    *(b"\n".join(lines[:2] + [b"sensing_radius " + r]
-                                 + lines[3:])
-                      for r in (b"0.0", b"nan", b"-1.0"))):
-            gfile.write_bytes(bad)
-            code = run_cli(["generate", "--n", "2", "--geometry", str(gfile),
-                            "--out", str(tmp_path / "run")])
-            assert code == 4
-            assert f"error [generate]: {gfile}" in capsys.readouterr().err
-
-    def test_layout_values_checked_exit_4(self, tmp_path, capsys):
-        from biozpipe import geometry as geo
-        gfile = tmp_path / "probe.txt"
-        geo.save_layout(geo.build_probe_layout(), gfile)
-        lines = gfile.read_bytes().split(b"\n")
-        start, end, radius = lines[-2].split()
-        last_arc = {"nan-arc": b"nan nan 2.5",
-                    "reversed-arc": b" ".join([end, start, radius]),
-                    "zero-width-arc": b" ".join([start, start, radius])}
-        for bad in (
-                # electrode 1 (the first inner row) at x = nan
-                b"\n".join(lines[:4] + [b"nan 1.5"] + lines[5:]),
-                b"\n".join([lines[0], b"domain_radius inf"] + lines[2:]),
-                *(b"\n".join(lines[:-2] + [arc, b""])
-                  for arc in last_arc.values())):
-            gfile.write_bytes(bad)
-            code = run_cli(["generate", "--n", "2", "--mesh-edge", "0.5",
-                            "--geometry", str(gfile),
-                            "--out", str(tmp_path / "run")])
-            assert code == 4
-            assert f"error [generate]: {gfile}" in capsys.readouterr().err
-            assert not (tmp_path / "run").exists()
-
-    def test_domain_past_the_mesh_bound_exit_2(self, tmp_path, capsys):
-        from dataclasses import replace
-
-        from biozpipe import geometry as geo
-        gfile = tmp_path / "probe.txt"
-        geo.save_layout(replace(geo.build_probe_layout(), domain_radius=40.0),
-                        gfile)
-        code = run_cli(["generate", "--n", "2", "--mesh-edge", "0.5",
-                        "--geometry", str(gfile),
-                        "--out", str(tmp_path / "run")])
-        assert code == 2
-        assert ("error [generate]: domain_radius 40.0 mm over edge length "
-                "0.5 mm exceeds" in capsys.readouterr().err)
-        assert not (tmp_path / "run").exists()

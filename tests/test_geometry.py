@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -39,44 +40,49 @@ def mesh(layout):
     return geo.build_mesh(layout, 0.5)
 
 
+def assert_refused(layout, path):
+    """``load_layout`` refuses ``layout`` as written by ``save_layout``."""
+    geo.save_layout(layout, path)
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: not the biozpipe probe")):
+        geo.load_layout(path)
+
+
 class TestProbeLayout:
     def test_default_counts(self, layout):
         assert len(layout.inner_electrodes) == 25
         assert len(layout.outer_electrodes) == 8
 
-    # the probe's dimensions are constants; a layout file describes any
-    # other probe, and validate_layout checks it
-    def test_zero_pitch_rejected(self, layout):
+    # the probe's dimensions are constants, and load_layout refuses a
+    # geometry.txt that holds any other probe, such as these faulty ones
+    def test_zero_pitch_rejected(self, layout, tmp_path):
         flat = replace(layout, inner_electrodes=0.0 * layout.inner_electrodes)
-        with pytest.raises(ConfigError, match="coincide"):
-            geo.validate_layout(flat)
+        assert_refused(flat, tmp_path / "probe.txt")
 
-    def test_grid_past_ring_rejected(self, layout):
+    def test_grid_past_ring_rejected(self, layout, tmp_path):
         # at pitch 0.9 the corner radius 0.9 * 2 * sqrt(2) = 2.55 mm lies
         # past the 2.5 mm ring
         wide = replace(layout, inner_electrodes=1.2 * layout.inner_electrodes)
-        with pytest.raises(ConfigError, match="inside the outer ring"):
-            geo.validate_layout(wide)
+        assert_refused(wide, tmp_path / "probe.txt")
 
-    def test_arc_off_the_ring_rejected(self, layout):
+    def test_arc_off_the_ring_rejected(self, layout, tmp_path):
         arcs = layout.outer_electrodes
         off = replace(layout, outer_electrodes=(
             *arcs[:-1], replace(arcs[-1], radius=2.0)))
-        with pytest.raises(ConfigError, match="share one radius"):
-            geo.validate_layout(off)
+        assert_refused(off, tmp_path / "probe.txt")
 
-    def test_ring_past_domain_rejected(self, layout):
-        with pytest.raises(ConfigError, match="exceeds domain_radius"):
-            geo.validate_layout(replace(layout, domain_radius=2.0))
+    def test_ring_past_domain_rejected(self, layout, tmp_path):
+        assert_refused(replace(layout, domain_radius=2.0),
+                       tmp_path / "probe.txt")
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), 3.5])
-    def test_sensing_radius_off_domain_rejected(self, layout, radius):
-        with pytest.raises(ConfigError, match="sensing_radius"):
-            geo.validate_layout(replace(layout, sensing_radius=radius))
+    def test_sensing_radius_off_domain_rejected(self, layout, tmp_path,
+                                                radius):
+        assert_refused(replace(layout, sensing_radius=radius),
+                       tmp_path / "probe.txt")
 
     @pytest.mark.parametrize("field", ["inner", "outer", "domain_radius"])
-    def test_non_finite_value_rejected(self, layout, field):
-        # a NaN inner electrode used to be read at the origin's vertex
+    def test_non_finite_value_rejected(self, layout, tmp_path, field):
         bad = {"inner": np.vstack([[math.nan, 1.5],
                                    layout.inner_electrodes[1:]]),
                "outer": (*layout.outer_electrodes[:-1],
@@ -84,22 +90,34 @@ class TestProbeLayout:
                "domain_radius": math.inf}[field]
         key = {"inner": "inner_electrodes",
                "outer": "outer_electrodes"}.get(field, field)
-        with pytest.raises(ConfigError, match=f"{field} holds a value"):
-            geo.validate_layout(replace(layout, **{key: bad}))
+        assert_refused(replace(layout, **{key: bad}), tmp_path / "probe.txt")
 
     @pytest.mark.parametrize("width", [0.0, -0.35])
-    def test_arc_without_positive_width_rejected(self, layout, width):
+    def test_arc_without_positive_width_rejected(self, layout, tmp_path,
+                                                 width):
         arcs = layout.outer_electrodes
         start = arcs[-1].start_angle
         bad = replace(layout, outer_electrodes=(
             *arcs[:-1], replace(arcs[-1], end_angle=start + width)))
-        with pytest.raises(ConfigError, match="electrode 33 spans"):
-            geo.validate_layout(bad)
+        assert_refused(bad, tmp_path / "probe.txt")
 
     def test_ring_on_domain_edge_meshes(self, layout):
         edge = replace(layout, domain_radius=geo.RING_RADIUS_MM)
-        geo.validate_layout(edge)
         assert geo.build_mesh(edge, 0.3).n_triangles == 596
+
+    def test_arcs_disjoint_and_values_finite(self, layout):
+        # with the other tests of this class: the layout invariants that
+        # the mesher and the labeling rely on hold for the constants
+        arcs = np.array([(a.start_angle, a.end_angle, a.radius)
+                         for a in layout.outer_electrodes])
+        assert np.all(np.isfinite(arcs))
+        assert np.all(np.isfinite(layout.inner_electrodes))
+        assert np.isfinite([layout.sensing_radius, layout.domain_radius]).all()
+        assert np.all(arcs[:, 1] > arcs[:, 0])
+        # in angular order, each arc ends before the next one starts, and
+        # the last before the first's start one turn on
+        start, end = arcs[np.argsort(arcs[:, 0]), :2].T
+        assert np.all(end < np.append(start[1:], start[0] + 2 * math.pi))
 
     @pytest.mark.parametrize("pitch", [geo.GRID_PITCH_MM])
     def test_nearest_pair_separation_equals_pitch(self, layout, pitch):
@@ -112,14 +130,17 @@ class TestProbeLayout:
         assert best == pytest.approx(pitch, abs=1e-12)
 
     def test_inner_electrodes_inside_ring(self, layout):
+        ring = layout.outer_electrodes[0].radius
+        assert all(a.radius == ring for a in layout.outer_electrodes)
         r = np.hypot(layout.inner_electrodes[:, 0], layout.inner_electrodes[:, 1])
-        assert r.max() < layout.outer_electrodes[0].radius
+        assert r.max() < ring
 
     def test_center_electrode_is_13(self, layout):
         assert np.allclose(layout.inner_electrodes[13 - 1], [0.0, 0.0])
 
     def test_sensing_radius_within_domain(self, layout):
-        assert layout.sensing_radius <= layout.domain_radius
+        assert 0 < layout.sensing_radius <= layout.domain_radius
+        assert layout.outer_electrodes[0].radius <= layout.domain_radius
 
 
 class TestCurrentPatterns:
@@ -221,14 +242,13 @@ class TestMesh:
                 assert r[b] == pytest.approx(dom, abs=1e-9)
 
     def test_edge_length_validation(self, layout):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="0.0 is below its bound"):
             geo.build_mesh(layout, 0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="extent 0.875 mm"):
             geo.build_mesh(layout, 5.0)  # exceeds electrode extent
 
     def test_rings_bounded_by_the_default_probe(self, layout, monkeypatch):
-        # domain_radius / h may not exceed the default probe's at
-        # MIN_MESH_EDGE_MM, and the check comes before any ring is built
+        # the smallest edge the bound allows reaches the ring builder
         class Rings(Exception):
             pass
 
@@ -236,9 +256,6 @@ class TestMesh:
             raise Rings
 
         monkeypatch.setattr(geo, "_ring_radii", rings)
-        wide = replace(layout, domain_radius=40.0)
-        with pytest.raises(ConfigError, match="domain_radius 40.0 mm"):
-            geo.build_mesh(wide, 0.14)
         with pytest.raises(Rings):
             geo.build_mesh(layout, geo.MIN_MESH_EDGE_MM)
 
@@ -298,6 +315,16 @@ class TestSerialization:
         assert back.outer_electrodes == layout.outer_electrodes
         assert back.sensing_radius == layout.sensing_radius
         assert back.domain_radius == layout.domain_radius
+
+    @pytest.mark.parametrize("case", ["wide-arc", "sensing_radius",
+                                      "domain_radius"])
+    def test_other_probe_is_format_error(self, layout, tmp_path, case):
+        # a last arc 7 rad wide used to pass and mesh
+        other = {"wide-arc": {"outer_electrodes": (
+                     *layout.outer_electrodes[:-1], geo.Arc(5.3, 12.3, 2.5))},
+                 "sensing_radius": {"sensing_radius": 2.25},
+                 "domain_radius": {"domain_radius": 40.0}}[case]
+        assert_refused(replace(layout, **other), tmp_path / "probe.txt")
 
     def test_mesh_roundtrip(self, mesh, tmp_path):
         path = tmp_path / "mesh.txt"
