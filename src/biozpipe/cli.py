@@ -79,7 +79,8 @@ MAX_SIZES = {
     # 20 000, 15x the default 1300
     "rbf_centers": 20_000,
     # a training batch keeps 28 x 10 substeps records of 640 B, 179 KB, per
-    # sequence: 179 MB at 1 000, 10x the default
+    # sequence: 179 MB at 1 000, 10x the default.  The float64 split arrays
+    # add 5.6 KB per train and validation sequence: 42 MB at 10 000 phantoms
     "batch_size": 1_000,
 }
 
@@ -121,6 +122,10 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError("batch_size and epochs must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be positive and finite")
         for name, most in MAX_SIZES.items():
             if getattr(self, name) > most:
                 raise ConfigError(f"{name} {getattr(self, name)} exceeds "
@@ -138,7 +143,6 @@ class RunConfig:
         except ConfigError as exc:
             raise ConfigError(
                 f"noise_rel_std, rbf_centers, rbf_width_mm: {exc}") from exc
-        self.train_config()
         try:
             datapipe.split_counts(self.n_phantoms, self.split)
         except ConfigError as exc:
@@ -148,6 +152,8 @@ class RunConfig:
                 quantizer.check_bits(b)
             except ConfigError as exc:
                 raise ConfigError(f"bits: {exc}") from exc
+        if len(set(self.bits)) < len(self.bits):
+            raise ConfigError(f"bits: repeated bit width in {list(self.bits)}")
 
     def check_trainable(self) -> None:
         """Raise ConfigError unless the split leaves train and validation
@@ -175,12 +181,6 @@ class RunConfig:
 
     def integration(self) -> afua.IntegrationConfig:
         return afua.IntegrationConfig()
-
-    def train_config(self) -> trainer.TrainConfig:
-        return trainer.TrainConfig(batch_size=self.batch_size,
-                                   epochs=self.epochs,
-                                   learning_rate=self.learning_rate,
-                                   seed=self.seed)
 
 
 def _check_type(name: str, value, default) -> None:
@@ -348,7 +348,8 @@ def _evaluate_and_report(params, seqs, icfg, out: Path, title: str):
 
 
 def stage_train(cfg: RunConfig, out: Path):
-    params, report = trainer.train(_load_split(out), cfg.train_config(),
+    params, report = trainer.train(_load_split(out), cfg.batch_size,
+                                   cfg.epochs, cfg.learning_rate, cfg.seed,
                                    cfg.integration())
     _clear_outputs(out, "train")
     afua.write_model_file(out / "model.afua", cfg.integration(), params)

@@ -99,8 +99,6 @@ def sweep(params: NetworkParams, models: list[QuantizedParams], test_set,
     Returns rows of (label, accuracy) where label is the model's bit count
     or the literal "FP".
     """
-    if not test_set:
-        raise ConfigError("sweep needs a non-empty evaluation set")
     rows = [(str(q.total_bits), evaluate(q, test_set, cfg)[0]) for q in models]
     acc_fp, _ = evaluate(params, test_set, cfg)
     rows.append(("FP", acc_fp))

@@ -1,6 +1,9 @@
 """Full-precision training: cross-entropy, BPTT through the Euler unroll,
 Adam updates, and accuracy/confusion reporting.
 
+Lists of sequences become arrays in ``to_arrays`` alone: once per split
+in ``train``, and once per call in ``evaluate``.
+
 The forward pass is the batched kernel ``afua.unroll`` / ``head_batch``;
 the passes that need no gradient (the validation loss, ``evaluate``) run
 ``afua.forward_probabilities``, the one inference forward.  The backward
@@ -37,20 +40,6 @@ _BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int
-    epochs: int
-    learning_rate: float
-    seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-
-
 @dataclass
 class TrainReport:
     """Per-epoch curves plus the selected parameters."""
@@ -62,8 +51,10 @@ class TrainReport:
     best_epoch: int = -1
 
 
-def _labels(batch) -> np.ndarray:
-    return np.array([s.label for s in batch], dtype=np.int64)
+def to_arrays(sequences: list[InputSequence]):
+    """The float64 (N, T, D) steps and the int64 (N,) labels of a list."""
+    return (np.asarray(sequences, dtype=float),
+            np.array([s.label for s in sequences], dtype=np.int64))
 
 
 def _loss_and_hits(P: np.ndarray, y: np.ndarray):
@@ -85,13 +76,12 @@ def _add_gram(out, A, M):
         out += A[lo:lo + rows].T @ M[lo:lo + rows]
 
 
-def gradients(batch: list[InputSequence], params: NetworkParams,
+def gradients(X: np.ndarray, y: np.ndarray, params: NetworkParams,
               cfg: IntegrationConfig):
-    """Mean-loss gradients via reverse-mode BPTT, plus the batch's loss
-    and hits as ``batch_loss_and_hits`` gives them."""
-    if not batch:
+    """Mean-loss gradients via reverse-mode BPTT of ``to_arrays``' steps
+    and labels, plus the loss and hits as ``batch_loss_and_hits`` gives."""
+    if not len(y):
         raise ConfigError("gradient batch must be non-empty")
-    X, y = np.asarray(batch, dtype=float), _labels(batch)
     B, T, _ = X.shape
     n, S = params.n_hidden, cfg.substeps_per_pattern
     H_final, _, (Hs, gates, Ht, G) = unroll(X, params, cfg, keep_records=True)
@@ -163,10 +153,10 @@ def gradients(batch: list[InputSequence], params: NetworkParams,
     return (grads, *_loss_and_hits(P, y))
 
 
-def batch_loss_and_hits(batch, params, cfg):
-    """Mean cross-entropy and correct-label count, forward pass only."""
-    return _loss_and_hits(forward_probabilities(batch, params, cfg),
-                          _labels(batch))
+def batch_loss_and_hits(X, y, params, cfg):
+    """Mean cross-entropy and correct-label count of ``to_arrays``' steps
+    and labels, forward pass only."""
+    return _loss_and_hits(forward_probabilities(X, params, cfg), y)
 
 
 def init_params(seed: int) -> NetworkParams:
@@ -200,23 +190,25 @@ def init_params(seed: int) -> NetworkParams:
     )
 
 
-def train(splits: DatasetSplit, config: TrainConfig, cfg: IntegrationConfig):
+def train(splits: DatasetSplit, batch_size: int, epochs: int,
+          learning_rate: float, seed: int, cfg: IntegrationConfig):
     """Adam over mini-batches; returns best-validation-epoch params + report.
 
-    The training list is sorted by provenance before the seeded shuffle, so
+    Both lists are sorted by provenance before they become arrays, so
     results do not depend on the order sequences were loaded from disk.
-    Deterministic given config.seed.  Raises NumericalError naming the
-    epoch when every gradient of a whole epoch is zero, as a ReLU head that
-    is dead for every input gives.
+    Deterministic given ``seed``.  Raises NumericalError naming the epoch
+    when every gradient of a whole epoch is zero, as a ReLU head that is
+    dead for every input gives.
     """
     if not splits.train or not splits.validation:
         raise ConfigError("train and validation sets must be non-empty")
-    train_set = sorted(splits.train, key=lambda s: s.provenance)
-    val_set = sorted(splits.validation, key=lambda s: s.provenance)
+    X, y = to_arrays(sorted(splits.train, key=lambda s: s.provenance))
+    X_val, y_val = to_arrays(sorted(splits.validation,
+                                    key=lambda s: s.provenance))
 
-    params = init_params(config.seed)
+    params = init_params(seed)
     shuffle_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
     m = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
     v = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
@@ -225,21 +217,21 @@ def train(splits: DatasetSplit, config: TrainConfig, cfg: IntegrationConfig):
     best_acc = -1.0
     best_params = params
 
-    n = len(train_set)
-    for epoch in range(config.epochs):
+    n = len(y)
+    for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_hits = 0
         moved = False  # any non-zero gradient entry this epoch
-        for lo in range(0, n, config.batch_size):
-            batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
+        for lo in range(0, n, batch_size):
+            idx = order[lo:lo + batch_size]
             try:
-                grads, bl, hits = gradients(batch, params, cfg)
+                grads, bl, hits = gradients(X[idx], y[idx], params, cfg)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}: {exc}") from exc
             moved = moved or any(g.any() for g in grads.values())
-            epoch_loss += bl * len(batch)
+            epoch_loss += bl * len(idx)
             epoch_hits += hits
             step += 1
             updates = {}
@@ -248,22 +240,21 @@ def train(splits: DatasetSplit, config: TrainConfig, cfg: IntegrationConfig):
                 v[k] = _BETA2 * v[k] + (1 - _BETA2) * grads[k] ** 2
                 mhat = m[k] / (1 - _BETA1 ** step)
                 vhat = v[k] / (1 - _BETA2 ** step)
-                updates[k] = (getattr(params, k)
-                              - config.learning_rate * mhat
+                updates[k] = (getattr(params, k) - learning_rate * mhat
                               / (np.sqrt(vhat) + _ADAM_EPS))
             params = replace(params, **updates)
         if not moved:
             # a ReLU head inactive for every input passes no gradient back
             raise NumericalError(
                 f"training stalled at epoch {epoch}: every gradient was zero "
-                f"in all {len(range(0, n, config.batch_size))} batches "
+                f"in all {len(range(0, n, batch_size))} batches "
                 "(dead ReLU head)")
 
-        vl, vhits = batch_loss_and_hits(val_set, params, cfg)
+        vl, vhits = batch_loss_and_hits(X_val, y_val, params, cfg)
         report.train_loss.append(epoch_loss / n)
         report.train_acc.append(epoch_hits / n)
         report.val_loss.append(vl)
-        val_acc = vhits / len(val_set)
+        val_acc = vhits / len(y_val)
         report.val_acc.append(val_acc)
         if val_acc >= best_acc:  # ties resolve to the later epoch
             best_acc = val_acc
@@ -274,7 +265,8 @@ def train(splits: DatasetSplit, config: TrainConfig, cfg: IntegrationConfig):
 
 
 def evaluate(params, sequences: list[InputSequence], cfg: IntegrationConfig):
-    """Accuracy and 2x2 confusion matrix (rows true, columns predicted).
+    """Accuracy and 2x2 confusion matrix (rows true, columns predicted) of
+    a list of sequences, which ``to_arrays`` turns into arrays.
 
     Accepts full-precision NetworkParams or QuantizedParams (dequantized on
     the fly).
@@ -283,10 +275,11 @@ def evaluate(params, sequences: list[InputSequence], cfg: IntegrationConfig):
         raise ConfigError("evaluation set must be non-empty")
     if hasattr(params, "dequantize"):
         params = params.dequantize()
-    pred = predict(forward_probabilities(sequences, params, cfg))
+    X, y = to_arrays(sequences)
+    pred = predict(forward_probabilities(X, params, cfg))
     confusion = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(confusion, (_labels(sequences), pred), 1)
-    accuracy = float(np.trace(confusion)) / len(sequences)
+    np.add.at(confusion, (y, pred), 1)
+    accuracy = float(np.trace(confusion)) / len(y)
     return accuracy, confusion
 
 

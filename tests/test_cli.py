@@ -222,7 +222,6 @@ class TestSizeBounds:
 
 # the run settings that library signatures and dataclasses take
 RUN_SETTINGS = {
-    trainer.TrainConfig: ("batch_size", "epochs", "learning_rate", "seed"),
     phm.RbfNoiseConfig: ("n_centers", "kernel_width", "noise_rel_std"),
     phm.synth_background: ("rbf",),
     phm.make_phantom: ("rbf",),
@@ -232,7 +231,7 @@ RUN_SETTINGS = {
     fem.reference_frame: ("contact_impedance",),
     datapipe.normalize: ("gain", "label"),
     afua.classify: ("cfg",),
-    trainer.train: ("cfg",),
+    trainer.train: ("batch_size", "epochs", "learning_rate", "seed", "cfg"),
     trainer.evaluate: ("cfg",),
     quantizer.quantized_forward: ("cfg",),
     quantizer.sweep: ("cfg",),
@@ -510,7 +509,8 @@ class TestReruns:
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         for args in (["generate", "--split", "0.5,0.5,0.5"],
                      ["generate", "--saline", "-1"],
-                     ["pipeline", "--bits", "2", "--epochs", "2"]):
+                     ["pipeline", "--bits", "2", "--epochs", "2"],
+                     ["pipeline", "--bits", "3,3", "--epochs", "2"]):
             assert run_cli([*args, "--n", "12", "--mesh-edge", "0.3",
                             "--out", str(run)]) == 2
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
@@ -518,7 +518,10 @@ class TestReruns:
     @pytest.mark.parametrize("args, message", [
         (["generate", "--mesh-edge", "5"], "target_edge_length 5.0"),
         (["pipeline", "--gain", "nan", "--epochs", "2", "--mesh-edge", "0.3"],
-         "gain_per_mv")], ids=["mesh-edge-above-electrode", "gain-nan"])
+         "gain_per_mv"),
+        (["pipeline", "--bits", "3,3", "--epochs", "2", "--mesh-edge", "0.3"],
+         "bits: repeated bit width")],
+        ids=["mesh-edge-above-electrode", "gain-nan", "bits-repeated"])
     def test_value_fault_exit_2_leaves_finished_run_untouched(
             self, tiny_run, tmp_path, capsys, args, message):
         run = self.finished_copy(tiny_run, tmp_path)
@@ -531,13 +534,17 @@ class TestReruns:
         '{"saline_ms_per_m": NaN}', '{"contact_impedance_ohm_mm": 0}',
         '{"contact_impedance_ohm_mm": Infinity}',
         '{"contact_impedance_ohm_mm": -10.0}', '{"learning_rate": NaN}',
+        '{"learning_rate": 0}', '{"learning_rate": -0.001}',
+        '{"batch_size": 0}', '{"epochs": 0}',
         # Adam's constants are not configurable: unknown keys
         '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}',
         '{"rbf_width_mm": NaN}', '{"rbf_width_mm": Infinity}',
         '{"rbf_width_mm": 1e-200}',
         '{"saline_ms_per_m": 1%s}' % ("0" * 400)],
         ids=["saline-nan", "contact-zero", "contact-inf", "contact-negative",
-             "lr-nan", "beta1-one", "beta2-above-one", "eps-negative",
+             "lr-nan", "lr-zero", "lr-negative", "batch-size-zero",
+             "epochs-zero",
+             "beta1-one", "beta2-above-one", "eps-negative",
              "rbf-width-nan", "rbf-width-inf", "rbf-width-underflow",
              "saline-int-overflow"])
     def test_config_file_value_fault_leaves_finished_run_untouched(
@@ -545,10 +552,13 @@ class TestReruns:
         run = self.finished_copy(tiny_run, tmp_path)
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         (tmp_path / "c.json").write_text(config)
+        key = next(iter(json.loads(config)))
+        # the flag would override the file's epochs
+        epochs = [] if key == "epochs" else ["--epochs", "2"]
         assert run_cli(["pipeline", "--config", str(tmp_path / "c.json"),
-                        "--n", "12", "--epochs", "2", "--mesh-edge", "0.3",
+                        "--n", "12", *epochs, "--mesh-edge", "0.3",
                         "--out", str(run)]) == 2
-        assert next(iter(json.loads(config))) in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     @pytest.mark.parametrize("config, named", [

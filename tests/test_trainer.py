@@ -63,13 +63,11 @@ def make_dataset(n, seed, separation=1.2):
     return seqs
 
 
-def reference_gradients(batch, params, cfg):
+def reference_gradients(X, y, params, cfg):
     """``trainer.gradients`` one substep at a time: separate gate
     derivatives, four weight products and four sums per substep, on the
     records of ``reference_unroll``."""
-    X = np.stack([s.steps for s in batch])
-    y = np.array([s.label for s in batch])
-    B = len(batch)
+    B = len(y)
     H_final, _, records = reference_unroll(X, params, cfg, keep_records=True)
     P, A1, A2 = afua.head_batch(H_final, params)
     grads = {name: np.zeros_like(mat)
@@ -119,7 +117,7 @@ class TestLoss:
         for s in batch:
             s.label = 0
         bl, hits = trainer.batch_loss_and_hits(
-            batch, self.fixed_head([800.0, 0.0]), self.CFG)
+            *trainer.to_arrays(batch), self.fixed_head([800.0, 0.0]), self.CFG)
         assert bl == 0.0
         assert hits == 5
 
@@ -127,7 +125,7 @@ class TestLoss:
         # equal ReLU outputs: [0.5, 0.5], and ties are labelled benign
         batch = [Seq(np.zeros((2, 3)), lab) for lab in (0, 1, 1, 1)]
         bl, hits = trainer.batch_loss_and_hits(
-            batch, self.fixed_head([0.3, 0.3]), self.CFG)
+            *trainer.to_arrays(batch), self.fixed_head([0.3, 0.3]), self.CFG)
         assert bl == pytest.approx(np.log(2), abs=1e-12)
         assert hits == 1
 
@@ -136,7 +134,8 @@ class TestLoss:
         for seed in range(20):
             batch = toy_batch(5, rng)
             bl, hits = trainer.batch_loss_and_hits(
-                batch, rand_params(4, 3, seed=seed, scale=2.0), self.CFG)
+                *trainer.to_arrays(batch),
+                rand_params(4, 3, seed=seed, scale=2.0), self.CFG)
             assert bl >= 0.0
             assert 0 <= hits <= 5
 
@@ -145,8 +144,9 @@ class TestGradients:
     def test_zero_input_kills_input_weight_gradient(self):
         params = rand_params(4, 3, seed=1)
         batch = [Seq(np.zeros((2, 3)), lab) for lab in (0, 1, 1)]
-        g, _, _ = trainer.gradients(batch, params, IntegrationConfig(
-            substeps_per_pattern=2, dt=0.1))
+        g, _, _ = trainer.gradients(*trainer.to_arrays(batch), params,
+                                    IntegrationConfig(substeps_per_pattern=2,
+                                                      dt=0.1))
         assert np.all(g["W"] == 0.0)
         assert np.all(g["W_z"] == 0.0)
 
@@ -156,12 +156,11 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         params = rand_params(2, 3, seed=100 + seed)
         cfg = IntegrationConfig(substeps_per_pattern=2, dt=0.1)
-        batch = toy_batch(3, rng)
-        grads, _, _ = trainer.gradients(batch, params, cfg)
+        X, y = trainer.to_arrays(toy_batch(3, rng))
+        grads, _, _ = trainer.gradients(X, y, params, cfg)
 
         def mean_loss(p):
-            P = trainer.forward_probabilities(batch, p, cfg)
-            y = np.array([s.label for s in batch])
+            P = trainer.forward_probabilities(X, p, cfg)
             return float(-np.log(
                 np.clip(P[np.arange(len(y)), y], 1e-12, None)).mean())
 
@@ -196,10 +195,11 @@ class TestGradients:
                                n_inputs, scale, dt, seed):
         p = rand_params(n_hidden, n_inputs, seed=seed, scale=scale)
         cfg = IntegrationConfig(substeps_per_pattern=substeps, dt=dt)
-        seqs = toy_batch(batch, np.random.default_rng(seed), n_steps=steps,
-                         n_inputs=n_inputs)
-        got, _, _ = trainer.gradients(seqs, p, cfg)
-        want = reference_gradients(seqs, p, cfg)
+        X, y = trainer.to_arrays(toy_batch(
+            batch, np.random.default_rng(seed), n_steps=steps,
+            n_inputs=n_inputs))
+        got, _, _ = trainer.gradients(X, y, p, cfg)
+        want = reference_gradients(X, y, p, cfg)
         assert list(got) == list(want)
         for name, mat in want.items():
             assert got[name].shape == mat.shape, name
@@ -217,8 +217,8 @@ class TestGradients:
             "rng = np.random.default_rng(5)\n"
             "seqs = [dp.InputSequence(rng.uniform(-1, 1, (28, 25)), i % 2,"
             " str(i)) for i in range(300)]\n"
-            "g, _, _ = trainer.gradients(seqs, trainer.init_params(1),"
-            " trainer.IntegrationConfig())\n"
+            "g, _, _ = trainer.gradients(*trainer.to_arrays(seqs),"
+            " trainer.init_params(1), trainer.IntegrationConfig())\n"
             "print(hashlib.sha256(b''.join(m.tobytes() for m in"
             " g.values())).hexdigest())\n")
         src = str(Path(afua.__file__).resolve().parents[1])
@@ -237,14 +237,16 @@ class TestGradients:
         params = rand_params(3, 4, seed=42)
         cfg = IntegrationConfig(substeps_per_pattern=2, dt=0.1)
         batch = toy_batch(4, rng, n_steps=3, n_inputs=4)
-        g1, _, _ = trainer.gradients(batch, params, cfg)
-        g2, _, _ = trainer.gradients(batch + batch, params, cfg)
+        g1, _, _ = trainer.gradients(*trainer.to_arrays(batch), params, cfg)
+        g2, _, _ = trainer.gradients(*trainer.to_arrays(batch + batch),
+                                     params, cfg)
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-14)
 
     def test_empty_batch_raises(self):
         with pytest.raises(ConfigError):
-            trainer.gradients([], rand_params(2, 3, 0), IntegrationConfig())
+            trainer.gradients(*trainer.to_arrays([]), rand_params(2, 3, 0),
+                              IntegrationConfig())
 
     def test_batched_forward_matches_per_sequence(self):
         params = rand_params(16, 25, seed=77)
@@ -260,18 +262,28 @@ class TestGradients:
     def test_loss_and_hits_match_forward_only_pass(self):
         params = rand_params(16, 25, seed=78)
         cfg = IntegrationConfig()
-        batch = make_dataset(12, seed=11)
-        _, bl, hits = trainer.gradients(batch, params, cfg)
-        assert (bl, hits) == trainer.batch_loss_and_hits(batch, params, cfg)
+        X, y = trainer.to_arrays(make_dataset(12, seed=11))
+        _, bl, hits = trainer.gradients(X, y, params, cfg)
+        assert (bl, hits) == trainer.batch_loss_and_hits(X, y, params, cfg)
+
+
+class TestToArrays:
+    def test_dtypes_shapes_and_values(self):
+        seqs = make_dataset(5, seed=3)
+        X, y = trainer.to_arrays(seqs)
+        assert (X.dtype, X.shape, y.dtype) == (np.float64, (5, 28, 25),
+                                               np.int64)
+        assert np.array_equal(X, np.stack([s.steps for s in seqs]))
+        assert y.tolist() == [s.label for s in seqs]
 
 
 class TestInit:
     def test_head_starts_alive(self):
         # with zero ReLU biases both head units start inactive on every
         # input for 7 of these seeds, and every gradient is then exactly 0
-        seqs = make_dataset(40, seed=10)
+        X, y = trainer.to_arrays(make_dataset(40, seed=10))
         for seed in range(20):
-            grads, _, _ = trainer.gradients(seqs, trainer.init_params(seed),
+            grads, _, _ = trainer.gradients(X, y, trainer.init_params(seed),
                                             IntegrationConfig())
             assert np.any(grads["fc2_w"] != 0.0), f"seed {seed}"
 
@@ -281,9 +293,9 @@ class TestTrain:
         # 50 phantoms, 200 epochs: the training accuracy must reach 0.95
         seqs = toy_phantom_dataset
         splits = dp.DatasetSplit(train=seqs, validation=seqs[:10], test=[])
-        cfg = trainer.TrainConfig(batch_size=10, epochs=200,
-                                  learning_rate=1e-3, seed=1)
-        params, report = trainer.train(splits, cfg, IntegrationConfig())
+        params, report = trainer.train(splits, batch_size=10, epochs=200,
+                                       learning_rate=1e-3, seed=1,
+                                       cfg=IntegrationConfig())
         assert max(report.train_acc) >= 0.95
         assert len(report.train_loss) == 200
 
@@ -296,20 +308,19 @@ class TestTrain:
         seqs = make_dataset(30, seed=6)
         splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=8, epochs=3,
-                                  learning_rate=1e-3, seed=9)
         with pytest.raises(NumericalError,
                            match="epoch 0: .* all 3 batches .*dead ReLU"):
-            trainer.train(splits, cfg, IntegrationConfig())
+            trainer.train(splits, batch_size=8, epochs=3, learning_rate=1e-3,
+                          seed=9, cfg=IntegrationConfig())
 
     def test_deterministic(self):
         seqs = make_dataset(30, seed=6)
         splits = dp.DatasetSplit(train=seqs[:20], validation=seqs[20:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=10, epochs=5,
-                                  learning_rate=1e-3, seed=9)
-        p1, r1 = trainer.train(splits, cfg, IntegrationConfig())
-        p2, r2 = trainer.train(splits, cfg, IntegrationConfig())
+        settings = dict(batch_size=10, epochs=5, learning_rate=1e-3, seed=9,
+                        cfg=IntegrationConfig())
+        p1, r1 = trainer.train(splits, **settings)
+        p2, r2 = trainer.train(splits, **settings)
         for name in p1.matrices():
             assert np.array_equal(getattr(p1, name), getattr(p2, name))
         assert r1.train_loss == r2.train_loss
@@ -318,24 +329,27 @@ class TestTrain:
 
     def test_input_order_irrelevant(self):
         # loading the same dataset in a different order yields the same
-        # report because train() provenance-sorts before shuffling
+        # weights and report because train() provenance-sorts before
+        # shuffling
         seqs = make_dataset(24, seed=7)
         rev = list(reversed(seqs))
-        cfg = trainer.TrainConfig(batch_size=8, epochs=4,
-                                  learning_rate=1e-3, seed=2)
-        _, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], []), cfg,
-                              IntegrationConfig())
-        _, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], []), cfg,
-                              IntegrationConfig())
+        settings = dict(batch_size=8, epochs=4, learning_rate=1e-3, seed=2,
+                        cfg=IntegrationConfig())
+        p1, r1 = trainer.train(dp.DatasetSplit(seqs[:16], seqs[16:], []),
+                               **settings)
+        p2, r2 = trainer.train(dp.DatasetSplit(rev[8:], rev[:8], []),
+                               **settings)
         assert r1.train_loss == r2.train_loss
+        for name, mat in p1.matrices().items():
+            assert np.array_equal(mat, getattr(p2, name)), name
 
     def test_returned_params_beat_first_epoch(self):
         seqs = make_dataset(60, seed=8)
         splits = dp.DatasetSplit(train=seqs[:40], validation=seqs[40:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=20, epochs=60,
-                                  learning_rate=1e-3, seed=3)
-        params, report = trainer.train(splits, cfg, IntegrationConfig())
+        params, report = trainer.train(splits, batch_size=20, epochs=60,
+                                       learning_rate=1e-3, seed=3,
+                                       cfg=IntegrationConfig())
         acc, _ = trainer.evaluate(params, splits.validation,
                                   IntegrationConfig())
         assert acc >= report.val_acc[0]
@@ -346,19 +360,18 @@ class TestTrain:
         seqs = make_dataset(20, seed=9)
         splits = dp.DatasetSplit(train=seqs[:15], validation=seqs[15:],
                                  test=[])
-        cfg = trainer.TrainConfig(batch_size=5, epochs=10, seed=4,
-                                  learning_rate=1e9)
         with pytest.raises(NumericalError, match="epoch"):
-            trainer.train(splits, cfg, IntegrationConfig())
+            trainer.train(splits, batch_size=5, epochs=10, learning_rate=1e9,
+                          seed=4, cfg=IntegrationConfig())
 
 
 class TestEvaluate:
     def test_perfect_and_base_rate(self):
         seqs = make_dataset(40, seed=10, separation=3.0)
         splits = dp.DatasetSplit(train=seqs, validation=seqs[:8], test=[])
-        params, _ = trainer.train(splits, trainer.TrainConfig(
-            batch_size=10, epochs=150, learning_rate=1e-3, seed=5),
-            IntegrationConfig())
+        params, _ = trainer.train(splits, batch_size=10, epochs=150,
+                                  learning_rate=1e-3, seed=5,
+                                  cfg=IntegrationConfig())
         acc, cm = trainer.evaluate(params, seqs, IntegrationConfig())
         assert cm.shape == (2, 2)
         assert cm.sum() == 40
@@ -399,7 +412,8 @@ class TestEvaluate:
         acc, cm = trainer.evaluate(params, seqs, cfg)
         assert np.array_equal(cm, want)
         assert acc == np.trace(want) / 300
-        _, hits = trainer.batch_loss_and_hits(seqs, params, cfg)
+        _, hits = trainer.batch_loss_and_hits(*trainer.to_arrays(seqs),
+                                              params, cfg)
         assert hits == np.trace(want)
 
 
@@ -408,9 +422,9 @@ class TestReports:
         seqs = make_dataset(20, seed=13)
         splits = dp.DatasetSplit(train=seqs[:15], validation=seqs[15:],
                                  test=[])
-        _, report = trainer.train(splits, trainer.TrainConfig(
-            batch_size=5, epochs=3, learning_rate=1e-3, seed=6),
-            IntegrationConfig())
+        _, report = trainer.train(splits, batch_size=5, epochs=3,
+                                  learning_rate=1e-3, seed=6,
+                                  cfg=IntegrationConfig())
         path = tmp_path / "curve.csv"
         trainer.save_training_curve(report, path)
         lines = path.read_text().strip().split("\n")
