@@ -7,6 +7,8 @@ The current-mode state update
 is the hidden-state dynamics under the exact change of variables
 h = I_h / I_unit, I_z = I_unit * z, I_htilde = I_unit * h_cand, so current
 mode is the trajectory of ``afua.unroll`` at batch 1 scaled by I_unit.
+The classifier head reads the same unroll's final state, so one call gives
+both the trajectory and the class probabilities.
 
 The budget calculator turns the chip's fixed array and amplifier counts
 into chip area, supply current and power.
@@ -18,19 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afua import IntegrationConfig, NetworkParams, unroll
+from .afua import IntegrationConfig, NetworkParams, head_batch, unroll
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class CurrentTrajectory:
-    """Cell currents (nA) after each substep, (substeps, n) arrays."""
+    """Cell currents (nA) after each substep, (substeps, n) arrays, and the
+    class probabilities of the final state."""
 
     I_h: np.ndarray
     I_z: np.ndarray
     I_htilde: np.ndarray
     I_unit: float
     clamped_substeps: int
+    probabilities: np.ndarray  # (2,), benign then lesion
 
     def normalized_h(self) -> np.ndarray:
         """(n_substeps, n_hidden) array of I_h / I_unit."""
@@ -45,6 +49,8 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     Gates are evaluated from the normalized state I_h/I_unit, mirroring the
     voltage-domain computation; currents falling outside
     [I_unit * epsilon, I_unit * (1 - epsilon)] are clamped and counted.
+    The final state with records is bit-equal to the one without, so the
+    probabilities are those ``afua.forward_probabilities`` gives.
     """
     if not 0 < I_unit < np.inf:
         raise ConfigError(f"I_unit must be positive and finite, got {I_unit!r}")
@@ -56,7 +62,8 @@ def simulate_current_mode(x_sequence, params: NetworkParams, I_unit: float,
     return CurrentTrajectory(
         I_h=I_unit * h_after, I_z=I_unit * gates[:, 0, :params.n_hidden],
         I_htilde=I_unit * Ht[:, 0],
-        I_unit=I_unit, clamped_substeps=clamped)
+        I_unit=I_unit, clamped_substeps=clamped,
+        probabilities=head_batch(H, params)[0][0])
 
 
 # the fixed array and amplifier counts of the mixed-signal implementation

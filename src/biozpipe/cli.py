@@ -22,6 +22,10 @@ The records of reference.frame and frames.frame do not store a pattern
 order: each holds the 28 patterns in the canonical order of
 ``geometry.enumerate_current_patterns``.
 
+Only generate and pipeline load SciPy, at their first FEM operator build
+(``fem`` imports it inside its solver functions): train, quantize, eval
+and budget start without it.
+
 The run configuration (``RunConfig``) is resolved once, in this order: the
 defaults, then the ``--config`` JSON file, then the flags given, then the
 bovine protocol defaults (``BOVINE_DEFAULTS``) for keys that none of those
@@ -257,8 +261,9 @@ def stage_generate(cfg: RunConfig, out: Path):
 
     The mesh, its CEM operator and the reference frame are built before
     anything is deleted, so a mesh the probe rejects leaves the run as it
-    was.  Raises NumericalError before it writes the dataset when every
-    normalized step of the run is equal."""
+    was, and before the pool starts, so SciPy is imported on this thread
+    before any pool thread solves.  Raises NumericalError before it writes
+    the dataset when every normalized step of the run is equal."""
     layout = geo.build_probe_layout()
     mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,

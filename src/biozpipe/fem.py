@@ -36,6 +36,15 @@ as in Geselowitz's lead theory); no pattern needs a solve of its own, and
 
 The module only solves and holds no file format: ``datapipe`` writes and
 reads frames files, beside the dataset file.
+
+SciPy is imported inside the three functions that use it,
+``_build_operator``, ``assemble`` and ``AssembledSystem.stiffness``, not
+at module level.  ``datapipe`` imports this module for ``Frame``, so a
+module-level import would make every command pay for ``scipy.sparse`` and
+``scipy.sparse.linalg`` at start-up (about 0.2 s on a 2-core Xeon, with
+the parts of NumPy they pull in), though only the commands that solve use
+them.  Python's per-module import locks make a first import from several
+threads at once safe.
 """
 
 from __future__ import annotations
@@ -43,15 +52,17 @@ from __future__ import annotations
 import cmath
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 from .geometry import (N_INNER, N_PATTERNS, CurrentPattern, Mesh, ProbeLayout,
                        enumerate_current_patterns)
 from .phantom import Phantom
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix, csr_matrix
 
 SLICE_THICKNESS_MM = 5.0
 
@@ -141,6 +152,7 @@ class AssembledSystem:
     @property
     def stiffness(self) -> csc_matrix:
         """The ungrounded symmetric matrix in vertex order."""
+        from scipy.sparse import csc_matrix
         op = self.operator
         dim = len(op.perm)
         permuted = csc_matrix((self.data, op.indices, op.indptr),
@@ -169,6 +181,8 @@ def _p1_entries(mesh: Mesh):
 
 
 def _build_operator(mesh: Mesh) -> CemOperator:
+    from scipy.sparse import coo_matrix, csr_matrix
+    from scipy.sparse.linalg import splu
     nv, nt = mesh.n_vertices, mesh.n_triangles
     electrodes = tuple(sorted(mesh.electrode_edges))
     n_el = len(electrodes)
@@ -248,6 +262,8 @@ def assemble(mesh: Mesh, element_sigma: np.ndarray,
     same at every outer electrode: a finite number, complex allowed, with a
     positive real part.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
     sigma = np.asarray(element_sigma, dtype=complex)
     if sigma.shape != (mesh.n_triangles,):
         raise SolverError(

@@ -90,6 +90,23 @@ class TestCurrentMode:
                                          I_unit=I_unit,
                                          cfg=IntegrationConfig())
 
+    def test_probabilities_are_the_batched_forward(self):
+        # the head of the final state, bit for bit, and the label classify
+        # gives, on sequences of both labels, with and without clamping
+        cfg = IntegrationConfig()
+        rng = np.random.default_rng(6)
+        labels = set()
+        for k, p in enumerate([rand_params(s) for s in range(9)]
+                              + [clamping_params()]):
+            seq = rng.uniform(-1, 1, (28, 25)) * (1 + k % 3)
+            traj = analog.simulate_current_mode(seq, p, I_unit=10.0, cfg=cfg)
+            want = afua.forward_probabilities([seq], p, cfg)[0]
+            assert traj.probabilities.tobytes() == want.tobytes()
+            label, _ = afua.classify(seq, p, cfg)
+            assert afua.predict(traj.probabilities) == label
+            labels.add(label)
+        assert labels == {0, 1}
+
 
 class TestBudget:
     def test_paper_constants(self):

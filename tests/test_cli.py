@@ -92,6 +92,51 @@ class TestBudgetCommand:
         assert after == {**before, "budget.json": digest.hexdigest()}
 
 
+class TestColdStart:
+    """Only the commands that solve load SciPy.  Each check runs in a fresh
+    interpreter: pytest's warning filters import ``scipy.sparse`` here."""
+
+    SCRIPT = ("import json, sys\n"
+              "from biozpipe import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.split('.')[0] == 'scipy')))\n")
+
+    @classmethod
+    def scipy_modules(cls, commands):
+        """The SciPy modules loaded after running ``commands`` in order."""
+        src = str(Path(biozpipe.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", cls.SCRIPT, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_only_generate_loads_scipy(self, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli(["pipeline", "--n", "12", "--epochs", "1",
+                        "--mesh-edge", "0.5", "--out", str(run)]) == 0
+        with open(run / "phantoms.csv") as f:
+            rows = [(phm.phantom_id(int(r["index"])), r["label"])
+                    for r in csv.DictReader(f)]
+        datapipe.write_csv(tmp_path / "labels.csv", ["id", "label"], rows)
+        model, out = str(run / "model.afua"), ["--out", str(run)]
+        assert self.scipy_modules([
+            ["budget", "--json"],
+            ["train", "--epochs", "1", *out],
+            ["quantize", "--bits", "4", *out],
+            ["eval", "--model-file", model,
+             "--data", str(run / "dataset.bzds"), *out],
+            ["eval", "--model-file", model,
+             "--data", str(run / "frames.frame"),
+             "--labels", str(tmp_path / "labels.csv"), *out]]) == []
+        assert "scipy.sparse.linalg" in self.scipy_modules([
+            ["generate", "--n", "12", "--mesh-edge", "0.5",
+             "--out", str(tmp_path / "gen")]])
+
+
 class TestUsageErrors:
     def test_zero_phantoms_exit_2(self, tmp_path):
         code = run_cli(["generate", "--n", "0", "--out", str(tmp_path)])

@@ -1,8 +1,11 @@
+import os
 import struct
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
+import biozpipe
 from biozpipe import datapipe, fem
 from biozpipe import geometry as geo
 from biozpipe import phantom as phm
@@ -397,6 +401,44 @@ class TestOperatorMemo:
                 assert list(pool.map(task, phantoms, timeout=120)) == want
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_race_to_import_scipy(self):
+        # a fresh interpreter has not loaded SciPy, so both threads reach
+        # fem's deferred import at once; the frames are the serial ones
+        script = """
+import sys, threading
+from concurrent.futures import ThreadPoolExecutor
+from biozpipe import fem, geometry as geo, phantom as phm
+
+layout = geo.build_probe_layout()
+rbf = phm.RbfNoiseConfig(n_centers=1300, kernel_width=0.15,
+                         noise_rel_std=0.10)
+barrier = threading.Barrier(2, timeout=60)
+
+def frame(p, mesh):
+    return fem.simulate_frame(p, mesh, layout, contact_impedance=10.0,
+                              phantom_id="x").voltages.tobytes()
+
+def racing(p, mesh):
+    barrier.wait()
+    return frame(p, mesh)
+
+mesh = geo.build_mesh(layout, 0.3)
+phantoms = [phm.make_phantom(mesh, layout, phm.PROSTATE,
+                             seed=phm.phantom_seed(6, i), rbf=rbf)
+            for i in range(2)]
+assert "scipy" not in sys.modules
+sys.setswitchinterval(1e-6)
+with ThreadPoolExecutor(max_workers=2) as pool:
+    got = list(pool.map(racing, phantoms, [mesh] * 2, timeout=60))
+fresh = geo.build_mesh(layout, 0.3)
+assert got == [frame(p, fresh) for p in phantoms]
+"""
+        src = str(Path(biozpipe.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFrames:
