@@ -28,10 +28,12 @@ and budget start without it.
 
 The run configuration (``RunConfig``) is resolved once, in this order: the
 defaults, then the ``--config`` JSON file, then the flags given, then the
-bovine protocol defaults (``BOVINE_DEFAULTS``) for keys that none of those
-set.  It is checked in full, types included, before any stage touches the
-run directory, so a configuration fault exits 2 and leaves a finished run
-as it was.
+bovine protocol's split (``BOVINE_DEFAULTS``) unless one of those set it.
+It is checked in full, types included, before any stage touches the run
+directory, so a configuration fault exits 2 and leaves a finished run as it
+was.  The probe's gain, contact impedance, texture centre count and
+reference saline are ``RunConfig`` constants: no flag or config key sets
+them.
 
 Before it writes, each stage deletes the files that it and every later
 stage of that list write (``STAGE_OUTPUTS``), so a run directory never
@@ -44,9 +46,9 @@ class of the error raised, and 4 for an OSError.  Exit 4 covers any
 malformed model, quantized model, dataset or frames file, an eval --data
 file that holds no record and an eval --labels file that lacks a frame's
 id.  generate exits 3 when every normalized step of the run is equal, so
-the frames carry no signal against the reference (a vanishing
-``saline_ms_per_m`` does this); it leaves geometry.txt through
-frames.frame and writes no dataset.bzds or dataset_manifest.csv.  The
+the frames carry no signal against the reference (a zero gain would do
+this); it leaves geometry.txt through frames.frame and writes no
+dataset.bzds or dataset_manifest.csv.  The
 error message names the stage that failed (``error [train]: ...``), also
 inside pipeline; a configuration fault, found before any stage runs,
 names the command.
@@ -58,9 +60,9 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 from . import afua, analog, datapipe, fem, quantizer, trainer
 from . import geometry as geo
@@ -76,12 +78,8 @@ MAX_SIZES = {
     # through generate: 0.5 GB at 10 000, 6.7x the paper's 1500
     "n_phantoms": 10_000,
     # each pool thread holds one phantom in flight, about 4 MB (synthesis,
-    # solve and its LU factor; 24 MB at the rbf_centers bound); threads
-    # beyond the cores only queue
+    # solve and its LU factor); threads beyond the cores only queue
     "threads": 32,
-    # synthesis takes about 1.1 KB per center per pool thread: 22 MB at
-    # 20 000, 15x the default 1300
-    "rbf_centers": 20_000,
     # a training batch keeps 28 x 10 substeps records of 640 B, 179 KB, per
     # sequence: 179 MB at 1 000, 10x the default.  The float64 split arrays
     # add 5.6 KB per train and validation sequence: 42 MB at 10 000 phantoms
@@ -93,8 +91,14 @@ MAX_SIZES = {
 class RunConfig:
     """Complete pipeline configuration, checked in full when it is built:
     each value has its default's type (an int passes for a float, a bool
-    for nothing), and the objects the stages build from it are built once,
-    so their own checks run before any stage writes a file."""
+    for nothing), and ``rbf()`` and ``tissue_model()``, which build anew on
+    each call, run once, so their checks pass before any stage writes a
+    file.  The class constants, the same in every run, are not fields."""
+
+    # the probe's front end, and the texture's centre count
+    gain_per_mv: ClassVar[float] = 0.05
+    contact_impedance_ohm_mm: ClassVar[float] = 10.0
+    rbf_centers: ClassVar[int] = 1300
 
     model: str = "prostate"
     n_phantoms: int = 1500
@@ -104,11 +108,7 @@ class RunConfig:
     # volumetric heterogeneity depth-averages over the 5 mm slice to ~2.3%
     # at the default correlation length
     noise_rel_std: float = 0.023
-    rbf_centers: int = 1300
     rbf_width_mm: float = 0.15
-    saline_ms_per_m: float = 126.0
-    contact_impedance_ohm_mm: float = 10.0
-    gain_per_mv: float = 0.05
     split: tuple[float, float, float] = (0.5623, 0.1876, 0.2501)
     batch_size: int = 100
     epochs: int = 500
@@ -135,18 +135,11 @@ class RunConfig:
                 raise ConfigError(f"{name} {getattr(self, name)} exceeds "
                                   f"its bound {most}")
         geo.check_mesh_edge(self.mesh_edge_mm)
-        if not self.saline_ms_per_m > 0:
-            raise ConfigError("saline_ms_per_m must be positive")
-        if not self.contact_impedance_ohm_mm > 0:
-            raise ConfigError("contact_impedance_ohm_mm must be positive")
-        if not self.gain_per_mv > 0:
-            raise ConfigError("gain_per_mv must be positive")
         self.tissue_model()
         try:
             self.rbf()
         except ConfigError as exc:
-            raise ConfigError(
-                f"noise_rel_std, rbf_centers, rbf_width_mm: {exc}") from exc
+            raise ConfigError(f"noise_rel_std, rbf_width_mm: {exc}") from exc
         try:
             datapipe.split_counts(self.n_phantoms, self.split)
         except ConfigError as exc:
@@ -178,6 +171,11 @@ class RunConfig:
             )
         return phm.TISSUE_MODELS[self.model]
 
+    @property
+    def saline_ms_per_m(self) -> float:
+        """The reference bath: the tissue's background conductivity."""
+        return self.tissue_model().sigma_background.real
+
     def rbf(self) -> phm.RbfNoiseConfig:
         return phm.RbfNoiseConfig(n_centers=self.rbf_centers,
                                   kernel_width=self.rbf_width_mm,
@@ -202,13 +200,13 @@ def _check_type(name: str, value, default) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-# bovine protocol: train/validation only, reference in the muscle's saline
-BOVINE_DEFAULTS = {"split": (0.75, 0.25, 0.0), "saline_ms_per_m": 341.0}
+# bovine protocol: train/validation only
+BOVINE_DEFAULTS = {"split": (0.75, 0.25, 0.0)}
 
 
 def resolve_config(args) -> RunConfig:
     """Defaults, then the ``--config`` file, then the flags given, then the
-    bovine protocol defaults for keys that none of them set."""
+    bovine protocol's split unless one of them set it."""
     raw = {}
     if args.config:
         try:
@@ -264,6 +262,7 @@ def stage_generate(cfg: RunConfig, out: Path):
     was, and before the pool starts, so SciPy is imported on this thread
     before any pool thread solves.  Raises NumericalError before it writes
     the dataset when every normalized step of the run is equal."""
+    from concurrent.futures import ThreadPoolExecutor
     layout = geo.build_probe_layout()
     mesh = geo.build_mesh(layout, cfg.mesh_edge_mm)
     ref = fem.reference_frame(mesh, layout, sigma_saline=cfg.saline_ms_per_m,
@@ -307,7 +306,7 @@ def stage_generate(cfg: RunConfig, out: Path):
         raise NumericalError(
             f"every normalized step is {float(first):.8g}: the frames carry "
             "no signal against the reference in saline of "
-            f"{cfg.saline_ms_per_m!r} mS/m")
+            f"{cfg.saline_ms_per_m!r} mS/m at gain {cfg.gain_per_mv!r} per mV")
     datapipe.save_sequences(seqs, out / "dataset.bzds")
     split = datapipe.make_splits(seqs, cfg.split, seed=cfg.seed)
     datapipe.save_split_manifest(split, out / "dataset_manifest.csv")
@@ -474,9 +473,6 @@ def _comma_list(kind):
 STAGE_FLAGS = {
     "--n": ("n_phantoms", int, "number of phantoms"),
     "--mesh-edge": ("mesh_edge_mm", float, "mesh edge length (mm)"),
-    "--gain": ("gain_per_mv", float, "preprocessing gain per mV"),
-    "--saline": ("saline_ms_per_m", float,
-                 "reference saline conductivity (mS/m)"),
     "--split": ("split", _comma_list(float), "train,val,test fractions"),
     "--epochs": ("epochs", int, "training epochs"),
     "--bits": ("bits", _comma_list(int), "comma-separated bit widths"),
@@ -503,10 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     stage("generate", "phantoms, frames, dataset",
-          ("--n", "--mesh-edge", "--gain", "--saline", "--split"))
+          ("--n", "--mesh-edge", "--split"))
     stage("train", "train the full-precision model", ("--epochs",))
     stage("quantize", "bit-width accuracy sweep", ("--bits",))
-    p_eval = stage("eval", "evaluate a model on data", ("--gain",))
+    p_eval = stage("eval", "evaluate a model on data", ())
     p_eval.add_argument("--model-file", required=True, dest="model_file",
                         help=".afua or .afuaq model")
     p_eval.add_argument("--data", required=True,

@@ -377,8 +377,9 @@ def _locate_inner_vertices(layout, vertices, h):
     return {e + 1: int(v) for e, v in enumerate(d.argmin(axis=1))}
 
 
-def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
-    """Raise MeshError unless the mesh is conforming and well-oriented."""
+def validate_mesh(mesh: Mesh, layout: ProbeLayout) -> None:
+    """Raise MeshError unless the mesh is conforming and well-oriented, and
+    fills the layout's domain and places each of its electrodes."""
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
@@ -392,14 +393,17 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
     mesh_edges = keys.view(np.int32).reshape(-1, 2)
     if np.any(count > 2):
         raise MeshError("edge shared by more than two triangles")
-    if layout is not None:
-        r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        boundary = mesh_edges[count == 1]
-        if np.any(np.abs(r[boundary] - layout.domain_radius) > 1e-6):
-            raise MeshError("boundary edge off the domain circle: mesh has holes")
+    r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    boundary = mesh_edges[count == 1]
+    if np.any(np.abs(r[boundary] - layout.domain_radius) > 1e-6):
+        raise MeshError("boundary edge off the domain circle: mesh has holes")
     # Python int pairs: an electrode edge read from a file may hold any int
     edge_set = set(zip(*mesh_edges.T.tolist()))
 
+    outer = range(FIRST_OUTER, FIRST_OUTER + len(layout.outer_electrodes))
+    if (sorted(mesh.inner_vertex) != list(range(1, FIRST_OUTER))
+            or sorted(mesh.electrode_edges) != list(outer)):
+        raise MeshError(f"electrode ids are not the probe's 1..{outer[-1]}")
     seen: set[tuple[int, int]] = set()
     for e, edges in mesh.electrode_edges.items():
         if len(edges) < 2:
@@ -411,8 +415,6 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout | None = None) -> None:
             if key not in edge_set:
                 raise MeshError(f"electrode edge {key} is not a mesh edge")
             seen.add(key)
-    if layout is not None and len(mesh.inner_vertex) != len(layout.inner_electrodes):
-        raise MeshError("missing inner-electrode vertex assignments")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +514,8 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh file; a malformed or non-conforming mesh is a FormatError."""
+    """Read a mesh file; a malformed or non-conforming mesh, or one that is
+    not of the probe's layout, is a FormatError."""
     try:
         sec = _read_sections(path, _MESH_HEADER, _MESH_SECTIONS)
         nv = len(sec["vertices"])
@@ -532,7 +535,7 @@ def load_mesh(path) -> Mesh:
                     electrode_edges={e: tuple(v)
                                      for e, v in electrode_edges.items()},
                     inner_vertex=inner_vertex)
-        validate_mesh(mesh)
+        validate_mesh(mesh, build_probe_layout())
     except (ValueError, IndexError, OverflowError, MeshError) as exc:
         # UnicodeDecodeError is a ValueError
         raise FormatError(f"{path}: malformed mesh file: {exc}") from exc

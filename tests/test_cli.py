@@ -93,19 +93,22 @@ class TestBudgetCommand:
 
 
 class TestColdStart:
-    """Only the commands that solve load SciPy.  Each check runs in a fresh
-    interpreter: pytest's warning filters import ``scipy.sparse`` here."""
+    """Only the commands that solve load SciPy, and only generate's pool
+    loads ``concurrent.futures``.  Each check runs in a fresh interpreter:
+    pytest's warning filters import ``scipy.sparse`` here."""
 
     SCRIPT = ("import json, sys\n"
               "from biozpipe import cli\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert cli.main(argv) == 0, argv\n"
-              "print(json.dumps(sorted(m for m in sys.modules\n"
-              "                        if m.split('.')[0] == 'scipy')))\n")
+              "print(json.dumps(sorted(\n"
+              "    m for m in sys.modules\n"
+              "    if m.split('.')[0] in ('scipy', 'concurrent'))))\n")
 
     @classmethod
-    def scipy_modules(cls, commands):
-        """The SciPy modules loaded after running ``commands`` in order."""
+    def loaded_modules(cls, commands):
+        """The SciPy and ``concurrent`` modules loaded after running
+        ``commands`` in order."""
         src = str(Path(biozpipe.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", cls.SCRIPT, json.dumps(commands)],
@@ -123,7 +126,7 @@ class TestColdStart:
                     for r in csv.DictReader(f)]
         datapipe.write_csv(tmp_path / "labels.csv", ["id", "label"], rows)
         model, out = str(run / "model.afua"), ["--out", str(run)]
-        assert self.scipy_modules([
+        assert self.loaded_modules([
             ["budget", "--json"],
             ["train", "--epochs", "1", *out],
             ["quantize", "--bits", "4", *out],
@@ -132,9 +135,9 @@ class TestColdStart:
             ["eval", "--model-file", model,
              "--data", str(run / "frames.frame"),
              "--labels", str(tmp_path / "labels.csv"), *out]]) == []
-        assert "scipy.sparse.linalg" in self.scipy_modules([
-            ["generate", "--n", "12", "--mesh-edge", "0.5",
-             "--out", str(tmp_path / "gen")]])
+        assert {"scipy.sparse.linalg", "concurrent.futures"} <= set(
+            self.loaded_modules([["generate", "--n", "12", "--mesh-edge",
+                                  "0.5", "--out", str(tmp_path / "gen")]]))
 
 
 class TestUsageErrors:
@@ -165,23 +168,22 @@ class TestUsageErrors:
         assert "p00000" in err
         assert "non-positive" in err
 
-    def test_signal_free_dataset_exit_3_writes_no_dataset(self, tmp_path,
-                                                           capsys):
-        # against a reference in near-vacuum saline every step saturates
-        cfg = tmp_path / "c.json"
-        cfg.write_text('{"saline_ms_per_m": 1e-300}')
+    def test_signal_free_dataset_exit_3_writes_no_dataset(
+            self, tmp_path, monkeypatch, capsys):
+        # at zero gain every step is tanh(0)
+        monkeypatch.setattr(cli.RunConfig, "gain_per_mv", 0.0)
         out = tmp_path / "run"
-        code = run_cli(["generate", "--config", str(cfg), "--n", "4",
-                        "--mesh-edge", "0.3", "--seed", "1", "--out", str(out)])
+        code = run_cli(["generate", "--n", "4", "--mesh-edge", "0.3",
+                        "--seed", "1", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert "error [generate]: every normalized step is" in err
-        assert "saline of 1e-300 mS/m" in err
+        assert "saline of 126.0 mS/m at gain 0.0 per mV" in err
         assert (out / "frames.frame").exists()
         assert not (out / "dataset.bzds").exists()
         assert not (out / "dataset_manifest.csv").exists()
 
-    def test_failed_stage_leaves_no_manifest(self, tmp_path):
+    def test_failed_stage_leaves_no_manifest(self, tmp_path, monkeypatch):
         # the second generate deletes the dataset the first one's
         # manifest.json lists, then fails
         out = tmp_path / "run"
@@ -189,9 +191,8 @@ class TestUsageErrors:
                 "--out", str(out)]
         assert run_cli(args) == 0
         assert (out / "manifest.json").exists()
-        cfg = tmp_path / "c.json"
-        cfg.write_text('{"saline_ms_per_m": 1e-300}')
-        assert run_cli([*args, "--config", str(cfg)]) == 3
+        monkeypatch.setattr(cli.RunConfig, "gain_per_mv", 0.0)
+        assert run_cli(args) == 3
         assert not (out / "dataset.bzds").exists()
         assert not (out / "manifest.json").exists()
 
@@ -212,9 +213,18 @@ class TestUsageErrors:
         (["train", "--geometry", "probe.txt"], None, "--geometry"),
         # the probe is fixed: no command takes a layout file
         (["generate", "--geometry", "probe.txt"], None, "--geometry"),
+        (["generate", "--seed", "-1"], None, "seed"),
+        (["generate", "--threads", "0"], None, "threads"),
+        (["generate"], '{"seed": 1', "invalid JSON"),
+        # the gain and the reference saline are the probe's, not settings
+        (["eval", "--model-file", "model.afua", "--data", "dataset.bzds",
+          "--gain", "0.2"], None, "--gain"),
+        (["generate", "--saline", "126"], None, "--saline"),
     ], ids=["split-flag", "split-two-fractions", "bits-flag",
             "n_phantoms-str", "split-int", "threads-bool", "json-list",
-            "split-nan", "geometry-on-train", "geometry-on-generate"])
+            "split-nan", "geometry-on-train", "geometry-on-generate",
+            "seed-negative", "threads-zero", "config-invalid-json",
+            "gain-on-eval", "saline-on-generate"])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
                                               config, named):
         if config is not None:
@@ -303,11 +313,11 @@ class TestResolveConfig:
         return cli.resolve_config(cli.build_parser().parse_args(
             ["generate", *argv]))
 
-    def test_bovine_config_file_keeps_explicit_saline(self, tmp_path):
+    def test_bovine_config_file_keeps_explicit_split(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"model": "bovine", "saline_ms_per_m": 126.0}')
+        cfg.write_text('{"model": "bovine", "split": [0.5, 0.25, 0.25]}')
         got = self.resolve("--config", str(cfg))
-        assert (got.split, got.saline_ms_per_m) == ((0.75, 0.25, 0.0), 126.0)
+        assert (got.split, got.saline_ms_per_m) == ((0.5, 0.25, 0.25), 341.0)
         got = self.resolve("--model", "bovine")
         assert (got.split, got.saline_ms_per_m) == ((0.75, 0.25, 0.0), 341.0)
 
@@ -315,10 +325,9 @@ class TestResolveConfig:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"model": "bovine", "split": [0.5, 0.5, 0.0], '
                        '"bits": [4], "seed": 3}')
-        got = self.resolve("--config", str(cfg), "--split", "0.6,0.2,0.2",
-                           "--saline", "200")
-        assert (got.model, got.split, got.saline_ms_per_m, got.bits,
-                got.seed) == ("bovine", (0.6, 0.2, 0.2), 200.0, (4,), 3)
+        got = self.resolve("--config", str(cfg), "--split", "0.6,0.2,0.2")
+        assert (got.model, got.split, got.bits, got.seed) == (
+            "bovine", (0.6, 0.2, 0.2), (4,), 3)
 
 
 class TestPipelineOutputs:
@@ -553,7 +562,6 @@ class TestReruns:
         run = self.finished_copy(tiny_run, tmp_path)
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         for args in (["generate", "--split", "0.5,0.5,0.5"],
-                     ["generate", "--saline", "-1"],
                      ["pipeline", "--bits", "2", "--epochs", "2"],
                      ["pipeline", "--bits", "3,3", "--epochs", "2"]):
             assert run_cli([*args, "--n", "12", "--mesh-edge", "0.3",
@@ -562,11 +570,9 @@ class TestReruns:
 
     @pytest.mark.parametrize("args, message", [
         (["generate", "--mesh-edge", "5"], "target_edge_length 5.0"),
-        (["pipeline", "--gain", "nan", "--epochs", "2", "--mesh-edge", "0.3"],
-         "gain_per_mv"),
         (["pipeline", "--bits", "3,3", "--epochs", "2", "--mesh-edge", "0.3"],
          "bits: repeated bit width")],
-        ids=["mesh-edge-above-electrode", "gain-nan", "bits-repeated"])
+        ids=["mesh-edge-above-electrode", "bits-repeated"])
     def test_value_fault_exit_2_leaves_finished_run_untouched(
             self, tiny_run, tmp_path, capsys, args, message):
         run = self.finished_copy(tiny_run, tmp_path)
@@ -640,12 +646,12 @@ class TestReruns:
         out = tmp_path / "run"
         base = ["generate", "--n", "2", "--seed", "1", "--mesh-edge", "0.3",
                 "--out", str(out), "--split", "0.5,0.5,0.0"]
-        assert run_cli([*base, "--saline", "126"]) == 0
-        assert run_cli([*base, "--saline", "300"]) == 0
-        # a reused reference would still be that of the 126 mS/m bath
+        assert run_cli(base) == 0
+        assert run_cli([*base, "--model", "bovine"]) == 0
+        # a reused reference would still be that of the prostate's 126 mS/m
         want = fem.reference_frame(
             geo.load_mesh(out / "mesh.txt"),
-            geo.load_layout(out / "geometry.txt"), sigma_saline=300.0,
+            geo.load_layout(out / "geometry.txt"), sigma_saline=341.0,
             contact_impedance=cli.RunConfig().contact_impedance_ohm_mm)
         got = datapipe.load_frames(out / "reference.frame")[0]
         assert np.array_equal(got.voltages, want.voltages)
@@ -799,12 +805,18 @@ MALFORMED_MODELS = {
     "afuaq-tau_h-2": ("model_q6.afuaq", tau_h_2),
 }
 
-# a record starts at byte 16 with a 2-byte id length and the label byte
+# eval --data files: both hold their version at byte 4; a dataset holds its
+# record width (700 = 0x2BC) at byte 12, and its first record starts at byte
+# 16 with a 2-byte id length and the label byte
 MALFORMED_DATASETS = {
-    "half-length": lambda data: data[:len(data) // 2],
-    "id-not-utf8": set_byte(19, 0xFF),
-    "label-7": set_byte(18, 7),
-    "truncated-header": lambda data: data[:10],
+    "half-length": ("dataset.bzds", lambda data: data[:len(data) // 2]),
+    "id-not-utf8": ("dataset.bzds", set_byte(19, 0xFF)),
+    "label-7": ("dataset.bzds", set_byte(18, 7)),
+    "truncated-header": ("dataset.bzds", lambda data: data[:10]),
+    "version-2": ("dataset.bzds", set_byte(4, 2)),
+    "width-699": ("dataset.bzds", set_byte(12, 0xBB)),
+    "trailing-byte": ("dataset.bzds", lambda data: data + b"\0"),
+    "frames-version-2": ("frames.frame", set_byte(4, 2)),
 }
 
 
@@ -832,12 +844,16 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
     def test_dataset(self, tiny_run, tmp_path, capsys, case):
-        good = (tiny_run / "dataset.bzds").read_bytes()
-        bad = tmp_path / "bad.bzds"
-        bad.write_bytes(MALFORMED_DATASETS[case](good))
+        name, corrupt = MALFORMED_DATASETS[case]
+        good = (tiny_run / name).read_bytes()
+        bad = tmp_path / name
+        bad.write_bytes(corrupt(good))
         assert bad.read_bytes() != good
+        # the frames file fails to load before any label is looked up
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n")
         code, err = self.eval_exit(capsys, tiny_run / "model.afua", bad,
-                                   tmp_path)
+                                   tmp_path, labels)
         assert code == 4
         assert f"error [eval]: {bad}" in err
 

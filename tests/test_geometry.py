@@ -259,14 +259,14 @@ class TestMesh:
         with pytest.raises(Rings):
             geo.build_mesh(layout, geo.MIN_MESH_EDGE_MM)
 
-    def test_validate_mesh_catches_inversion(self, mesh):
+    def test_validate_mesh_catches_inversion(self, mesh, layout):
         bad_tris = mesh.triangles.copy()
         bad_tris[0] = bad_tris[0][[0, 2, 1]]
         bad = geo.Mesh(vertices=mesh.vertices, triangles=bad_tris,
                        electrode_edges=mesh.electrode_edges,
                        inner_vertex=mesh.inner_vertex)
         with pytest.raises(MeshError):
-            geo.validate_mesh(bad)
+            geo.validate_mesh(bad, layout)
 
 
 class TestDerived:
@@ -337,10 +337,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("case", ["non-ascii", "triangles",
                                       "electrode_edges", "inner_vertices",
-                                      "vertices-key", "trailing-line"])
+                                      "vertices-key", "trailing-line",
+                                      "hole", "no-inner-13", "no-outer-33"])
     def test_malformed_mesh_is_format_error(self, mesh, tmp_path, case):
         # non-ASCII, vertex 999999 as the last index of a section's first
-        # row, the vertices count under another key, or a line past the end
+        # row, the vertices count under another key, a line past the end,
+        # or a well-formed mesh that is not the probe's: one triangle short,
+        # no vertex for inner electrode 13, or no edges for outer electrode 33
         path = tmp_path / "mesh.txt"
         geo.save_mesh(mesh, path)
         lines = path.read_bytes().split(b"\n")
@@ -350,6 +353,16 @@ class TestSerialization:
             lines[1] = lines[1].replace(b"vertices", b"triangles")
         elif case == "trailing-line":
             lines.append(b"1 2")
+        elif case in ("hole", "no-inner-13", "no-outer-33"):
+            key, electrode = {"hole": (b"triangles", None),
+                              "no-inner-13": (b"inner_vertices", b"13"),
+                              "no-outer-33": (b"electrode_edges", b"33")}[case]
+            at = next(k for k, ln in enumerate(lines)
+                      if ln.split(b" ")[0] == key)
+            rows = lines[at + 1:at + 1 + int(lines[at].split()[1])]
+            kept = (rows[:-1] if electrode is None
+                    else [r for r in rows if r.split()[0] != electrode])
+            lines[at:at + 1 + len(rows)] = [b"%s %d" % (key, len(kept)), *kept]
         else:
             at = next(k for k, ln in enumerate(lines)
                       if ln.split(b" ")[0] == case.encode()) + 1
