@@ -775,11 +775,22 @@ def dt_above_tau_h(data):
                      for ln in lines).encode("ascii")
 
 
-def first_w_z_code_1000(data):
-    """A quantized model file whose first W_z code lies beyond its bits."""
+def first_w_z_entry(value):
+    """A model file whose first W_z weight or code is ``value``."""
+    def corrupt(data):
+        lines = data.decode("ascii").split("\n")
+        i = next(k for k, ln in enumerate(lines)
+                 if ln.split()[1:2] == ["W_z"])
+        lines[i + 1] = " ".join([value] + lines[i + 1].split()[1:])
+        return "\n".join(lines).encode("ascii")
+    return corrupt
+
+
+def zero_w_z_scale(data):
+    """A quantized model file whose W_z scale is zero."""
     lines = data.decode("ascii").split("\n")
     i = next(k for k, ln in enumerate(lines) if ln.split()[1:2] == ["W_z"])
-    lines[i + 1] = " ".join(["1000"] + lines[i + 1].split()[1:])
+    lines[i] = " ".join(lines[i].split()[:-1] + ["0.0"])
     return "\n".join(lines).encode("ascii")
 
 
@@ -795,14 +806,16 @@ MALFORMED_MODELS = {
     "afua-byte-ff": ("model.afua", middle_byte_ff),
     "afua-dt-above-tau_h": ("model.afua", dt_above_tau_h),
     "afua-tau_h-2": ("model.afua", tau_h_2),
+    "afua-w_z-nan": ("model.afua", first_w_z_entry("nan")),
     "afuaq-w_z-16x24": ("model_q6.afuaq", narrow_w_z),
     "afuaq-bits-2": ("model_q6.afuaq", lambda data: data.replace(
         b"\nbits 6\n", b"\nbits 2\n")),
     "afuaq-byte-ff": ("model_q6.afuaq", middle_byte_ff),
     # 1000 is far past max_code(3) = 3
-    "afuaq-code-1000": ("model_q3.afuaq", first_w_z_code_1000),
+    "afuaq-code-1000": ("model_q3.afuaq", first_w_z_entry("1000")),
     "afuaq-dt-above-tau_h": ("model_q6.afuaq", dt_above_tau_h),
     "afuaq-tau_h-2": ("model_q6.afuaq", tau_h_2),
+    "afuaq-scale-zero": ("model_q6.afuaq", zero_w_z_scale),
 }
 
 # eval --data files: both hold their version at byte 4; a dataset holds its
