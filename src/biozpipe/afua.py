@@ -41,8 +41,13 @@ its first n columns and the raw candidate ``C[k]`` in its last n;
 ``G[k] = 1 - H[k] / Ht[k]`` (T*S, B, n).  Backpropagation (``trainer.gradients``) walks these rows in reverse, and
 current mode (``analog``) reads them at B = 1.
 
-A quantized ``.afuaq`` file uses the same model-file layout as ``.afua``
-(``write_model_file`` / ``read_model_file``), with integer codes.
+A model file (``write_model_file`` / ``read_model_file``) is a text file
+of ``geometry``'s section format: the header ``biozpipe-model v2``, the
+value lines ``tau_h``, ``substeps``, ``dt`` and ``epsilon``, then one
+section per name of ``PARAM_NAMES``, a matrix's rows or a bias as one
+row.  A quantized ``.afuaq`` file has the header ``biozpipe-qmodel v2``, a
+``bits`` line before the value lines, a ``scales`` section of one row, in
+``PARAM_NAMES`` order, before the matrices, and integer codes in them.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
+from .geometry import read_sections, write_sections
+from .phantom import LABEL_NEGATIVE, LABEL_POSITIVE
 
 N_HIDDEN = 16
 # every unit's hidden state at the start of a sequence
@@ -64,9 +71,6 @@ TAU_H = 1.0
 # chunk of ``forward_probabilities`` takes 0.2 MB per substep, 200 MB at
 # 1000
 MAX_SUBSTEPS = 1000
-
-LABEL_BENIGN = 0
-LABEL_LESION = 1
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -277,8 +281,8 @@ def head_batch(H: np.ndarray, params: NetworkParams):
 
 
 def predict(P: np.ndarray) -> np.ndarray:
-    """Labels of (..., 2) class probabilities; ties resolve to benign."""
-    return np.where(P[..., 1] > P[..., 0], LABEL_LESION, LABEL_BENIGN)
+    """Labels of (..., 2) class probabilities; ties resolve to negative."""
+    return np.where(P[..., 1] > P[..., 0], LABEL_POSITIVE, LABEL_NEGATIVE)
 
 
 _EVAL_BATCH = 256
@@ -301,34 +305,33 @@ def classify(seq, params: NetworkParams, cfg: IntegrationConfig):
 
 
 # ---------------------------------------------------------------------------
-# Model file: named matrices in plain text, bit-exact on reload
+# Model file: geometry's section format, bit-exact on reload
 # ---------------------------------------------------------------------------
 
-# header line and value type per block key; a "codes" file (.afuaq) adds a
-# bits line and a scale on each block header
-_MODEL_LAYOUTS = {"matrix": ("biozpipe-model v1", float),
-                  "codes": ("biozpipe-qmodel v1", int)}
+_SETTINGS = (("tau_h", float, 0), ("substeps", int, 0), ("dt", float, 0),
+             ("epsilon", float, 0))
+# header and section table by quantized: each matrix is a section of rows,
+# a bias one row
+_MODEL_FILES = {
+    False: ("biozpipe-model v2",
+            _SETTINGS + tuple((name, float, None) for name in PARAM_NAMES)),
+    True: ("biozpipe-qmodel v2",
+           (("bits", int, 0), *_SETTINGS, ("scales", float, len(PARAM_NAMES)),
+            *((name, int, None) for name in PARAM_NAMES)))}
 
 
 def write_model_file(path, cfg: IntegrationConfig, params) -> None:
     """Write the weights of NetworkParams, or the integer codes, bit width
     and scales of QuantizedParams."""
     quantized = hasattr(params, "codes")
-    key = "codes" if quantized else "matrix"
-    header, kind = _MODEL_LAYOUTS[key]
-    lines = [header] + ([f"bits {params.total_bits}"] if quantized else [])
-    lines += [f"tau_h {TAU_H!r}",
-              f"substeps {cfg.substeps_per_pattern}",
-              f"dt {float(cfg.dt)!r}",
-              f"epsilon {float(cfg.epsilon)!r}"]
     mats = params.codes if quantized else params.matrices()
-    for name in PARAM_NAMES:
-        mat = np.atleast_2d(mats[name])
-        scale = f" {float(params.scales[name])!r}" if quantized else ""
-        lines.append(f"{key} {name} {mat.shape[0]} {mat.shape[1]}{scale}")
-        lines.extend(" ".join(repr(kind(v)) for v in row) for row in mat)
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    found = {"tau_h": TAU_H, "substeps": cfg.substeps_per_pattern,
+             "dt": cfg.dt, "epsilon": cfg.epsilon,
+             **{name: np.atleast_2d(mats[name]) for name in PARAM_NAMES}}
+    if quantized:
+        found["bits"] = params.total_bits
+        found["scales"] = [[params.scales[name] for name in PARAM_NAMES]]
+    write_sections(path, *_MODEL_FILES[quantized], found)
 
 
 def read_model_file(path, build, quantized: bool = False):
@@ -336,45 +339,22 @@ def read_model_file(path, build, quantized: bool = False):
     model made by ``build(mats, bits, scales)``.  Malformed content, a
     ``tau_h`` other than ``TAU_H`` and values ``build`` or the config
     reject included, raises FormatError."""
-    key = "codes" if quantized else "matrix"
-    header, kind = _MODEL_LAYOUTS[key]
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        lines = [ln.split() for ln in data.decode("ascii").splitlines()
-                 if ln.strip()]
-        if not lines or lines[0] != header.split():
-            raise FormatError(f"{path}: not a {header} file")
-        names = ["bits"] * quantized + ["tau_h", "substeps", "dt", "epsilon"]
-        settings = dict(lines[1:1 + len(names)])  # "name value" lines only
-        if list(settings) != names:
-            raise ValueError(f"expected the lines {names}")
-        if float(settings["tau_h"]) != TAU_H:
-            raise ValueError(f"tau_h {settings['tau_h']} is not {TAU_H!r}")
-        mats, scales = {}, {}
-        idx = 1 + len(names)
-        while idx < len(lines):
-            head = lines[idx]
-            if len(head) != 4 + quantized or head[0] != key \
-                    or head[1] not in PARAM_NAMES or head[1] in mats:
-                raise ValueError(f"bad block header {' '.join(head)!r}")
-            name, r, c = head[1], int(head[2]), int(head[3])
-            rows = [[kind(v) for v in ln] for ln in lines[idx + 1:idx + 1 + r]]
-            if len(rows) != r or any(len(row) != c for row in rows):
-                raise ValueError(f"{name} is not {r} rows of {c} values")
-            mat = np.array(rows, dtype=np.int32 if quantized else float)
+        sec = read_sections(path, *_MODEL_FILES[quantized])
+        if sec["tau_h"] != TAU_H:
+            raise ValueError(f"tau_h {sec['tau_h']!r} is not {TAU_H!r}")
+        mats = {}
+        for name in PARAM_NAMES:
+            mat = np.array(sec[name], dtype=np.int32 if quantized else float)
             mats[name] = mat.ravel() if name.endswith("_b") else mat
-            if quantized:
-                scales[name] = float(head[4])
-            idx += 1 + r
-        if len(mats) != len(PARAM_NAMES):
-            raise ValueError(f"missing {set(PARAM_NAMES) - set(mats)}")
-        cfg = IntegrationConfig(
-            substeps_per_pattern=int(settings["substeps"]),
-            dt=float(settings["dt"]), epsilon=float(settings["epsilon"]))
-        bits = int(settings["bits"]) if quantized else None
-        model = build(mats, bits, scales)
-    except (ValueError, OverflowError, ConfigError) as exc:
+        scales = sec.get("scales", [[]])  # none in an .afua file
+        if len(scales) != 1:
+            raise ValueError(f"scales is {len(scales)} rows, not one")
+        cfg = IntegrationConfig(substeps_per_pattern=sec["substeps"],
+                                dt=sec["dt"], epsilon=sec["epsilon"])
+        model = build(mats, sec.get("bits"),
+                      dict(zip(PARAM_NAMES, scales[0])))
+    except (ValueError, IndexError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
     return model, cfg
 

@@ -13,8 +13,8 @@ manifest.json (budget when given --out):
                phantoms.csv (index, seed, inclusion and label: make_phantom
                rebuilds a phantom from its seed), frames.frame (all frames,
                in index order), dataset.bzds, dataset_manifest.csv
-    train      model.afua, training_curve.csv
-    quantize   sweep.csv, model_q<bits>.afuaq for each bit width
+    train      model.afua (format v2), training_curve.csv
+    quantize   sweep.csv, model_q<bits>.afuaq (format v2) for each bit width
     eval       confusion.csv (pipeline: on the held-out split)
     budget     budget.txt, or budget.json with --json
 
@@ -144,6 +144,8 @@ class RunConfig:
             datapipe.split_counts(self.n_phantoms, self.split)
         except ConfigError as exc:
             raise ConfigError(f"split: {exc}") from exc
+        if not self.bits:
+            raise ConfigError("bits: no bit width given")
         for b in self.bits:
             try:
                 quantizer.check_bits(b)

@@ -15,6 +15,11 @@ properties the downstream solver tests rely on:
   reads carry no interpolation offset;
 * exact invariance of the mesh under 90-degree rotations, so uniform-medium
   frames inherit the probe's axis-aligned symmetries to solver precision.
+
+This module also owns the text format of the run's text files: a header
+line, then sections in a fixed order (``read_sections`` /
+``write_sections``).  geometry.txt and mesh.txt are written here, and
+``afua`` writes model.afua and the model_q<bits>.afuaq files with it.
 """
 
 from __future__ import annotations
@@ -424,19 +429,21 @@ def validate_mesh(mesh: Mesh, layout: ProbeLayout) -> None:
 _LAYOUT_HEADER = "biozpipe-layout v1"
 _MESH_HEADER = "biozpipe-mesh v2"
 
-# one section table per text file: ``(key, kind, width)`` is a ``<key> <n>``
-# line and n rows of ``width`` values of type ``kind``, or with width 0 one
-# ``<key> <value>`` line
+# one section table per text file, as ``read_sections`` reads it
 _LAYOUT_SECTIONS = (("domain_radius", float, 0), ("sensing_radius", float, 0),
                     ("inner", float, 2), ("outer", float, 3))
 _MESH_SECTIONS = (("vertices", float, 2), ("triangles", int, 3),
                   ("electrode_edges", int, 3), ("inner_vertices", int, 2))
 
 
-def _read_sections(path, header, sections) -> dict:
+def read_sections(path, header, sections) -> dict:
     """The value or the rows by key of an ASCII file of a ``header`` line
-    and ``sections``, in order.  Another header is a FormatError; a misnamed
-    key, a row of the wrong width or a line left over is a ValueError."""
+    and ``sections``, in order.  A section ``(key, kind, width)`` is a
+    ``<key> <n>`` line and n rows of ``width`` values of type ``kind``;
+    width None lets every row have the width of the first, and width 0
+    makes it one ``<key> <value>`` line.  Another header is a FormatError;
+    a misnamed key, a row of the wrong width or a line left over is a
+    ValueError."""
     with open(path, "rb") as f:
         data = f.read()
     lines = [ln.strip() for ln in data.decode("ascii").splitlines()
@@ -449,11 +456,13 @@ def _read_sections(path, header, sections) -> dict:
         if len(words) != 2 or words[0] != key:
             raise ValueError(f"expected a {key!r} line, got {words}")
         idx += 1
-        if not width:
+        if width == 0:
             found[key] = kind(words[1])
             continue
         n = int(words[1])
         rows = [[kind(v) for v in ln.split()] for ln in lines[idx:idx + n]]
+        if width is None and rows:
+            width = len(rows[0])
         if n < 0 or len(rows) != n or any(len(r) != width for r in rows):
             raise ValueError(f"{key} is not {n} rows of {width} values")
         found[key] = rows
@@ -463,12 +472,12 @@ def _read_sections(path, header, sections) -> dict:
     return found
 
 
-def _write_sections(path, header, sections, found) -> None:
-    """Write ``found``, by key, as ``_read_sections`` parses it, each value
+def write_sections(path, header, sections, found) -> None:
+    """Write ``found``, by key, as ``read_sections`` parses it, each value
     as ``repr(kind(v))``."""
     lines = [header]
     for key, kind, width in sections:
-        if not width:
+        if width == 0:
             lines.append(f"{key} {kind(found[key])!r}")
             continue
         lines.append(f"{key} {len(found[key])}")
@@ -487,15 +496,15 @@ def _layout_sections(layout: ProbeLayout) -> dict:
 
 
 def save_layout(layout: ProbeLayout, path) -> None:
-    _write_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS,
-                    _layout_sections(layout))
+    write_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS,
+                   _layout_sections(layout))
 
 
 def load_layout(path) -> ProbeLayout:
     """The probe of a layout file, which must be ``build_probe_layout``'s,
     value for value; a malformed file or another probe is a FormatError."""
     try:
-        sec = _read_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS)
+        sec = read_sections(path, _LAYOUT_HEADER, _LAYOUT_SECTIONS)
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed layout file: {exc}") from exc
     probe = build_probe_layout()
@@ -506,7 +515,7 @@ def load_layout(path) -> ProbeLayout:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    _write_sections(path, _MESH_HEADER, _MESH_SECTIONS, {
+    write_sections(path, _MESH_HEADER, _MESH_SECTIONS, {
         "vertices": mesh.vertices, "triangles": mesh.triangles,
         "electrode_edges": [(e, a, b) for e in sorted(mesh.electrode_edges)
                             for a, b in mesh.electrode_edges[e]],
@@ -517,7 +526,7 @@ def load_mesh(path) -> Mesh:
     """Read a mesh file; a malformed or non-conforming mesh, or one that is
     not of the probe's layout, is a FormatError."""
     try:
-        sec = _read_sections(path, _MESH_HEADER, _MESH_SECTIONS)
+        sec = read_sections(path, _MESH_HEADER, _MESH_SECTIONS)
         nv = len(sec["vertices"])
         vertices = np.array(sec["vertices"], dtype=float).reshape(nv, 2)
         triangles = np.array(sec["triangles"], dtype=np.int32).reshape(-1, 3)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .geometry import Mesh, ProbeLayout
 
+# the two classes, also the classifier's (``afua.predict``)
 LABEL_NEGATIVE = 0
 LABEL_POSITIVE = 1
 

@@ -110,8 +110,8 @@ def save_sweep_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quantized model file: the model-file layout with codes and scales, written
-# by ``afua.write_model_file``
+# Quantized model file: the model-file sections with bits, scales and codes,
+# written by ``afua.write_model_file``
 # ---------------------------------------------------------------------------
 
 

@@ -196,6 +196,15 @@ class TestUsageErrors:
         assert not (out / "dataset.bzds").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_train_on_a_one_phantom_dataset_exit_2(self, tmp_path, capsys):
+        # train alone checks the dataset it reads, not the configured split
+        out = str(tmp_path / "run")
+        assert run_cli(["generate", "--n", "1", "--mesh-edge", "0.5",
+                        "--out", out]) == 0
+        assert run_cli(["train", "--epochs", "2", "--out", out]) == 2
+        assert ("error [train]: train and validation sets must be non-empty"
+                in capsys.readouterr().err)
+
     def test_unknown_subcommand_exit_2(self):
         assert run_cli(["frobnicate"]) == 2
 
@@ -220,11 +229,15 @@ class TestUsageErrors:
         (["eval", "--model-file", "model.afua", "--data", "dataset.bzds",
           "--gain", "0.2"], None, "--gain"),
         (["generate", "--saline", "126"], None, "--saline"),
+        (["generate", "--split", "0,0.5,0.5", "--n", "2", "--mesh-edge",
+          "0.5"], None, "train and validation fractions must be positive"),
+        (["generate"], '{"model": "ovine"}', "unknown tissue model"),
     ], ids=["split-flag", "split-two-fractions", "bits-flag",
             "n_phantoms-str", "split-int", "threads-bool", "json-list",
             "split-nan", "geometry-on-train", "geometry-on-generate",
             "seed-negative", "threads-zero", "config-invalid-json",
-            "gain-on-eval", "saline-on-generate"])
+            "gain-on-eval", "saline-on-generate", "split-zero-train",
+            "model-unknown"])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
                                               config, named):
         if config is not None:
@@ -391,8 +404,8 @@ class TestPipelineOutputs:
     # SHA-256 of the tiny run's manifest.json, the same at every BLAS thread
     # count.  A change meant to move no byte passes with this value as it
     # is; a change that moves bytes updates it and says why in CHANGES.md.
-    TINY_MANIFEST_SHA256 = ("e57bf79733485daf2834f343d4d30f6c"
-                            "9b34ce43e574d5b2553e973ca2061832")
+    TINY_MANIFEST_SHA256 = ("a52dbf0caf94f701b9e0383b34c8b87e"
+                            "e6347f46450258b7e8da63edeefbdafb")
 
     def test_tiny_run_manifest_pinned(self, tiny_run):
         manifest = (tiny_run / "manifest.json").read_bytes()
@@ -591,13 +604,13 @@ class TestReruns:
         '{"beta1": 1.0}', '{"beta2": 1.5}', '{"adam_eps": -1.0}',
         '{"rbf_width_mm": NaN}', '{"rbf_width_mm": Infinity}',
         '{"rbf_width_mm": 1e-200}',
-        '{"saline_ms_per_m": 1%s}' % ("0" * 400)],
+        '{"saline_ms_per_m": 1%s}' % ("0" * 400), '{"bits": []}'],
         ids=["saline-nan", "contact-zero", "contact-inf", "contact-negative",
              "lr-nan", "lr-zero", "lr-negative", "batch-size-zero",
              "epochs-zero",
              "beta1-one", "beta2-above-one", "eps-negative",
              "rbf-width-nan", "rbf-width-inf", "rbf-width-underflow",
-             "saline-int-overflow"])
+             "saline-int-overflow", "bits-empty"])
     def test_config_file_value_fault_leaves_finished_run_untouched(
             self, tiny_run, tmp_path, capsys, config):
         run = self.finished_copy(tiny_run, tmp_path)
@@ -748,12 +761,10 @@ class TestEvalCommand:
 
 
 def narrow_w_z(data):
-    """A model file whose W_z block is a consistent 16x24 matrix."""
+    """A model file whose W_z section is a consistent 16x24 matrix."""
     lines = data.decode("ascii").split("\n")
-    i = next(k for k, ln in enumerate(lines) if ln.split()[1:2] == ["W_z"])
-    head = lines[i].split()
-    lines[i] = " ".join(head[:3] + ["24"] + head[4:])
-    for k in range(i + 1, i + 1 + int(head[2])):
+    i = next(k for k, ln in enumerate(lines) if ln.split()[:1] == ["W_z"])
+    for k in range(i + 1, i + 1 + int(lines[i].split()[1])):
         lines[k] = " ".join(lines[k].split()[:24])
     return "\n".join(lines).encode("ascii")
 
@@ -779,18 +790,17 @@ def first_w_z_entry(value):
     """A model file whose first W_z weight or code is ``value``."""
     def corrupt(data):
         lines = data.decode("ascii").split("\n")
-        i = next(k for k, ln in enumerate(lines)
-                 if ln.split()[1:2] == ["W_z"])
+        i = next(k for k, ln in enumerate(lines) if ln.split()[:1] == ["W_z"])
         lines[i + 1] = " ".join([value] + lines[i + 1].split()[1:])
         return "\n".join(lines).encode("ascii")
     return corrupt
 
 
 def zero_w_z_scale(data):
-    """A quantized model file whose W_z scale is zero."""
+    """A quantized model file whose W_z scale, its first, is zero."""
     lines = data.decode("ascii").split("\n")
-    i = next(k for k, ln in enumerate(lines) if ln.split()[1:2] == ["W_z"])
-    lines[i] = " ".join(lines[i].split()[:-1] + ["0.0"])
+    i = next(k for k, ln in enumerate(lines) if ln.split()[:1] == ["scales"])
+    lines[i + 1] = " ".join(["0.0"] + lines[i + 1].split()[1:])
     return "\n".join(lines).encode("ascii")
 
 

@@ -338,12 +338,14 @@ class TestSerialization:
     @pytest.mark.parametrize("case", ["non-ascii", "triangles",
                                       "electrode_edges", "inner_vertices",
                                       "vertices-key", "trailing-line",
-                                      "hole", "no-inner-13", "no-outer-33"])
+                                      "hole", "no-inner-13", "no-outer-33",
+                                      "edge-twice", "outer-26-one-edge"])
     def test_malformed_mesh_is_format_error(self, mesh, tmp_path, case):
         # non-ASCII, vertex 999999 as the last index of a section's first
         # row, the vertices count under another key, a line past the end,
         # or a well-formed mesh that is not the probe's: one triangle short,
-        # no vertex for inner electrode 13, or no edges for outer electrode 33
+        # no vertex for inner electrode 13, no edges for outer electrode 33,
+        # outer electrode 26's first edge listed twice, or only that edge
         path = tmp_path / "mesh.txt"
         geo.save_mesh(mesh, path)
         lines = path.read_bytes().split(b"\n")
@@ -363,6 +365,14 @@ class TestSerialization:
             kept = (rows[:-1] if electrode is None
                     else [r for r in rows if r.split()[0] != electrode])
             lines[at:at + 1 + len(rows)] = [b"%s %d" % (key, len(kept)), *kept]
+        elif case in ("edge-twice", "outer-26-one-edge"):
+            at = lines.index(next(ln for ln in lines
+                                  if ln.startswith(b"electrode_edges ")))
+            rows = lines[at + 1:at + 1 + int(lines[at].split()[1])]
+            kept = rows[:1] + (rows if case == "edge-twice" else
+                               [r for r in rows if r.split()[0] != b"26"])
+            lines[at:at + 1 + len(rows)] = [b"electrode_edges %d" % len(kept),
+                                            *kept]
         else:
             at = next(k for k, ln in enumerate(lines)
                       if ln.split(b" ")[0] == case.encode()) + 1
