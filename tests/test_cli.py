@@ -786,22 +786,15 @@ def dt_above_tau_h(data):
                      for ln in lines).encode("ascii")
 
 
-def first_w_z_entry(value):
-    """A model file whose first W_z weight or code is ``value``."""
+def first_entry(key, value):
+    """A model file whose first value in section ``key`` is ``value``: the
+    first W_z weight or code, or with key "scales" the W_z scale."""
     def corrupt(data):
         lines = data.decode("ascii").split("\n")
-        i = next(k for k, ln in enumerate(lines) if ln.split()[:1] == ["W_z"])
+        i = next(k for k, ln in enumerate(lines) if ln.split()[:1] == [key])
         lines[i + 1] = " ".join([value] + lines[i + 1].split()[1:])
         return "\n".join(lines).encode("ascii")
     return corrupt
-
-
-def zero_w_z_scale(data):
-    """A quantized model file whose W_z scale, its first, is zero."""
-    lines = data.decode("ascii").split("\n")
-    i = next(k for k, ln in enumerate(lines) if ln.split()[:1] == ["scales"])
-    lines[i + 1] = " ".join(["0.0"] + lines[i + 1].split()[1:])
-    return "\n".join(lines).encode("ascii")
 
 
 def tau_h_2(data):
@@ -816,16 +809,16 @@ MALFORMED_MODELS = {
     "afua-byte-ff": ("model.afua", middle_byte_ff),
     "afua-dt-above-tau_h": ("model.afua", dt_above_tau_h),
     "afua-tau_h-2": ("model.afua", tau_h_2),
-    "afua-w_z-nan": ("model.afua", first_w_z_entry("nan")),
+    "afua-w_z-nan": ("model.afua", first_entry("W_z", "nan")),
     "afuaq-w_z-16x24": ("model_q6.afuaq", narrow_w_z),
     "afuaq-bits-2": ("model_q6.afuaq", lambda data: data.replace(
         b"\nbits 6\n", b"\nbits 2\n")),
     "afuaq-byte-ff": ("model_q6.afuaq", middle_byte_ff),
     # 1000 is far past max_code(3) = 3
-    "afuaq-code-1000": ("model_q3.afuaq", first_w_z_entry("1000")),
+    "afuaq-code-1000": ("model_q3.afuaq", first_entry("W_z", "1000")),
     "afuaq-dt-above-tau_h": ("model_q6.afuaq", dt_above_tau_h),
     "afuaq-tau_h-2": ("model_q6.afuaq", tau_h_2),
-    "afuaq-scale-zero": ("model_q6.afuaq", zero_w_z_scale),
+    "afuaq-scale-zero": ("model_q6.afuaq", first_entry("scales", "0.0")),
 }
 
 # eval --data files: both hold their version at byte 4; a dataset holds its

@@ -366,8 +366,8 @@ class TestSerialization:
                     else [r for r in rows if r.split()[0] != electrode])
             lines[at:at + 1 + len(rows)] = [b"%s %d" % (key, len(kept)), *kept]
         elif case in ("edge-twice", "outer-26-one-edge"):
-            at = lines.index(next(ln for ln in lines
-                                  if ln.startswith(b"electrode_edges ")))
+            at = next(k for k, ln in enumerate(lines)
+                      if ln.split(b" ")[0] == b"electrode_edges")
             rows = lines[at + 1:at + 1 + int(lines[at].split()[1])]
             kept = rows[:1] + (rows if case == "edge-twice" else
                                [r for r in rows if r.split()[0] != b"26"])
