@@ -80,8 +80,8 @@ MAX_SIZES = {
     # each pool thread holds one phantom in flight, about 4 MB (synthesis,
     # solve and its LU factor); threads beyond the cores only queue
     "threads": 32,
-    # a training batch keeps 28 x 10 substeps records of 640 B, 179 KB, per
-    # sequence: 179 MB at 1 000, 10x the default.  The float64 split arrays
+    # a training batch keeps 28 x 4 substeps records of 640 B, 72 KB, per
+    # sequence: 72 MB at 1 000, 10x the default.  The float64 split arrays
     # add 5.6 KB per train and validation sequence: 42 MB at 10 000 phantoms
     "batch_size": 1_000,
 }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biozpipe import afua, datapipe
+from biozpipe import afua, datapipe, trainer
 from biozpipe.afua import IntegrationConfig, NetworkParams
 from biozpipe.errors import ConfigError, FormatError, NumericalError
 
@@ -218,6 +218,17 @@ class TestRunSequence:
         d2 = np.max(np.abs(results[0.05] - results[0.025]))
         assert d2 < d1
         assert d1 < 1e-2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_euler_error_halves_as_substeps_double(self, seed):
+        # first order at S * dt = 1: against the S = 1000 continuous-time
+        # limit, doubling S halves the error of the final states
+        p = trainer.init_params(seed)
+        X = np.random.default_rng(seed).uniform(-1, 1, (16, 28, 25))
+        limit = afua.unroll(X, p, IntegrationConfig(1000, 0.001))[0]
+        err = [np.abs(afua.unroll(X, p, IntegrationConfig(s, 1 / s))[0]
+                      - limit).max() for s in (4, 8)]
+        assert 1.7 <= err[0] / err[1] <= 2.4
 
     def test_dt_above_tau_rejected(self):
         # no integration config carries a step longer than the time constant

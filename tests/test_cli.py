@@ -7,7 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -404,8 +404,8 @@ class TestPipelineOutputs:
     # SHA-256 of the tiny run's manifest.json, the same at every BLAS thread
     # count.  A change meant to move no byte passes with this value as it
     # is; a change that moves bytes updates it and says why in CHANGES.md.
-    TINY_MANIFEST_SHA256 = ("a52dbf0caf94f701b9e0383b34c8b87e"
-                            "e6347f46450258b7e8da63edeefbdafb")
+    TINY_MANIFEST_SHA256 = ("cd6a84ebeac8b09375a40cce8a830479"
+                            "2bc36daeba3d39f75fbad243c98ba9bc")
 
     def test_tiny_run_manifest_pinned(self, tiny_run):
         manifest = (tiny_run / "manifest.json").read_bytes()
@@ -745,6 +745,43 @@ class TestEvalCommand:
             confusions.append((out / "confusion.csv").read_bytes())
         assert confusions[0] == confusions[1]
 
+    @pytest.mark.parametrize("name", ["model.afua", "model_q6.afuaq"])
+    def test_model_file_keeps_its_step(self, tiny_run, tmp_path, name):
+        # a model file written at S = 10, dt = 0.1, the default before
+        # S = 4, evaluates at that step.  Its head labels the first sequence
+        # positive when the first A1 unit passes the midpoint of that
+        # unit's values at the two steps, so the default gives another
+        # confusion
+        old = afua.IntegrationConfig(10, 0.1)
+        default = afua.IntegrationConfig()
+        X, y = trainer.to_arrays(
+            datapipe.load_sequences(tiny_run / "dataset.bzds"))
+        quantized = name.endswith(".afuaq")
+        base = trainer.init_params(1)
+        if quantized:
+            base = quantizer.quantize(base, 6).dequantize()
+        a1 = [afua.head_batch(afua.unroll(X[:1], base, c)[0], base)[1][0, 0]
+              for c in (old, default)]
+        model = replace(base, fc2_w=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                        fc2_b=np.array([np.mean(a1), 0.0]))
+        if quantized:
+            model = quantizer.quantize(model, 6)
+        afua.write_model_file(tmp_path / name, old, model)
+        full = model.dequantize() if quantized else model
+        confusions = [
+            [[int(np.sum((y == t) & (pred == p))) for p in (0, 1)]
+             for t in (0, 1)]
+            for pred in (afua.predict(afua.forward_probabilities(X, full, c))
+                         for c in (old, default))]
+        assert confusions[0] != confusions[1]
+        out = tmp_path / "eval"
+        assert run_cli(["eval", "--model-file", str(tmp_path / name),
+                        "--data", str(tiny_run / "dataset.bzds"),
+                        "--out", str(out)]) == 0
+        with open(out / "confusion.csv") as f:
+            rows = list(csv.reader(f))[1:3]
+        assert [[int(v) for v in row[1:]] for row in rows] == confusions[0]
+
     def test_frames_with_wrong_pattern_count_exit_4(self, tiny_run,
                                                     tmp_path, capsys):
         bundle = tmp_path / "m.frames"
@@ -956,9 +993,12 @@ class TestMalformedInputs:
     def test_model_file_with_too_many_substeps(self, tiny_run, tmp_path,
                                                capsys):
         bad = tmp_path / "model.afua"
-        bad.write_bytes((tiny_run / "model.afua").read_bytes().replace(
-            b"\nsubsteps 10\n",
+        good = (tiny_run / "model.afua").read_bytes()
+        line = f"\nsubsteps {afua.IntegrationConfig().substeps_per_pattern}\n"
+        bad.write_bytes(good.replace(
+            line.encode("ascii"),
             f"\nsubsteps {afua.MAX_SUBSTEPS + 1}\n".encode("ascii")))
+        assert bad.read_bytes() != good
         code, err = self.eval_exit(capsys, bad, tiny_run / "dataset.bzds",
                                    tmp_path)
         assert code == 4
