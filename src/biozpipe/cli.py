@@ -35,23 +35,29 @@ was.  The probe's gain, contact impedance, texture centre count and
 reference saline are ``RunConfig`` constants: no flag or config key sets
 them.
 
+Each stage command takes ``--config``, ``--seed`` and ``--out``, and only
+the other flags that it reads (``STAGES``): ``--threads`` and ``--model``
+are flags of generate and pipeline, the commands that build phantoms.
+Flags are not abbreviated: ``--mesh`` is no spelling of ``--mesh-edge``.
+A ``--config`` file takes every ``RunConfig`` key on every command.
+
 Before it writes, each stage deletes the files that it and every later
-stage of that list write (``STAGE_OUTPUTS``), so a run directory never
-mixes the outputs of two configurations.  The budget files depend on no
-run input and are left in place.  The stage deletes manifest.json too, so
-a command that fails after it began writing leaves no manifest.
+stage of ``STAGES`` write, so a run directory never mixes the outputs of
+two configurations.  The budget files depend on no run input and are left
+in place.  The stage deletes manifest.json too, so a command that fails
+after it began writing leaves no manifest.
 
 Exit codes: 0 success, else the ``exit_code`` that ``errors`` gives the
 class of the error raised, and 4 for an OSError.  Exit 4 covers any
 malformed model, quantized model, dataset or frames file, an eval --data
 file that holds no record and an eval --labels file that lacks a frame's
-id.  generate exits 3 when every normalized step of the run is equal, so
-the frames carry no signal against the reference (a zero gain would do
-this); it leaves geometry.txt through frames.frame and writes no
-dataset.bzds or dataset_manifest.csv.  The
-error message names the stage that failed (``error [train]: ...``), also
-inside pipeline; a configuration fault, found before any stage runs,
-names the command.
+id.  eval exits 2 when --labels comes with a .bzds dataset, which holds its
+own labels.  generate exits 3 when every normalized step of the run is
+equal, so the frames carry no signal against the reference (a zero gain
+would do this); it leaves geometry.txt through frames.frame and writes no
+dataset.bzds or dataset_manifest.csv.  The error message names the stage
+that failed (``error [train]: ...``), also inside pipeline; a
+configuration fault, found before any stage runs, names the command.
 """
 
 from __future__ import annotations
@@ -234,14 +240,27 @@ def resolve_config(args) -> RunConfig:
 # Stages
 # ---------------------------------------------------------------------------
 
-# the files (glob patterns) each stage writes, in pipeline order
-STAGE_OUTPUTS = {
-    "generate": ("geometry.txt", "mesh.txt", "reference.frame",
-                 "phantoms.csv", "frames.frame", "dataset.bzds",
-                 "dataset_manifest.csv"),
-    "train": ("model.afua", "training_curve.csv"),
-    "quantize": ("sweep.csv", "model_q*.afuaq"),
-    "eval": ("confusion.csv",),
+@dataclass(frozen=True)
+class Stage:
+    help: str
+    flags: tuple[str, ...]  # beyond SHARED_FLAGS, the flags it reads
+    outputs: tuple[str, ...]  # the files (glob patterns) it writes
+
+
+# the stage commands, in pipeline order
+STAGES = {
+    "generate": Stage(
+        "phantoms, frames, dataset",
+        ("--threads", "--model", "--n", "--mesh-edge", "--split"),
+        ("geometry.txt", "mesh.txt", "reference.frame", "phantoms.csv",
+         "frames.frame", "dataset.bzds", "dataset_manifest.csv")),
+    "train": Stage("train the full-precision model", ("--epochs",),
+                   ("model.afua", "training_curve.csv")),
+    "quantize": Stage("bit-width accuracy sweep", ("--bits",),
+                      ("sweep.csv", "model_q*.afuaq")),
+    "eval": Stage("evaluate a model on data",
+                  ("--model-file", "--data", "--labels"),
+                  ("confusion.csv",)),
 }
 
 
@@ -249,9 +268,9 @@ def _clear_outputs(out: Path, stage: str) -> None:
     """Delete the files of ``stage`` and of every stage after it, and the
     manifest, which names them."""
     (out / "manifest.json").unlink(missing_ok=True)
-    stages = list(STAGE_OUTPUTS)
+    stages = list(STAGES)
     for later in stages[stages.index(stage):]:
-        for pattern in STAGE_OUTPUTS[later]:
+        for pattern in STAGES[later].outputs:
             for path in out.glob(pattern):
                 path.unlink()
 
@@ -383,6 +402,9 @@ def stage_eval(cfg: RunConfig, out: Path, model_path, data_path,
     model_path, data_path = Path(model_path), Path(data_path)
     if data_path.suffix != ".bzds" and labels_path is None:
         raise ConfigError("frames input requires --labels <csv>")
+    if data_path.suffix == ".bzds" and labels_path is not None:
+        raise ConfigError("--labels is for frames input; a .bzds dataset "
+                          "holds its own labels")
     if model_path.suffix == ".afuaq":
         params, icfg = quantizer.load_quantized_model(model_path)
     else:
@@ -471,57 +493,55 @@ def _comma_list(kind):
     return parse
 
 
-# stage flags: flag -> (destination, type, help); pipeline takes them all
-STAGE_FLAGS = {
-    "--n": ("n_phantoms", int, "number of phantoms"),
-    "--mesh-edge": ("mesh_edge_mm", float, "mesh edge length (mm)"),
-    "--split": ("split", _comma_list(float), "train,val,test fractions"),
-    "--epochs": ("epochs", int, "training epochs"),
-    "--bits": ("bits", _comma_list(int), "comma-separated bit widths"),
+# flag -> its add_argument keywords
+FLAGS = {
+    "--config": dict(help="JSON configuration file"),
+    "--seed": dict(type=int, help="master random seed"),
+    "--out": dict(help="run directory"),
+    "--threads": dict(type=int, help="worker cap"),
+    "--model": dict(choices=sorted(phm.TISSUE_MODELS), help="tissue model"),
+    "--n": dict(dest="n_phantoms", type=int, help="number of phantoms"),
+    "--mesh-edge": dict(dest="mesh_edge_mm", type=float,
+                        help="mesh edge length (mm)"),
+    "--split": dict(type=_comma_list(float),
+                    help="train,val,test fractions"),
+    "--epochs": dict(type=int, help="training epochs"),
+    "--bits": dict(type=_comma_list(int),
+                   help="comma-separated bit widths"),
+    "--model-file": dict(required=True, dest="model_file",
+                         help=".afua or .afuaq model"),
+    "--data": dict(required=True, help=".bzds dataset or frames file"),
+    "--labels": dict(help="CSV (id,label) for frames input"),
 }
+# the flags of every stage command
+SHARED_FLAGS = ("--config", "--seed", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biozpipe",
-        description="bioimpedance tissue-classification pipeline")
+        description="bioimpedance tissue-classification pipeline",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name, summary, flags):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--out", help="run directory")
-        p.add_argument("--threads", type=int, help="worker cap")
-        p.add_argument("--model", choices=sorted(phm.TISSUE_MODELS),
-                       help="tissue model")
+    def command(name, summary, flags):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in flags:
-            dest, kind, text = STAGE_FLAGS[flag]
-            p.add_argument(flag, dest=dest, type=kind, help=text)
-        return p
+            p.add_argument(flag, **FLAGS[flag])
 
-    stage("generate", "phantoms, frames, dataset",
-          ("--n", "--mesh-edge", "--split"))
-    stage("train", "train the full-precision model", ("--epochs",))
-    stage("quantize", "bit-width accuracy sweep", ("--bits",))
-    p_eval = stage("eval", "evaluate a model on data", ())
-    p_eval.add_argument("--model-file", required=True, dest="model_file",
-                        help=".afua or .afuaq model")
-    p_eval.add_argument("--data", required=True,
-                        help=".bzds dataset or frames file")
-    p_eval.add_argument("--labels", help="CSV (id,label) for frames input")
-
-    p_budget = sub.add_parser("budget", help="hardware power/area budget")
+    for name, st in STAGES.items():
+        command(name, st.help, (*SHARED_FLAGS, *st.flags))
+    p_budget = sub.add_parser("budget", help="hardware power/area budget",
+                              allow_abbrev=False)
     p_budget.add_argument("--json", action="store_true", dest="as_json")
     p_budget.add_argument("--out")
-
-    stage("pipeline", "generate + train + quantize + eval + budget",
-          tuple(STAGE_FLAGS))
+    # pipeline evaluates the run's own model on its held-out split, so it
+    # takes the flags of every stage but eval, whose flags name its inputs
+    pipeline_flags = [flag for name, st in STAGES.items() if name != "eval"
+                      for flag in st.flags]
+    command("pipeline", " + ".join((*STAGES, "budget")),
+            (*SHARED_FLAGS, *pipeline_flags))
     return parser
-
-
-# the stage commands that pipeline runs, in order
-PIPELINE = ("generate", "train", "quantize", "eval", "budget")
 
 
 def main(argv=None) -> int:
@@ -541,7 +561,8 @@ def main(argv=None) -> int:
             cfg.check_trainable()
         # each stage function is looked up by name as it runs, so a wrapper
         # set on this module (a test's fake, a tracer) is the one called
-        for stage in PIPELINE if args.command == "pipeline" else (stage,):
+        for stage in ((*STAGES, "budget") if args.command == "pipeline"
+                      else (stage,)):
             if stage == "generate":
                 stage_generate(cfg, out)
             elif stage == "train":

@@ -130,3 +130,24 @@ def test_run_config_reads_resolve():
     assert not [name for name in sorted(reads) if not hasattr(cfg, name)]
     for method in ("rbf", "tissue_model", "integration"):
         getattr(cfg, method)()
+
+
+def bench_command_lines():
+    """Every command line ``bench/run.py`` and ``bench/selftest.py`` give
+    the CLI, with the ``--seed`` and ``--out`` that ``Run.seeded`` adds."""
+    names = ("PIPELINE_ARGS", "GENERATE_ARGS", "TRAIN_ARGS", "QUANTIZE_ARGS")
+    lines = [literal("run.py", name) for name in names]
+    lines += [[*lines[0], "--threads", t] for t in ("1", "2")]
+    return [[*args, "--seed", "7", "--out", "d"] for args in lines]
+
+
+def test_bench_command_lines_parse():
+    # a flag the bench passes that a command lost would otherwise show only
+    # in the selftest
+    parser = cli.build_parser()
+    for args in bench_command_lines():
+        try:
+            parsed = parser.parse_args(args)
+        except SystemExit:
+            raise AssertionError(f"biozpipe rejects {args}") from None
+        assert parsed.command == args[0]

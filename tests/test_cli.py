@@ -2,16 +2,20 @@ import csv
 import hashlib
 import inspect
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biozpipe
 from biozpipe import afua, analog, cli, datapipe, fem, quantizer, trainer
@@ -232,12 +236,26 @@ class TestUsageErrors:
         (["generate", "--split", "0,0.5,0.5", "--n", "2", "--mesh-edge",
           "0.5"], None, "train and validation fractions must be positive"),
         (["generate"], '{"model": "ovine"}', "unknown tissue model"),
+        # only generate and pipeline read --threads and --model
+        (["train", "--threads", "2"], None, "--threads 2"),
+        (["quantize", "--model", "bovine"], None, "--model bovine"),
+        (["eval", "--model-file", "m", "--data", "d", "--threads", "2"],
+         None, "--threads 2"),
+        (["eval", "--model-file", "m", "--data", "d", "--model", "bovine"],
+         None, "--model bovine"),
+        # a prefix is no spelling of a flag
+        (["generate", "--n", "2", "--mesh", "0.5"], None, "--mesh 0.5"),
+        # a dataset holds its labels; only frames input reads --labels
+        (["eval", "--model-file", "m.afua", "--data", "d.bzds", "--labels",
+          "/nonexistent/labels.csv"], None, "--labels"),
     ], ids=["split-flag", "split-two-fractions", "bits-flag",
             "n_phantoms-str", "split-int", "threads-bool", "json-list",
             "split-nan", "geometry-on-train", "geometry-on-generate",
             "seed-negative", "threads-zero", "config-invalid-json",
             "gain-on-eval", "saline-on-generate", "split-zero-train",
-            "model-unknown"])
+            "model-unknown", "threads-on-train", "model-on-quantize",
+            "threads-on-eval", "model-on-eval", "mesh-edge-prefix",
+            "labels-with-dataset"])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, args,
                                               config, named):
         if config is not None:
@@ -341,6 +359,36 @@ class TestResolveConfig:
         got = self.resolve("--config", str(cfg), "--split", "0.6,0.2,0.2")
         assert (got.model, got.split, got.bits, got.seed) == (
             "bovine", (0.6, 0.2, 0.2), (4,), 3)
+
+
+# values a config file may give any RunConfig field; epochs has no bound,
+# so its huge value would only run long
+ADVERSARIAL_VALUES = [0, -1, math.nan, math.inf, -math.inf, 1e-300, 1e300,
+                      10**30, True, "x", None, [], [1] * 50]
+ADVERSARIAL_CASES = [(f.name, value) for f in fields(cli.RunConfig)
+                     for value in ADVERSARIAL_VALUES
+                     if (f.name, value) != ("epochs", 10**30)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(ADVERSARIAL_CASES))
+def test_any_config_value_exits_2_unwritten_or_runs(case):
+    # a tiny pipeline run, with one field overwritten; the --out flag keeps
+    # every draw's run directory where it is checked
+    name, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, run = Path(tmp) / "c.json", Path(tmp) / "run"
+        config.write_text(json.dumps({"n_phantoms": 12, "mesh_edge_mm": 0.5,
+                                      "epochs": 1, name: value}))
+        code = run_cli(["pipeline", "--config", str(config),
+                        "--out", str(run)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not run.exists()
+        if code == 0:
+            steps = [s.steps
+                     for s in datapipe.load_sequences(run / "dataset.bzds")]
+            assert not all((s == steps[0].flat[0]).all() for s in steps)
 
 
 class TestPipelineOutputs:
@@ -477,6 +525,23 @@ class TestPipelineStages:
         piped = json.loads((tiny_run / "manifest.json").read_text())
         assert set(piped) - set(chained) == {"confusion.csv", "budget.txt"}
         assert chained == {k: piped[k] for k in chained}
+
+
+    def test_each_stage_writes_the_files_it_lists(self, tmp_path):
+        # a file a stage writes but does not list would survive a rerun of
+        # an earlier stage, and mix two configurations
+        out = tmp_path / "run"
+        for args in (["generate", "--n", "12", "--mesh-edge", "0.5"],
+                     ["train", "--epochs", "1"], ["quantize"]):
+            before = {p.name for p in out.glob("*")}
+            assert run_cli([*args, "--out", str(out)]) == 0
+            matched = {glob: {p.name for p in out.glob(glob)}
+                       for glob in cli.STAGES[args[0]].outputs}
+            assert all(matched.values())
+            listed = set().union(*matched.values())
+            assert not listed & before
+            assert ({p.name for p in out.iterdir()}
+                    == before | listed | {"manifest.json"})
 
 
 class TestReruns:
@@ -902,11 +967,13 @@ class TestMalformedInputs:
         bad = tmp_path / name
         bad.write_bytes(corrupt(good))
         assert bad.read_bytes() != good
-        # the frames file fails to load before any label is looked up
+        # the frames file fails to load before any label is looked up; a
+        # dataset holds its labels, and takes no --labels
         labels = tmp_path / "labels.csv"
         labels.write_text("id,label\n")
         code, err = self.eval_exit(capsys, tiny_run / "model.afua", bad,
-                                   tmp_path, labels)
+                                   tmp_path,
+                                   labels if bad.suffix == ".frame" else None)
         assert code == 4
         assert f"error [eval]: {bad}" in err
 
@@ -986,7 +1053,8 @@ class TestMalformedInputs:
         labels.write_text("id,label\np00000,1\n")
         shutil.copy(tiny_run / "reference.frame", tmp_path)
         code, err = self.eval_exit(capsys, tiny_run / "model.afua", data,
-                                   tmp_path, labels)
+                                   tmp_path,
+                                   labels if data.suffix == ".frame" else None)
         assert code == 4
         assert f"error [eval]: {data}: holds no record" in err
 
